@@ -183,7 +183,14 @@ def _run_scaling_check(theorem_id: str, fixture: AsymptoticFixture, p: FracParam
         for k, e in enumerate(eps):
             lhs[i, k] = lhs_fn(x, xi, e)
 
+    degenerate = None
     if np.max(np.abs(lhs)) < 1e-300:
+        degenerate = "all-zero transform of a degenerate input"
+    elif np.max(np.abs(rhs)) <= 1e-300:
+        # e.g. an odd window evaluated at x = 0 (TE5 with hermite1 on a delta)
+        degenerate = ("the stated limit vanishes at every probe, so the scaling "
+                      "law has no nonzero leading term to fit")
+    if degenerate is not None:
         return AsymptoticReport(
             theorem_id=theorem_id, fixture=fixture.label, alpha=p.alpha,
             window=g.name, probes=probes, eps=tuple(eps), lhs=lhs, rhs=rhs,
@@ -191,8 +198,7 @@ def _run_scaling_check(theorem_id: str, fixture: AsymptoticFixture, p: FracParam
             exponent_expected=expected, ratio=np.full_like(lhs, np.nan),
             max_slope_deviation=float("nan"), max_ratio_deviation=float("nan"),
             slope_tol=slope_tol, ratio_tol=ratio_tol, verdict="not-applicable",
-            notes=notes + ("all-zero transform of a degenerate input",),
-            extras=extras or {})
+            notes=notes + (degenerate,), extras=extras or {})
 
     fitted = np.array([_fit_exponent(eps, np.abs(lhs[i]) / Lv) for i in range(len(probes))])
     scale_law = eps[None, :] ** expected * Lv[None, :]

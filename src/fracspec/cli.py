@@ -28,9 +28,10 @@ from .asymptotics import (
     check_te1_hypotheses,
 )
 from .distributions import DistributionDescriptor, SlowlyVarying, SV_ONE
-from .errors import FracspecError
-from .fraccore import SampledSignal, frft, make_frac_param
+from .errors import FracspecError, MalformedCSV, NonUniformGrid
+from .fraccore import SampledSignal, frft, gaussian_signal, make_frac_param
 from .frst import (
+    _fmt,
     frst_forward,
     frst_reconstruct,
     grid_to_csv,
@@ -47,10 +48,6 @@ EXIT_VERIFY_FAIL = 3
 EXIT_NOT_APPLICABLE = 4
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_signal_csv(path, t: np.ndarray, values: np.ndarray) -> None:
     lines = ["t,re,im"]
     for tv, v in zip(t, values):
@@ -60,8 +57,6 @@ def write_signal_csv(path, t: np.ndarray, values: np.ndarray) -> None:
 
 
 def read_signal_csv(path) -> SampledSignal:
-    from .errors import MalformedCSV, NonUniformGrid
-
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "t,re,im":
@@ -72,6 +67,8 @@ def read_signal_csv(path) -> SampledSignal:
             raise MalformedCSV(str(exc)) from None
     if data.size == 0 or data.shape[0] < 2:
         raise MalformedCSV("signal file needs at least 2 samples")
+    if not np.all(np.isfinite(data)):
+        raise MalformedCSV("signal file holds non-finite fields")
     t = data[:, 0]
     dt = np.diff(t)
     if np.any(np.abs(dt - dt[0]) > 1e-9 * max(abs(t[0]), abs(t[-1]), 1.0)):
@@ -85,14 +82,14 @@ def ingest_signal(spec: str) -> SampledSignal:
     {"gaussian": {"width": w}, "N": n, "T": T}."""
     if spec.lstrip().startswith("{"):
         obj = json.loads(spec)
-        if "gaussian" not in obj:
+        gauss = obj.get("gaussian")
+        if not isinstance(gauss, dict):
             raise ValueError("synthetic spec supports only the gaussian family")
-        width = float(obj["gaussian"].get("width", 1.0))
-        n = int(obj["N"])
-        half = float(obj["T"])
-        t = np.linspace(-half, half, n)
-        vals = np.exp(-(t * t) / (2.0 * width * width))
-        return SampledSignal(t0=-half, dt=t[1] - t[0], samples=vals.astype(complex))
+        width, n, half = float(gauss.get("width", 1.0)), int(obj["N"]), float(obj["T"])
+        if n < 2 or not (0 < width < np.inf and 0 < half < np.inf):
+            raise ValueError(f"synthetic signal needs N >= 2 and finite width, T > 0; "
+                             f"got N={n}, width={width}, T={half}")
+        return gaussian_signal(width, n, half)
     return read_signal_csv(spec)
 
 
@@ -104,7 +101,20 @@ def _write_json(path, obj) -> None:
 
 def _parse_axis(spec: str):
     lo, hi, n = spec.split(":")
-    return float(lo), float(hi), int(n)
+    lo, hi, n = float(lo), float(hi), int(n)
+    if n < 2 or not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"axis {spec!r} needs finite bounds and at least 2 points")
+    return lo, hi, n
+
+
+def _linear_axis(spec: str) -> np.ndarray:
+    return np.linspace(*_parse_axis(spec))
+
+
+def _xi_axis(transform: str, spec):
+    """Log-spaced xi axis: both signs for frst, positive scales for frwt."""
+    make = symmetric_log_xi_axis if transform == "frst" else positive_log_xi_axis
+    return make(*_parse_axis(spec)) if spec else make()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,30 +200,25 @@ def run(argv=None) -> int:
     if cmd == "frft":
         p = make_frac_param(args.alpha)
         sig = ingest_signal(args.input)
-        lo, hi, n = _parse_axis(args.xi)
-        xi = np.linspace(lo, hi, n)
+        xi = _linear_axis(args.xi)
         vals = frft(p, sig, xi)
         write_signal_csv(f"{args.output}.csv", xi, vals)
-        print(f"frft alpha={p.alpha:.6g} -> {args.output}.csv ({n} points)")
+        print(f"frft alpha={p.alpha:.6g} -> {args.output}.csv ({xi.size} points)")
         return EXIT_OK
 
     if cmd in ("frst", "frwt"):
         p = make_frac_param(args.alpha)
         g = window_by_name(args.window)
         sig = ingest_signal(args.input)
-        xlo, xhi, nx = _parse_axis(args.x)
-        x = np.linspace(xlo, xhi, nx)
+        x = _linear_axis(args.x)
+        xi = _xi_axis(cmd, args.xi)
         if cmd == "frst":
             if p.kind.value == "parity":
                 print("alpha at singular angle: pi does not define a FRST",
                       file=sys.stderr)
                 return EXIT_USAGE
-            lo, hi, n = _parse_axis(args.xi) if args.xi else (2.0**-3, 2.0**3, 96)
-            xi = symmetric_log_xi_axis(lo, hi, n)
             grid = frst_forward(p, g, sig, x, xi)
         else:
-            lo, hi, n = _parse_axis(args.xi) if args.xi else (2.0**-4, 2.0**4, 96)
-            xi = positive_log_xi_axis(lo, hi, n)
             grid = frwt_forward(p, g, sig, x, xi)
         grid_to_csv(grid, f"{args.output}.csv", f"{args.output}.meta.json")
         print(f"{cmd} alpha={p.alpha:.6g} window={g.name} -> "
@@ -224,16 +229,12 @@ def run(argv=None) -> int:
         p = make_frac_param(args.alpha)
         g = window_by_name(args.window)
         sig = ingest_signal(args.input)
-        xlo, xhi, nx = _parse_axis(args.x)
-        x = np.linspace(xlo, xhi, nx)
+        x = _linear_axis(args.x)
+        xi = _xi_axis(args.transform, args.xi)
         if args.transform == "frst":
             psi = window_by_name(args.psi) if args.psi else g
-            lo, hi, n = _parse_axis(args.xi) if args.xi else (2.0**-3, 2.0**3, 96)
-            xi = symmetric_log_xi_axis(lo, hi, n)
             rep = frst_reconstruct(p, g, psi, sig, x, xi)
         else:
-            lo, hi, n = _parse_axis(args.xi) if args.xi else (2.0**-4, 2.0**4, 96)
-            xi = positive_log_xi_axis(lo, hi, n)
             rep = frwt_reconstruct(p, g, sig, x, xi)
         _write_json(f"{args.output}.report.json", rep.to_json_dict())
         print(f"invert {args.transform} rel_l2={rep.rel_l2:.3e} "
@@ -247,10 +248,7 @@ def run(argv=None) -> int:
         g = window_by_name(args.window)
         sig = ingest_signal(args.input)
         xpart, xipart = args.points.split("x")
-        xlo, xhi, nx = _parse_axis(xpart)
-        xilo, xihi, nxi = _parse_axis(xipart)
-        pts = [(a, b) for a in np.linspace(xlo, xhi, nx)
-               for b in np.linspace(xilo, xihi, nxi)]
+        pts = [(a, b) for a in _linear_axis(xpart) for b in _linear_axis(xipart)]
         rep = frst_frwt_bridge(p, g, sig, pts)
         _write_json(f"{args.output}.report.json", {
             "max_rel_deviation": rep.max_rel_deviation,

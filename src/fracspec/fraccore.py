@@ -15,7 +15,6 @@ sample grid, never as pointwise kernel values.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,6 +155,15 @@ class SampledSignal:
         return w
 
 
+def trapezoid_weights(axis: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights on a (possibly non-uniform) monotone axis."""
+    w = np.zeros_like(axis)
+    d = np.diff(axis)
+    w[:-1] += 0.5 * d
+    w[1:] += 0.5 * d
+    return w
+
+
 def gaussian_signal(width: float = 1.0, n: int = 1024, half_width: float = 12.0,
                     modulation: float = 0.0) -> SampledSignal:
     """exp(i*modulation*t) * exp(-t^2/(2*width^2)) on [-T, T] with N points."""
@@ -190,35 +198,6 @@ def _interp_complex(x_new: np.ndarray, x_old: np.ndarray, y_old: np.ndarray) -> 
     return np.interp(x_new, x_old, y_old.real) + 1j * np.interp(x_new, x_old, y_old.imag)
 
 
-def num_threads() -> int:
-    """Worker cap for per-frequency parallel maps (FRACSPEC_THREADS)."""
-    try:
-        return max(1, int(os.environ.get("FRACSPEC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _chunked_rows(n_rows: int, fn, out: np.ndarray) -> None:
-    """Evaluate fn(lo, hi) -> block over row chunks, optionally in threads.
-
-    Chunk boundaries are fixed by the chunk size alone, and each chunk's
-    internal summation order matches the sequential evaluation, so results
-    are bit-identical regardless of the worker count.
-    """
-    workers = num_threads()
-    chunk = 128
-    spans = [(lo, min(lo + chunk, n_rows)) for lo in range(0, n_rows, chunk)]
-    if workers == 1 or len(spans) == 1:
-        for lo, hi in spans:
-            out[lo:hi] = fn(lo, hi)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for (lo, hi), block in zip(spans, pool.map(lambda s: fn(*s), spans)):
-            out[lo:hi] = block
-
-
 def frft(p: FracParam, f: SampledSignal, xi_grid, *, enforce_sampling: bool = True) -> np.ndarray:
     """Fractional Fourier transform by trapezoid quadrature.
 
@@ -245,14 +224,13 @@ def frft(p: FracParam, f: SampledSignal, xi_grid, *, enforce_sampling: bool = Tr
     t = f.t_grid
     fw = f.samples * f.trapezoid_weights()
     out = np.empty(xi.shape, dtype=complex)
-
-    def block(lo, hi):
-        xb = xi[lo:hi, None]
+    # 128-row blocks bound the kernel matrix at 128 x N
+    for lo in range(0, xi.size, 128):
+        xb = xi[lo:lo + 128, None]
         phase = (t[None, :] ** 2 + xb ** 2) * (0.5 * p.c1) - t[None, :] * xb * p.c2
-        return (np.exp(1j * phase) @ fw) * p.c_alpha
-
-    _chunked_rows(xi.size, block, out)
-    return out
+        out[lo:lo + 128] = np.exp(1j * phase) @ fw
+        del phase   # a phase kept alive into the next block adds 4 MB at N = 4096
+    return out * p.c_alpha
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ Synthesis is the adjoint-type quadrature
 over both signs of xi, and composing synthesis (window psi) with analysis
 (window g) reproduces C_{g,psi,c2} * f when that admissibility constant is
 finite.
+
+On sampled signals this transform and the FRWT share one windowed
+correlation (``_correlate``) and its adjoint (``_spread``); the bridge
+identity in ``frwt`` is what makes the two transforms the same kernel with
+different dilations and modulations.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from .fraccore import (
     FracParam,
     CLASSICAL_FT_PARAM,
     SampledSignal,
-    _chunked_rows,
     check_sampling,
+    trapezoid_weights,
 )
 from .windows import Window, admissibility_cgpsi
 
@@ -86,14 +91,6 @@ def positive_log_xi_axis(xi_min: float = 2.0 ** -4, xi_max: float = 2.0 ** 4,
     return np.exp(np.linspace(np.log(xi_min), np.log(xi_max), n))
 
 
-def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(axis)
-    d = np.diff(axis)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
-
-
 def log_branch_weights(xi_axis: np.ndarray) -> np.ndarray:
     """d xi weights realized as trapezoid in log|xi| times the |xi| Jacobian,
     evaluated independently on each sign branch."""
@@ -105,13 +102,8 @@ def log_branch_weights(xi_axis: np.ndarray) -> np.ndarray:
         branch = xi[mask]
         if branch.size < 2:
             raise GridTooCoarse("xi sign branch needs at least 2 points")
-        v = np.log(np.abs(branch))
-        # v runs downhill on the negative branch; weights stay positive
-        d = np.abs(np.diff(v))
-        wb = np.zeros_like(v)
-        wb[:-1] += 0.5 * d
-        wb[1:] += 0.5 * d
-        w[mask] = wb * np.abs(branch)
+        # log|xi| runs downhill on the negative branch; weights stay positive
+        w[mask] = np.abs(trapezoid_weights(np.log(np.abs(branch)))) * np.abs(branch)
     return w
 
 
@@ -142,17 +134,20 @@ def frst_integrand_probe(p: FracParam, g: Window, x: float, xi: float,
                         name=f"frst-integrand[{g.name}]")
 
 
+def _apply(f: SignalOrDistribution, probe: TestFunction) -> complex:
+    """<f, probe>: trapezoid quadrature on a signal's own grid, else a pairing."""
+    if isinstance(f, SampledSignal):
+        return complex(np.sum(f.samples * probe(f.t_grid) * f.trapezoid_weights()))
+    return pair(f, probe)
+
+
 def frst_point(p: FracParam, g: Window, f: SignalOrDistribution,
                x: float, xi: float, *, drop_xi_chirp: bool = False) -> complex:
     """Single-point FRST via descriptor pairing or signal quadrature."""
     p.require_regular("frst_point")
     if xi == 0:
         raise ValueError("xi must be nonzero")
-    probe = frst_integrand_probe(p, g, x, xi, drop_xi_chirp=drop_xi_chirp)
-    if isinstance(f, SampledSignal):
-        t = f.t_grid
-        return complex(np.sum(f.samples * probe(t) * f.trapezoid_weights()))
-    return pair(f, probe)
+    return _apply(f, frst_integrand_probe(p, g, x, xi, drop_xi_chirp=drop_xi_chirp))
 
 
 def st_point(g: Window, f: SignalOrDistribution, x: float, xi: float) -> complex:
@@ -160,11 +155,39 @@ def st_point(g: Window, f: SignalOrDistribution, x: float, xi: float) -> complex
     return frst_point(CLASSICAL_FT_PARAM, g, f, x, xi)
 
 
+def _chirped(p: FracParam, f: SampledSignal) -> np.ndarray:
+    """Trapezoid-weighted samples times the time chirp e^{i c1 t^2/2}."""
+    t = f.t_grid
+    return f.samples * f.trapezoid_weights() * np.exp(1j * 0.5 * p.c1 * t * t)
+
+
+def _correlate(g: Window, t, x, d, omega, h) -> np.ndarray:
+    """C[i, j] = sum_k conj(g(d_j (t_k - x_i))) e^{-i omega_j t_k} h_k.
+
+    Both forward transforms reduce to it (the bridge identity in frwt):
+    the FRST takes d = xi, omega = c2 xi; the FRWT takes d = 1/xi,
+    omega = 0.  Each column is evaluated as conj(gm @ conj(v)), which
+    conjugates two vectors instead of copying the window matrix gm.
+    """
+    out = np.empty((x.size, d.size), dtype=complex)
+    hc = np.conj(h)
+    for j in range(d.size):
+        gm = g.eval((t - x[:, None]) * d[j])
+        out[:, j] = np.conj(gm @ (hc * np.exp(1j * omega[j] * t)))
+    return out
+
+
+def _cells(point, x_axis, xi_axis) -> np.ndarray:
+    """Grid of point(x, xi) values, one call per cell."""
+    return np.array([[point(float(x), float(xi)) for xi in xi_axis] for x in x_axis],
+                    dtype=complex).reshape(x_axis.size, xi_axis.size)
+
+
 def frst_forward(p: FracParam, g: Window, f: SignalOrDistribution,
                  x_axis, xi_axis, *, enforce_sampling: bool = True) -> TFGrid:
     """FRST on a full time-frequency grid.
 
-    Signals go through vectorized trapezoid quadrature on their own grid;
+    Signals go through the trapezoid correlation on their own grid;
     distribution descriptors through per-cell pairings.  alpha = 0 yields
     the zero grid; alpha = pi is rejected.
     """
@@ -177,35 +200,29 @@ def frst_forward(p: FracParam, g: Window, f: SignalOrDistribution,
     if p.kind is AngleKind.PARITY:
         raise SingularAngle("alpha = pi does not define a fractional Stockwell transform")
 
-    vals = np.empty((x_axis.size, xi_axis.size), dtype=complex)
     if isinstance(f, SampledSignal):
         if enforce_sampling:
             check_sampling(p, f, float(np.max(np.abs(xi_axis))))
-        t = f.t_grid
-        fw = f.samples * f.trapezoid_weights()
-        vals_T = np.empty((xi_axis.size, x_axis.size), dtype=complex)
-
-        def block(lo, hi):
-            out = np.empty((hi - lo, x_axis.size), dtype=complex)
-            for j in range(lo, hi):
-                xi = xi_axis[j]
-                kern = p.c_alpha * np.exp(
-                    1j * (0.5 * p.c1 * (t * t + xi * xi) - p.c2 * t * xi))
-                gm = np.conj(g.eval(xi * (t[None, :] - x_axis[:, None])))
-                out[j - lo] = abs(xi) * (gm @ (fw * kern))
-            return out
-
-        _chunked_rows(xi_axis.size, block, vals_T)
-        vals = vals_T.T.copy()
+        vals = _correlate(g, f.t_grid, x_axis, xi_axis, p.c2 * xi_axis, _chirped(p, f))
+        vals *= np.abs(xi_axis) * p.c_alpha * np.exp(1j * 0.5 * p.c1 * xi_axis * xi_axis)
     else:
-        for i, x in enumerate(x_axis):
-            for j, xi in enumerate(xi_axis):
-                vals[i, j] = frst_point(p, g, f, float(x), float(xi))
+        vals = _cells(lambda x, xi: frst_point(p, g, f, x, xi), x_axis, xi_axis)
     return TFGrid(x_axis, xi_axis, vals, meta)
 
 
 # ---------------------------------------------------------------------------
 # synthesis / reconstruction
+
+
+def _spread(g: Window, t, x, d, omega, H) -> np.ndarray:
+    """Adjoint of _correlate: s(t_k) = sum_j e^{i omega_j t_k} sum_i g(d_j (t_k - x_i)) H[i, j]."""
+    if x.size < 2 or d.size < 2:
+        raise GridTooCoarse("synthesis needs at least 2 points per axis")
+    out = np.zeros(t.shape, dtype=complex)
+    for j in range(d.size):
+        gm = g.eval((t[:, None] - x) * d[j])
+        out += np.exp(1j * omega[j] * t) * (gm @ H[:, j])
+    return out
 
 
 def frst_synthesis(p: FracParam, g: Window, F: TFGrid, t_grid) -> np.ndarray:
@@ -218,21 +235,12 @@ def frst_synthesis(p: FracParam, g: Window, F: TFGrid, t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     x = F.x_axis
     xi = F.xi_axis
-    if x.size < 2 or xi.size < 2:
-        raise GridTooCoarse("synthesis needs at least 2 points per axis")
-    wx = _trapezoid_weights(x)
-    wxi = log_branch_weights(xi)
-    Fw = F.values * wx[:, None]
-
-    sin_a = np.sin(p.alpha)
-    out = np.zeros(t.shape, dtype=complex)
-    cneg = np.conj(p.c_alpha)
-    for j in range(xi.size):
-        xj = xi[j]
-        kern = cneg * np.exp(1j * (-0.5 * p.c1 * (t * t + xj * xj) + p.c2 * t * xj))
-        gm = g.eval(xj * (t[:, None] - x[None, :]))
-        out += kern * (gm @ Fw[:, j]) * wxi[j]
-    return abs(sin_a) * out
+    # weighted in place: a second grid-sized temporary freed before the loop
+    # left a hole that raised the peak RSS by one grid
+    H = F.values * trapezoid_weights(x)[:, None]
+    H *= log_branch_weights(xi) * np.exp(-1j * 0.5 * p.c1 * xi * xi)
+    out = _spread(g, t, x, xi, p.c2 * xi, H)
+    return abs(np.sin(p.alpha)) * np.conj(p.c_alpha) * np.exp(-1j * 0.5 * p.c1 * t * t) * out
 
 
 @dataclass(frozen=True)
@@ -256,39 +264,30 @@ class ReconstructionReport:
         }
 
 
-def _compare(transform: str, alpha: float, constant: complex, t: np.ndarray,
-             rec: np.ndarray, ref: np.ndarray) -> ReconstructionReport:
+def _compare(transform: str, alpha: float, constant: complex, f: SampledSignal,
+             rec: np.ndarray) -> ReconstructionReport:
+    ref = f.samples
     scale = np.linalg.norm(ref)
     rel = float(np.linalg.norm(rec - ref) / scale) if scale > 0 else float(np.linalg.norm(rec))
     return ReconstructionReport(
         transform=transform, alpha=alpha, constant=constant,
         rel_l2=rel, max_abs_err=float(np.max(np.abs(rec - ref))),
-        t_grid=t, reconstructed=rec, reference=ref)
+        t_grid=f.t_grid, reconstructed=rec, reference=ref)
 
 
 def frst_reconstruct(p: FracParam, g: Window, psi: Window, f: SampledSignal,
-                     x_axis, xi_axis, t_grid=None, *,
-                     enforce_sampling: bool = True,
-                     constant_override: complex | None = None) -> ReconstructionReport:
-    """f_tilde = (S_psi^alpha)* (S_g^alpha f) / C_{g,psi,c2} against f.
+                     x_axis, xi_axis, *,
+                     enforce_sampling: bool = True) -> ReconstructionReport:
+    """f_tilde = (S_psi^alpha)* (S_g^alpha f) / C_{g,psi,c2} against f on its grid.
 
     Raises DivergentAdmissibility/ZeroAdmissibility when the pair (g, psi)
     does not admit a finite nonzero constant at this angle's c2.
-    ``constant_override`` exists for diagnostics only (e.g. measuring what a
-    truncated constant would produce); normal use derives the constant from
-    admissibility_cgpsi.
     """
     p.require_regular("frst_reconstruct")
-    if constant_override is None:
-        const = admissibility_cgpsi(g, psi, p.c2).value
-    else:
-        const = complex(constant_override)
+    const = admissibility_cgpsi(g, psi, p.c2).value
     F = frst_forward(p, g, f, x_axis, xi_axis, enforce_sampling=enforce_sampling)
-    t = f.t_grid if t_grid is None else np.asarray(t_grid, dtype=float)
-    rec = frst_synthesis(p, psi, F, t) / const
-    ref = (f.samples if t_grid is None
-           else np.interp(t, f.t_grid, f.samples.real) + 1j * np.interp(t, f.t_grid, f.samples.imag))
-    return _compare("FRST", p.alpha, const, t, rec, ref)
+    rec = frst_synthesis(p, psi, F, f.t_grid) / const
+    return _compare("FRST", p.alpha, const, f, rec)
 
 
 # ---------------------------------------------------------------------------

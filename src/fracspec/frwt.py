@@ -28,21 +28,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import TestFunction, pair
-from .errors import GridTooCoarse, MissingClosedFormFT, UndersampledChirp
-from .fraccore import FracParam, SampledSignal, _chunked_rows, frft
+# pair is not called here (_apply calls it), but perfbench/spans.py
+# instruments the frwt.pair attribute, so it stays in this namespace
+from .distributions import TestFunction, pair  # noqa: F401
+from .errors import MissingClosedFormFT, UndersampledChirp
+from .fraccore import (
+    CLASSICAL_FT_PARAM,
+    MAX_PHASE_STEP,
+    FracParam,
+    SampledSignal,
+    frft,
+    trapezoid_weights,
+)
 from .frst import (
     ReconstructionReport,
     SignalOrDistribution,
     TFGrid,
+    _apply,
+    _cells,
+    _chirped,
     _compare,
-    _trapezoid_weights,
+    _correlate,
+    _spread,
     frst_point,
     log_branch_weights,
 )
 from .windows import Window, admissibility_cg, modulate, require_wavelet
-
-MAX_PHASE_STEP = np.pi / 4
 
 
 def _check_wavelet_sampling(p: FracParam, f: SampledSignal, g: Window,
@@ -77,67 +88,40 @@ def frwt_point(p: FracParam, g: Window, f: SignalOrDistribution,
     p.require_regular("frwt_point")
     if xi <= 0:
         raise ValueError("FRWT scale must be positive")
-    probe = frwt_integrand_probe(p, g, x, xi)
-    if isinstance(f, SampledSignal):
-        t = f.t_grid
-        return complex(np.sum(f.samples * probe(t) * f.trapezoid_weights()))
-    return pair(f, probe)
+    return _apply(f, frwt_integrand_probe(p, g, x, xi))
 
 
 def wt_point(g: Window, f: SignalOrDistribution, x: float, xi: float) -> complex:
     """Classical wavelet transform point: xi^{-1/2} <f, g((.-x)/xi)> (no chirp)."""
-    if xi <= 0:
-        raise ValueError("scale must be positive")
-    amp = xi ** -0.5
+    return frwt_point(CLASSICAL_FT_PARAM, g, f, x, xi)
 
-    def fn(t, _g=g, _x=x, _xi=xi):
-        t = np.asarray(t, dtype=float)
-        return amp * np.conj(_g.eval((t - _x) / _xi)) + 0.0j
 
-    probe = TestFunction(fn=fn, center=x, radius=g.support_radius * xi,
-                         scale=g.decay_scale * xi, name=f"wt-integrand[{g.name}]")
-    if isinstance(f, SampledSignal):
-        t = f.t_grid
-        return complex(np.sum(f.samples * probe(t) * f.trapezoid_weights()))
-    return pair(f, probe)
+def _frwt_signal_grid(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
+                      enforce_sampling: bool) -> np.ndarray:
+    """FRWT values of a signal: the correlation at d = 1/xi, omega = 0."""
+    if enforce_sampling:
+        _check_wavelet_sampling(p, f, g, float(xi_axis.min()))
+    vals = _correlate(g, f.t_grid, x_axis, 1.0 / xi_axis, np.zeros_like(xi_axis),
+                      _chirped(p, f))
+    vals *= xi_axis ** -0.5
+    vals *= np.exp(-1j * 0.5 * p.c1 * x_axis * x_axis)[:, None]
+    return vals
 
 
 def frwt_forward(p: FracParam, g: Window, f: SignalOrDistribution,
-                 x_axis, xi_axis, *, enforce_sampling: bool = True,
-                 require_wavelet_gate: bool = True) -> TFGrid:
+                 x_axis, xi_axis, *, enforce_sampling: bool = True) -> TFGrid:
     """FRWT on a time-scale grid (xi_axis strictly positive)."""
     p.require_regular("frwt_forward")
     x_axis = np.asarray(x_axis, dtype=float)
     xi_axis = np.asarray(xi_axis, dtype=float)
     if np.any(xi_axis <= 0):
         raise ValueError("FRWT scale axis must be positive")
-    if require_wavelet_gate:
-        require_wavelet(g)
+    require_wavelet(g)
     meta = {"transform": "FRWT", "alpha": p.alpha, "window": g.name}
-
-    vals: np.ndarray
     if isinstance(f, SampledSignal):
-        if enforce_sampling:
-            _check_wavelet_sampling(p, f, g, float(xi_axis.min()))
-        t = f.t_grid
-        fw = f.samples * f.trapezoid_weights() * np.exp(1j * 0.5 * p.c1 * t * t)
-        vals_T = np.empty((xi_axis.size, x_axis.size), dtype=complex)
-
-        def block(lo, hi):
-            out = np.empty((hi - lo, x_axis.size), dtype=complex)
-            for j in range(lo, hi):
-                xi = xi_axis[j]
-                gm = np.conj(g.eval((t[None, :] - x_axis[:, None]) / xi))
-                out[j - lo] = xi ** -0.5 * (gm @ fw)
-            return out
-
-        _chunked_rows(xi_axis.size, block, vals_T)
-        vals = vals_T.T * np.exp(-1j * 0.5 * p.c1 * x_axis * x_axis)[:, None]
+        vals = _frwt_signal_grid(p, g, f, x_axis, xi_axis, enforce_sampling)
     else:
-        vals = np.empty((x_axis.size, xi_axis.size), dtype=complex)
-        for i, x in enumerate(x_axis):
-            for j, xi in enumerate(xi_axis):
-                vals[i, j] = frwt_point(p, g, f, float(x), float(xi))
+        vals = _cells(lambda x, xi: frwt_point(p, g, f, x, xi), x_axis, xi_axis)
     return TFGrid(x_axis, xi_axis, vals, meta)
 
 
@@ -162,9 +146,10 @@ def frwt_via_frft(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
     * "c2": conj(g_hat)(c2 * u * xi), the variant that degenerates to the
       classical WT-via-FT identity at alpha = pi/2.
 
-    The report records the relative L2 deviation against frwt_forward on the
-    same grid, so a misprinted constant is observable rather than silently
-    corrected.
+    The report records the relative L2 deviation against the direct
+    correlation on the same grid (frwt_forward's values, without its
+    wavelet gate), so a misprinted constant is observable rather than
+    silently corrected.
     """
     p.require_regular("frwt_via_frft")
     if g.ft is None:
@@ -192,11 +177,9 @@ def frwt_via_frft(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
     grid = TFGrid(x_axis, xi_axis, vals,
                   {"transform": "FRWT", "alpha": p.alpha, "window": g.name,
                    "route": f"frft-{freq_constant}"})
-    direct = frwt_forward(p, g, f, x_axis, xi_axis,
-                          enforce_sampling=enforce_sampling,
-                          require_wavelet_gate=False)
-    diff = grid.values - direct.values
-    scale = np.linalg.norm(direct.values)
+    direct = _frwt_signal_grid(p, g, f, x_axis, xi_axis, enforce_sampling)
+    diff = grid.values - direct
+    scale = np.linalg.norm(direct)
     rel = float(np.linalg.norm(diff) / scale) if scale > 0 else float(np.linalg.norm(diff))
     return ViaFrftReport(grid=grid, freq_constant=freq_constant,
                          rel_l2_deviation=rel,
@@ -219,24 +202,15 @@ def frwt_synthesis(p: FracParam, g: Window, F: TFGrid, t_grid) -> np.ndarray:
     xi = F.xi_axis
     if np.any(xi <= 0):
         raise ValueError("FRWT synthesis needs a positive scale axis")
-    if x.size < 2 or xi.size < 2:
-        raise GridTooCoarse("synthesis needs at least 2 points per axis")
-    wx = _trapezoid_weights(x)
-    wxi = log_branch_weights(xi) / (xi * xi)
-    chirp_x = np.exp(1j * 0.5 * p.c1 * x * x)
-    Fw = F.values * (wx * chirp_x)[:, None]
-
-    out = np.zeros(t.shape, dtype=complex)
-    for j in range(xi.size):
-        xj = xi[j]
-        gm = g.eval((t[:, None] - x[None, :]) / xj)
-        out += xj ** -0.5 * (gm @ Fw[:, j]) * wxi[j]
+    H = F.values * (trapezoid_weights(x) * np.exp(1j * 0.5 * p.c1 * x * x))[:, None]
+    H *= xi ** -0.5 * log_branch_weights(xi) / (xi * xi)
+    out = _spread(g, t, x, 1.0 / xi, np.zeros_like(xi), H)
     return out * np.exp(-1j * 0.5 * p.c1 * t * t)
 
 
 def frwt_reconstruct(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
-                     t_grid=None, *, enforce_sampling: bool = True) -> ReconstructionReport:
-    """f_tilde = synthesis(forward(f)) / (2 pi Cg_plus) against f.
+                     *, enforce_sampling: bool = True) -> ReconstructionReport:
+    """f_tilde = synthesis(forward(f)) / (2 pi Cg_plus) against f on its grid.
 
     Cg_plus is the positive-half admissibility integral; over a positive
     scale axis the composition reproduces 2*pi*Cg_plus*f (equal to
@@ -246,11 +220,8 @@ def frwt_reconstruct(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
     adm = admissibility_cg(g)
     const = 2.0 * np.pi * adm.half_line
     F = frwt_forward(p, g, f, x_axis, xi_axis, enforce_sampling=enforce_sampling)
-    t = f.t_grid if t_grid is None else np.asarray(t_grid, dtype=float)
-    rec = frwt_synthesis(p, g, F, t) / const
-    ref = (f.samples if t_grid is None
-           else np.interp(t, f.t_grid, f.samples.real) + 1j * np.interp(t, f.t_grid, f.samples.imag))
-    return _compare("FRWT", p.alpha, const, t, rec, ref)
+    rec = frwt_synthesis(p, g, F, f.t_grid) / const
+    return _compare("FRWT", p.alpha, const, f, rec)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .errors import (
     NotAWavelet,
     ZeroAdmissibility,
 )
+from .fraccore import trapezoid_weights
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -73,9 +74,7 @@ def numeric_ft(g: Window, w) -> np.ndarray:
     dx = min(g.decay_scale / 16.0, np.pi / (8.0 * max(wmax, 1.0)))
     n = int(np.ceil(2 * r / dx)) | 1
     x = np.linspace(-r, r, n + 1)
-    wx = np.full(x.size, x[1] - x[0])
-    wx[0] = wx[-1] = 0.5 * (x[1] - x[0])
-    vals = g.eval(x) * wx
+    vals = g.eval(x) * trapezoid_weights(x)
     out = np.exp(-1j * np.outer(w, x)) @ vals / SQRT_2PI
     return out if np.ndim(w) else out[0]
 
@@ -155,7 +154,7 @@ def modulate(g: Window, a: float) -> Window:
         x = np.asarray(x, dtype=float)
         return np.exp(1j * _a * x) * _g.eval(x)
 
-    return Window(name=f"modulated:{g.name}:{a:g}", eval=ev, ft=ft,
+    return Window(name=f"modulated:{g.name}:{a!r}", eval=ev, ft=ft,
                   decay_scale=g.decay_scale)
 
 
@@ -172,7 +171,7 @@ def dilate(g: Window, eps: float) -> Window:
     def ev(x, _g=g, _e=eps):
         return _g.eval(np.asarray(x, dtype=float) * _e)
 
-    return Window(name=f"dilated:{g.name}:{eps:g}", eval=ev, ft=ft,
+    return Window(name=f"dilated:{g.name}:{eps!r}", eval=ev, ft=ft,
                   decay_scale=g.decay_scale / eps)
 
 
@@ -213,13 +212,9 @@ def moment_with_error(g: Window, k: int) -> tuple[complex, float]:
     r = g.support_radius
     n = 16384
     x = np.linspace(-r, r, n + 1)
-    w = np.full(x.size, x[1] - x[0])
-    w[0] = w[-1] = 0.5 * (x[1] - x[0])
     integrand = (x ** k) * g.eval(x)
-    fine = complex(np.sum(integrand * w))
-    coarse_w = np.full(x[::2].size, x[2] - x[0])
-    coarse_w[0] = coarse_w[-1] = 0.5 * (x[2] - x[0])
-    coarse = complex(np.sum(integrand[::2] * coarse_w))
+    fine = complex(np.sum(integrand * trapezoid_weights(x)))
+    coarse = complex(np.sum(integrand[::2] * trapezoid_weights(x[::2])))
     # trapezoid is O(h^2): Richardson difference estimates the error
     return fine, abs(fine - coarse) / 3.0
 

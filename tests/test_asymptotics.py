@@ -125,6 +125,26 @@ class TestDegenerateInput:
         assert rep5.verdict == "not-applicable"
 
 
+class TestVanishingLimit:
+    def test_te5_odd_window_on_delta(self, p_third, hermite):
+        # hermite1 is odd, so the stated limit c_a sqrt(xi) W_g u(0, 1/xi)
+        # is zero at every probe while the LHS is not
+        rep = check_te5(p_third, hermite, delta_fixture())
+        assert np.all(rep.rhs == 0)
+        assert np.max(np.abs(rep.lhs)) > 0
+        assert rep.verdict == "not-applicable"
+        assert any("vanishes at every probe" in n for n in rep.notes)
+        assert np.all(np.isnan(rep.fitted_exponent))
+
+    def test_partly_zero_limit_keeps_its_verdict(self, p_third, hermite):
+        # rez1's limit for hermite1 on a delta is zero at x = 0 only; one
+        # probe with a nonzero limit keeps the fitted verdict
+        rep = check_rez1(p_third, hermite, delta_fixture(),
+                         probes=((0.0, 2.0), (0.5, 2.0)))
+        assert rep.rhs[0] == 0 and abs(rep.rhs[1]) > 0
+        assert rep.verdict == "pass"
+
+
 class TestTe1Hypotheses:
     def test_delta_passes(self, p_third, hermite):
         rep = check_te1_hypotheses(p_third, hermite, DD.delta(), m=-1.0,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fracspec as fs
-from fracspec.cli import ingest_signal, read_signal_csv, run, write_signal_csv
+from fracspec.cli import ingest_signal, main, read_signal_csv, run, write_signal_csv
 
 
 def file_bytes(path):
@@ -44,7 +44,53 @@ class TestIngest:
             read_signal_csv(path)
 
 
+    def test_non_finite_field_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t,re,im\n0.0,1.0,0.0\n0.1,nan,0.0\n0.2,1.0,0.0\n")
+        with pytest.raises(fs.MalformedCSV):
+            read_signal_csv(path)
+        assert exit_code(["frft", "--alpha", "1.0", "--input", str(path),
+                          "--output", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
+
 SYNTH = '{"gaussian": {"width": 1}, "N": 512, "T": 8}'
+
+
+def exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+class TestUsageErrors:
+    def test_empty_x_axis(self, tmp_path):
+        # an empty axis is a usage error, not a header-only CSV
+        out = tmp_path / "empty"
+        assert exit_code(["frst", "--alpha", "1.0", "--window", "hermite1",
+                          "--input", SYNTH, "--x=-1:1:0", "--output", str(out)]) == 1
+        assert not (tmp_path / "empty.csv").exists()
+
+    def test_single_point_xi_axis(self, tmp_path):
+        # one xi point per sign is a usage error, caught before any numerics
+        assert exit_code(["invert", "--transform", "frst", "--alpha", "1.0",
+                          "--window", "mexican-hat", "--input", SYNTH,
+                          "--xi", "0.5:2:1", "--output", str(tmp_path / "inv")]) == 1
+
+    def test_non_finite_axis_bound(self, tmp_path):
+        assert exit_code(["frft", "--alpha", "1.0", "--input", SYNTH, "--xi=nan:1:5",
+                          "--output", str(tmp_path / "f")]) == 1
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("spec", [
+        '{"gaussian": {"width": 1}, "N": 1, "T": 8}',
+        '{"gaussian": {"width": 0}, "N": 64, "T": 8}',
+        '{"gaussian": 1, "N": 64, "T": 8}',
+        '{"gaussian": {"width": 1}, "N": 64, "T": NaN}',
+    ])
+    def test_bad_synthetic_spec(self, tmp_path, spec):
+        assert exit_code(["frft", "--alpha", "1.0", "--input", spec,
+                          "--output", str(tmp_path / "f")]) == 1
 
 
 class TestCommands:
@@ -96,6 +142,16 @@ class TestCommands:
                     "--degree", "-1",
                     "--output", str(tmp_path / "na")])
         assert code == 4
+
+    def test_verify_te5_vanishing_limit_not_applicable(self, tmp_path):
+        out = tmp_path / "te5"
+        code = run(["verify", "te5", "--alpha", "1.0472", "--window", "hermite1",
+                    "--dist", '{"kind":"delta","terms":[[0,0,1.0]]}',
+                    "--output", str(out)])
+        assert code == 4
+        rep = json.loads((tmp_path / "te5.report.json").read_text())
+        assert rep["verdict"] == "not-applicable"
+        assert any("vanishes at every probe" in n for n in rep["notes"])
 
     def test_admissibility_command(self, tmp_path):
         out = tmp_path / "adm"

@@ -187,6 +187,53 @@ class TestSynthesis:
             frst_synthesis(p_third, hermite, F, np.linspace(-1, 1, 5))
 
 
+def log_trapezoid_weights(xi_axis):
+    """d xi weights per sign branch: trapezoid in log|xi| times |xi|."""
+    w = np.zeros(xi_axis.size)
+    for branch in (np.flatnonzero(xi_axis < 0), np.flatnonzero(xi_axis > 0)):
+        for a, b in zip(branch[:-1], branch[1:]):
+            h = abs(np.log(abs(xi_axis[b])) - np.log(abs(xi_axis[a])))
+            w[a] += 0.5 * h
+            w[b] += 0.5 * h
+    return w * np.abs(xi_axis)
+
+
+def x_trapezoid_weights(x_axis):
+    w = np.zeros(x_axis.size)
+    for a in range(x_axis.size - 1):
+        w[a] += 0.5 * (x_axis[a + 1] - x_axis[a])
+        w[a + 1] += 0.5 * (x_axis[a + 1] - x_axis[a])
+    return w
+
+
+def frst_synthesis_oracle(p, g, F, t):
+    """|sin a| * sum_ij F(x_i, xi_j) g(xi_j (t - x_i)) K_{-a}(t, xi_j) w_i w_j,
+    the module docstring's synthesis written as a plain double loop."""
+    wx = x_trapezoid_weights(F.x_axis)
+    wxi = log_trapezoid_weights(F.xi_axis)
+    out = np.zeros(t.size, complex)
+    for i, x in enumerate(F.x_axis):
+        for j, xi in enumerate(F.xi_axis):
+            out += (F.values[i, j] * g.eval(xi * (t - x))
+                    * fs.kernel_eval(p.negated(), t, xi) * wx[i] * wxi[j])
+    return abs(np.sin(p.alpha)) * out
+
+
+class TestSynthesisOracle:
+    @pytest.mark.parametrize("alpha", [np.pi / 3, 4.0])
+    def test_matches_double_loop(self, alpha, hermite):
+        p = fs.make_frac_param(alpha)
+        rng = np.random.default_rng(41)
+        x = np.linspace(-3, 3, 7)
+        xi = symmetric_log_xi_axis(0.5, 3.0, 4)
+        vals = rng.normal(size=(7, 8)) + 1j * rng.normal(size=(7, 8))
+        F = fs.TFGrid(x, xi, vals, {})
+        t = np.linspace(-4, 4, 41)
+        got = frst_synthesis(p, hermite, F, t)
+        want = frst_synthesis_oracle(p, hermite, F, t)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
 class TestReconstruction:
     def test_divergent_pair_refused(self, p_third, hermite):
         sig = fs.gaussian_signal(1.0, 512, 8.0)
@@ -229,17 +276,6 @@ class TestReconstruction:
         xi = symmetric_log_xi_axis(0.5, 4.0, 16)
         rep = frst_reconstruct(p_third, mexican, psi, sig, x, xi)
         assert np.all(rep.reconstructed == 0)
-
-
-class TestThreadDeterminism:
-    def test_thread_cap_bit_identical(self, p_third, hermite, monkeypatch):
-        sig = fs.gaussian_signal(1.0, 512, 8.0)
-        x = np.linspace(-4, 4, 60)
-        xi = symmetric_log_xi_axis(0.5, 4.0, 80)  # several row chunks
-        base = frst_forward(p_third, hermite, sig, x, xi).values
-        monkeypatch.setenv("FRACSPEC_THREADS", "3")
-        threaded = frst_forward(p_third, hermite, sig, x, xi).values
-        assert np.array_equal(base, threaded)
 
 
 class TestCompositionConstant:

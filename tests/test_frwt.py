@@ -12,6 +12,7 @@ from fracspec.frwt import (
     frwt_reconstruct,
     frwt_synthesis,
     frwt_via_frft,
+    wt_point,
 )
 from fracspec.windows import seminorm_rho, seminorm_sigma
 
@@ -88,6 +89,26 @@ class TestForward:
         assert_allclose(gm, 1.5 * g1 + 2j * g2, atol=1e-12)
 
 
+class TestWtPoint:
+    def test_signal_matches_cwt_oracle(self, mexican, hermite):
+        sig = fs.gaussian_signal(1.0, 512, 8.0, modulation=1.5)
+        for g in (mexican, hermite):
+            for x, s in ((-1.0, 0.4), (0.3, 1.0), (1.2, 2.5)):
+                want = cwt_oracle(g, sig, np.array([x]), np.array([s]))[0, 0]
+                assert abs(wt_point(g, sig, x, s) - want) <= 1e-12 * abs(want)
+
+    def test_delta_closed_form(self, hermite):
+        # <w delta_a, s^{-1/2} conj(g((. - x)/s))> = w s^{-1/2} conj(g((a - x)/s))
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            a, x = rng.uniform(-2, 2, 2)
+            s = rng.uniform(0.3, 4.0)
+            w = complex(*rng.normal(size=2))
+            got = wt_point(hermite, DD.delta(a, 0, w), x, s)
+            expected = w * s ** -0.5 * np.conj(hermite.eval(np.array([(a - x) / s]))[0])
+            assert abs(got - expected) < 1e-12 * max(1.0, abs(expected))
+
+
 class TestViaFrft:
     def test_c2_variant_matches_at_half_pi(self, p_half, mexican):
         sig = fs.gaussian_signal(1.0, 1024, 10.0)
@@ -134,7 +155,38 @@ class TestViaFrft:
             assert np.all(rep.grid.values == 0)
 
 
+def frwt_synthesis_oracle(p, g, F, t):
+    """sum_ij F(x_i, xi_j) xi_j^{-1/2} g((t - x_i)/xi_j) e^{-i c1 (t^2 - x_i^2)/2}
+    w_i v_j / xi_j: the module docstring's synthesis (dx dxi/xi^2, with v_j
+    the trapezoid weights in log xi) written as a plain double loop."""
+    x, xi = F.x_axis, F.xi_axis
+    wx = np.zeros(x.size)
+    v = np.zeros(xi.size)
+    for a in range(x.size - 1):
+        wx[a:a + 2] += 0.5 * (x[a + 1] - x[a])
+    for b in range(xi.size - 1):
+        v[b:b + 2] += 0.5 * (np.log(xi[b + 1]) - np.log(xi[b]))
+    out = np.zeros(t.size, complex)
+    for i in range(x.size):
+        for j in range(xi.size):
+            out += (F.values[i, j] * xi[j] ** -0.5 * g.eval((t - x[i]) / xi[j])
+                    * np.exp(-0.5j * p.c1 * (t * t - x[i] * x[i])) * wx[i] * v[j] / xi[j])
+    return out
+
+
 class TestSynthesis:
+    @pytest.mark.parametrize("alpha", [np.pi / 3, 4.0])
+    def test_matches_double_loop(self, alpha, mexican):
+        p = fs.make_frac_param(alpha)
+        rng = np.random.default_rng(42)
+        x = np.linspace(-3, 3, 7)
+        xi = positive_log_xi_axis(0.25, 4.0, 6)
+        F = fs.TFGrid(x, xi, rng.normal(size=(7, 6)) + 1j * rng.normal(size=(7, 6)), {})
+        t = np.linspace(-4, 4, 41)
+        want = frwt_synthesis_oracle(p, mexican, F, t)
+        assert_allclose(frwt_synthesis(p, mexican, F, t), want,
+                        rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
     def test_zero_grid(self, p_third, mexican):
         x = np.linspace(-2, 2, 9)
         xi = positive_log_xi_axis(0.5, 2.0, 6)

@@ -23,6 +23,15 @@ class TestRegistry:
             w = window_by_name(name)
             assert np.all(np.isfinite(w.eval(np.linspace(-3, 3, 11))))
 
+    def test_names_carry_exact_parameters(self, hermite):
+        # the name rebuilds a bit-identical window, e.g. modulated by -csc(pi/3)
+        x = np.linspace(-6, 6, 241)
+        for w in (fs.modulate(window_by_name("dog:6"), -1.0 / np.sin(np.pi / 3)),
+                  fs.dilate(hermite, 1.0 / 3.0)):
+            back = window_by_name(w.name)
+            assert back.name == w.name
+            assert np.array_equal(back.eval(x), w.eval(x))
+
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             window_by_name("haar")
