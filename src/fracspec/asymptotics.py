@@ -96,7 +96,7 @@ def log_sqrt_abs_fixture() -> AsymptoticFixture:
             out = np.where(a > 0, np.sqrt(a) * -np.log(np.where(a > 0, a, 1.0)), 0.0)
         return out + 0.0j
 
-    f = DistributionDescriptor.closed_form(fn, growth_order=1, singular_points=(0.0,))
+    f = DistributionDescriptor.closed_form(fn, singular_points=(0.0,))
     u = DistributionDescriptor.homogeneous("abs", 0.5)
     return AsymptoticFixture(f=f, m=0.5, L=SlowlyVarying("logpow", 1.0), u=u,
                              label="|x|^1/2 ln(1/|x|)")

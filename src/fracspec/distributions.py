@@ -6,8 +6,11 @@ A descriptor represents a tempered/Lizorkin distribution through the action
 * delta combs  sum w_j * delta^(k_j)(. - a_j)   (exact pairing),
 * homogeneous functions |x|^m, x_+^m, x_-^m with m > -1 (locally
   integrable, adaptive quadrature),
-* sampled densities on a uniform grid (trapezoid),
 * closed-form functions of polynomial growth (adaptive quadrature).
+
+``pair`` also takes a ``SampledSignal``, which it pairs by the trapezoid
+rule on the signal's own grid; that is the one way a sampled signal is
+paired, so the point transforms and the grid kernels agree on it.
 
 Scaled pairings <f(eps x), phi(x)> reduce to (1/eps) <f(t), phi(t/eps)>,
 and a modulation wrapper realizes M_a f exactly by multiplying the test
@@ -17,7 +20,7 @@ function with exp(i*a*t).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -51,7 +54,6 @@ class TestFunction:
     radius: float = 10.0
     scale: float = 1.0      # characteristic length, sets FD steps
     name: str = ""
-    singular_inside: tuple = ()   # integrand kinks of the *distribution* side
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
@@ -101,13 +103,11 @@ class DistributionDescriptor:
     distributions are realized exactly.
     """
 
-    kind: str                     # "delta" | "homogeneous" | "sampled" | "closed_form"
+    kind: str                     # "delta" | "homogeneous" | "closed_form"
     terms: tuple[DeltaTerm, ...] = ()
     pattern: str = "abs"          # "abs" | "plus" | "minus"
     degree: float = 0.0
-    signal: Optional[SampledSignal] = None
     func: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
-    growth_order: int = 0
     singular_points: tuple = ()
     modulation: float = 0.0
 
@@ -134,13 +134,8 @@ class DistributionDescriptor:
                                       degree=float(degree), singular_points=(0.0,))
 
     @staticmethod
-    def sampled(signal: SampledSignal):
-        return DistributionDescriptor(kind="sampled", signal=signal)
-
-    @staticmethod
-    def closed_form(func, growth_order: int = 0, singular_points: tuple = ()):
+    def closed_form(func, singular_points: tuple = ()):
         return DistributionDescriptor(kind="closed_form", func=func,
-                                      growth_order=growth_order,
                                       singular_points=tuple(singular_points))
 
     def modulated(self, a: float) -> "DistributionDescriptor":
@@ -158,8 +153,6 @@ class DistributionDescriptor:
             return DistributionDescriptor.delta_comb(terms)
         if kind == "homogeneous":
             return DistributionDescriptor.homogeneous(obj["pattern"], obj["degree"])
-        if kind == "sampled":
-            raise ValueError("sampled descriptors are constructed from a loaded signal")
         raise ValueError(f"unknown descriptor kind {kind!r}")
 
     # ---- pointwise density (function-type kinds only) ----------------------
@@ -177,11 +170,6 @@ class DistributionDescriptor:
             base = np.nan_to_num(base, nan=0.0)
         elif self.kind == "closed_form":
             base = np.asarray(self.func(t), dtype=complex)
-        elif self.kind == "sampled":
-            sig = self.signal
-            re = np.interp(t, sig.t_grid, sig.samples.real, left=0.0, right=0.0)
-            im = np.interp(t, sig.t_grid, sig.samples.imag, left=0.0, right=0.0)
-            base = re + 1j * im
         else:
             raise ValueError("delta combs have no pointwise density")
         if self.modulation:
@@ -195,8 +183,17 @@ def _modulated_probe(phi: TestFunction, a: float) -> TestFunction:
     return replace(phi, fn=lambda t, _f=phi.fn, _a=a: np.exp(1j * _a * np.asarray(t, dtype=float)) * np.asarray(_f(t), dtype=complex))
 
 
-def pair_with_error(f: DistributionDescriptor, phi: TestFunction) -> tuple[complex, float]:
-    """Dual pairing <f, phi> with a quadrature error estimate."""
+SignalOrDistribution = Union[SampledSignal, DistributionDescriptor]
+
+
+def pair_with_error(f: SignalOrDistribution, phi: TestFunction) -> tuple[complex, float]:
+    """Dual pairing <f, phi> with a quadrature error estimate.
+
+    A sampled signal is paired by the trapezoid rule on its own grid, with
+    no error estimate (0.0): the samples are all that is known of it.
+    """
+    if isinstance(f, SampledSignal):
+        return complex(np.sum(f.samples * phi(f.t_grid) * f.trapezoid_weights())), 0.0
     if f.kind == "delta":
         # modulation goes onto the test function; density() handles it for
         # the function-type kinds below
@@ -208,16 +205,6 @@ def pair_with_error(f: DistributionDescriptor, phi: TestFunction) -> tuple[compl
 
     probe = phi
     lo, hi = probe.center - probe.radius, probe.center + probe.radius
-    if f.kind == "sampled":
-        sig = f.signal
-        lo, hi = max(lo, sig.t0), min(hi, sig.t_end)
-        if hi <= lo:
-            return 0.0 + 0.0j, 0.0
-        t = sig.t_grid
-        mask = (t >= lo) & (t <= hi)
-        tm = t[mask]
-        vals = f.density(tm) * np.asarray(probe(tm), dtype=complex)
-        return complex(np.trapezoid(vals, tm)), 0.0
     if f.kind == "homogeneous" and f.pattern == "plus":
         lo = max(lo, 0.0)
     if f.kind == "homogeneous" and f.pattern == "minus":
@@ -232,7 +219,7 @@ def pair_with_error(f: DistributionDescriptor, phi: TestFunction) -> tuple[compl
     # pairings of size 1e-15 are still resolved relatively
     sample = f.density(np.linspace(lo, hi, 65)) * np.asarray(probe(np.linspace(lo, hi, 65)), dtype=complex)
     scale = float(np.max(np.abs(sample))) * (hi - lo)
-    pts = [p for p in set(f.singular_points) | set(probe.singular_inside) if lo < p < hi]
+    pts = [p for p in set(f.singular_points) if lo < p < hi]
     kw = {"limit": 300, "epsabs": max(1e-13 * scale, 1e-280), "epsrel": 1e-10}
     if pts:
         kw["points"] = sorted(pts)
@@ -246,7 +233,7 @@ def pair_with_error(f: DistributionDescriptor, phi: TestFunction) -> tuple[compl
     return val, err
 
 
-def pair(f: DistributionDescriptor, phi: TestFunction) -> complex:
+def pair(f: SignalOrDistribution, phi: TestFunction) -> complex:
     return pair_with_error(f, phi)[0]
 
 

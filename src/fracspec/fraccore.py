@@ -172,20 +172,23 @@ def gaussian_signal(width: float = 1.0, n: int = 1024, half_width: float = 12.0,
     return SampledSignal(t0=-half_width, dt=t[1] - t[0], samples=samples)
 
 
-def check_sampling(p: FracParam, f: SampledSignal, xi_max: float) -> None:
+def check_sampling(p: FracParam, f: SampledSignal, omega: float) -> None:
     """Oscillation criterion: bound the kernel phase advance per step.
 
     The maximal instantaneous kernel frequency over the truncation window is
-    ``|c1|*T + |c2|*xi_max``; we require at most pi/4 phase per sample.
+    the chirp's ``|c1|*T`` plus ``omega``, the frequency bound of the rest of
+    the kernel (``|c2|*max|xi|`` for the FRFT and FRST, the window bandwidth
+    at the finest scale for the FRWT); we require at most pi/4 phase per
+    sample.
     """
     if not p.is_regular:
         return
     t_abs = max(abs(f.t0), abs(f.t_end))
-    omega_max = abs(p.c1) * t_abs + abs(p.c2) * abs(xi_max)
+    omega_max = abs(p.c1) * t_abs + omega
     if omega_max > 0 and f.dt > MAX_PHASE_STEP / omega_max:
         raise UndersampledChirp(
             f"dt={f.dt:.4g} exceeds {MAX_PHASE_STEP / omega_max:.4g} needed for "
-            f"alpha={p.alpha:.4g} with |t|<={t_abs:.3g}, |xi|<={abs(xi_max):.3g}"
+            f"alpha={p.alpha:.4g} with |t|<={t_abs:.3g}, frequency <= {omega:.3g}"
         )
 
 
@@ -209,17 +212,20 @@ def frft(p: FracParam, f: SampledSignal, xi_grid, *, enforce_sampling: bool = Tr
     ----------
     p : FracParam
     f : SampledSignal
-    xi_grid : array of output frequencies
+    xi_grid : array of output frequencies; non-finite entries raise
+        DomainError
     enforce_sampling : raise UndersampledChirp when the oscillation
         criterion fails (disable only for refinement studies).
     """
     xi = np.asarray(xi_grid, dtype=float)
+    if not np.all(np.isfinite(xi)):
+        raise DomainError("frequency grid holds non-finite values")
     if p.kind is AngleKind.IDENTITY:
         return _interp_complex(xi, f.t_grid, f.samples)
     if p.kind is AngleKind.PARITY:
         return _interp_complex(-xi, f.t_grid, f.samples)
     if enforce_sampling and xi.size:
-        check_sampling(p, f, np.max(np.abs(xi)))
+        check_sampling(p, f, abs(p.c2) * np.max(np.abs(xi)))
 
     t = f.t_grid
     fw = f.samples * f.trapezoid_weights()

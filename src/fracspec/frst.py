@@ -20,18 +20,18 @@ finite.
 On sampled signals this transform and the FRWT share one windowed
 correlation (``_correlate``) and its adjoint (``_spread``); the bridge
 identity in ``frwt`` is what makes the two transforms the same kernel with
-different dilations and modulations.
+different dilations and modulations.  Single points of either transform
+pair f with ``_integrand_probe``, the same kernel at one cell.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
-from .distributions import DistributionDescriptor, TestFunction, pair
+from .distributions import SignalOrDistribution, TestFunction, pair
 from .errors import GridTooCoarse, MalformedCSV, SingularAngle
 from .fraccore import (
     AngleKind,
@@ -44,8 +44,6 @@ from .fraccore import (
 from .windows import Window, admissibility_cgpsi
 
 XI_FLOOR = 2.0 ** -6
-
-SignalOrDistribution = Union[SampledSignal, DistributionDescriptor]
 
 
 @dataclass(frozen=True)
@@ -111,43 +109,39 @@ def log_branch_weights(xi_axis: np.ndarray) -> np.ndarray:
 # forward
 
 
-def frst_integrand_probe(p: FracParam, g: Window, x: float, xi: float,
-                         drop_xi_chirp: bool = False) -> TestFunction:
-    """The FRST integrand t -> |xi| conj(g(xi(t-x))) K_alpha(t, xi) as a probe.
+def _integrand_probe(p: FracParam, g: Window, x: float, d: float, omega: float,
+                     amp: complex, name: str) -> TestFunction:
+    """t -> amp conj(g((t - x) d)) e^{i (c1 t^2/2 - omega t)} as a probe.
+
+    The point form of ``_correlate``: the FRST takes d = xi, omega = c2 xi,
+    the FRWT d = 1/xi, omega = 0; amp carries each transform's constant.
+    """
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        return amp * np.conj(g.eval((t - x) * d)) * np.exp(1j * (0.5 * p.c1 * t * t - omega * t))
+
+    radius = g.support_radius / abs(d)
+    osc = 1.0 + abs(omega) + abs(p.c1) * (abs(x) + radius)
+    return TestFunction(fn=fn, center=x, radius=radius,
+                        scale=min(g.decay_scale / abs(d), 1.0 / osc), name=name)
+
+
+def frst_point(p: FracParam, g: Window, f: SignalOrDistribution,
+               x: float, xi: float, *, drop_xi_chirp: bool = False) -> complex:
+    """Single-point FRST: the pairing of f with the integrand
+    t -> |xi| conj(g(xi(t-x))) K_alpha(t, xi).
 
     With drop_xi_chirp the constant factor exp(i*c1*xi^2/2) is omitted,
     which evaluates exp(-i*c1*xi^2/2) * S_g^alpha f directly (the gauge the
     asymptotic theorems use) without forming huge cancelling phases.
     """
-    absxi = abs(xi)
-    xi2term = 0.0 if drop_xi_chirp else 0.5 * p.c1 * xi * xi
-
-    def fn(t, _p=p, _g=g, _x=x, _xi=xi):
-        t = np.asarray(t, dtype=float)
-        phase = 0.5 * _p.c1 * t * t - _p.c2 * t * _xi + xi2term
-        return absxi * np.conj(_g.eval(_xi * (t - _x))) * _p.c_alpha * np.exp(1j * phase)
-
-    radius = g.support_radius / absxi
-    osc = 1.0 + abs(p.c2 * xi) + abs(p.c1) * (abs(x) + radius)
-    return TestFunction(fn=fn, center=x, radius=radius,
-                        scale=min(g.decay_scale / absxi, 1.0 / osc),
-                        name=f"frst-integrand[{g.name}]")
-
-
-def _apply(f: SignalOrDistribution, probe: TestFunction) -> complex:
-    """<f, probe>: trapezoid quadrature on a signal's own grid, else a pairing."""
-    if isinstance(f, SampledSignal):
-        return complex(np.sum(f.samples * probe(f.t_grid) * f.trapezoid_weights()))
-    return pair(f, probe)
-
-
-def frst_point(p: FracParam, g: Window, f: SignalOrDistribution,
-               x: float, xi: float, *, drop_xi_chirp: bool = False) -> complex:
-    """Single-point FRST via descriptor pairing or signal quadrature."""
     p.require_regular("frst_point")
     if xi == 0:
         raise ValueError("xi must be nonzero")
-    return _apply(f, frst_integrand_probe(p, g, x, xi, drop_xi_chirp=drop_xi_chirp))
+    amp = abs(xi) * p.c_alpha
+    if not drop_xi_chirp:
+        amp *= np.exp(1j * 0.5 * p.c1 * xi * xi)
+    return pair(f, _integrand_probe(p, g, x, xi, p.c2 * xi, amp, f"frst-integrand[{g.name}]"))
 
 
 def st_point(g: Window, f: SignalOrDistribution, x: float, xi: float) -> complex:
@@ -202,7 +196,7 @@ def frst_forward(p: FracParam, g: Window, f: SignalOrDistribution,
 
     if isinstance(f, SampledSignal):
         if enforce_sampling:
-            check_sampling(p, f, float(np.max(np.abs(xi_axis))))
+            check_sampling(p, f, abs(p.c2) * float(np.max(np.abs(xi_axis))))
         vals = _correlate(g, f.t_grid, x_axis, xi_axis, p.c2 * xi_axis, _chirped(p, f))
         vals *= np.abs(xi_axis) * p.c_alpha * np.exp(1j * 0.5 * p.c1 * xi_axis * xi_axis)
     else:

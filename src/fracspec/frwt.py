@@ -28,27 +28,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# pair is not called here (_apply calls it), but perfbench/spans.py
-# instruments the frwt.pair attribute, so it stays in this namespace
-from .distributions import TestFunction, pair  # noqa: F401
-from .errors import MissingClosedFormFT, UndersampledChirp
+from .distributions import SignalOrDistribution, pair
+from .errors import MissingClosedFormFT
 from .fraccore import (
     CLASSICAL_FT_PARAM,
-    MAX_PHASE_STEP,
     FracParam,
     SampledSignal,
+    check_sampling,
     frft,
     trapezoid_weights,
 )
 from .frst import (
     ReconstructionReport,
-    SignalOrDistribution,
     TFGrid,
-    _apply,
     _cells,
     _chirped,
     _compare,
     _correlate,
+    _integrand_probe,
     _spread,
     frst_point,
     log_branch_weights,
@@ -56,39 +53,15 @@ from .frst import (
 from .windows import Window, admissibility_cg, modulate, require_wavelet
 
 
-def _check_wavelet_sampling(p: FracParam, f: SampledSignal, g: Window,
-                            xi_min: float) -> None:
-    # chirp frequency plus the window bandwidth at the finest scale
-    t_abs = max(abs(f.t0), abs(f.t_end))
-    omega = abs(p.c1) * t_abs + (4.0 / g.decay_scale) / xi_min
-    if f.dt > MAX_PHASE_STEP / omega:
-        raise UndersampledChirp(
-            f"dt={f.dt:.4g} too coarse for scale {xi_min:.4g} at alpha={p.alpha:.4g}")
-
-
-def frwt_integrand_probe(p: FracParam, g: Window, x: float, xi: float) -> TestFunction:
-    """The FRWT integrand t -> xi^{-1/2} conj(g((t-x)/xi)) e^{ic1(t^2-x^2)/2}."""
-    amp = xi ** -0.5
-
-    def fn(t, _p=p, _g=g, _x=x, _xi=xi):
-        t = np.asarray(t, dtype=float)
-        return amp * np.conj(_g.eval((t - _x) / _xi)) * np.exp(
-            1j * 0.5 * _p.c1 * (t * t - _x * _x))
-
-    radius = g.support_radius * xi
-    osc = 1.0 + abs(p.c1) * (abs(x) + radius)
-    return TestFunction(fn=fn, center=x, radius=radius,
-                        scale=min(g.decay_scale * xi, 1.0 / osc),
-                        name=f"frwt-integrand[{g.name}]")
-
-
 def frwt_point(p: FracParam, g: Window, f: SignalOrDistribution,
                x: float, xi: float) -> complex:
-    """Single-point FRWT (xi > 0) via pairing or signal quadrature."""
+    """Single-point FRWT (xi > 0): the pairing of f with the integrand
+    t -> xi^{-1/2} conj(g((t-x)/xi)) e^{i c1 (t^2-x^2)/2}."""
     p.require_regular("frwt_point")
     if xi <= 0:
         raise ValueError("FRWT scale must be positive")
-    return _apply(f, frwt_integrand_probe(p, g, x, xi))
+    amp = xi ** -0.5 * np.exp(-1j * 0.5 * p.c1 * x * x)
+    return pair(f, _integrand_probe(p, g, x, 1.0 / xi, 0.0, amp, f"frwt-integrand[{g.name}]"))
 
 
 def wt_point(g: Window, f: SignalOrDistribution, x: float, xi: float) -> complex:
@@ -100,7 +73,8 @@ def _frwt_signal_grid(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis
                       enforce_sampling: bool) -> np.ndarray:
     """FRWT values of a signal: the correlation at d = 1/xi, omega = 0."""
     if enforce_sampling:
-        _check_wavelet_sampling(p, f, g, float(xi_axis.min()))
+        # the window bandwidth at the finest scale
+        check_sampling(p, f, (4.0 / g.decay_scale) / float(xi_axis.min()))
     vals = _correlate(g, f.t_grid, x_axis, 1.0 / xi_axis, np.zeros_like(xi_axis),
                       _chirped(p, f))
     vals *= xi_axis ** -0.5
@@ -162,17 +136,14 @@ def frwt_via_frft(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
     u = f.t_grid
     Fa = frft(p, f, u, enforce_sampling=enforce_sampling)
     wu = f.trapezoid_weights()
-    vals = np.empty((x_axis.size, xi_axis.size), dtype=complex)
-    cneg = np.conj(p.c_alpha)
-    for j, xi in enumerate(xi_axis):
-        if freq_constant == "c1":
-            spec = g.ft(p.c1 * u * xi)
-        else:
-            spec = np.conj(g.ft(p.c2 * u * xi))
-        core = Fa * spec * wu
-        kern = cneg * np.exp(1j * (-0.5 * p.c1 * (u[None, :] ** 2 + x_axis[:, None] ** 2)
-                                   + p.c2 * u[None, :] * x_axis[:, None]))
-        vals[:, j] = np.sqrt(2.0 * np.pi * xi) * (kern @ core)
+    if freq_constant == "c1":
+        spec = g.ft(p.c1 * u[:, None] * xi_axis)
+    else:
+        spec = np.conj(g.ft(p.c2 * u[:, None] * xi_axis))
+    core = Fa[:, None] * spec * wu[:, None]
+    kern = np.conj(p.c_alpha) * np.exp(1j * (-0.5 * p.c1 * (u[None, :] ** 2 + x_axis[:, None] ** 2)
+                                             + p.c2 * u[None, :] * x_axis[:, None]))
+    vals = np.sqrt(2.0 * np.pi * xi_axis) * (kern @ core)
 
     grid = TFGrid(x_axis, xi_axis, vals,
                   {"transform": "FRWT", "alpha": p.alpha, "window": g.name,

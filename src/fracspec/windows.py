@@ -87,7 +87,7 @@ def gaussian_window(width: float = 1.0, unit_mass: bool = False) -> Window:
     if width <= 0:
         raise NonPositiveScale("gaussian width must be positive")
     norm = 1.0 / (width * SQRT_2PI) if unit_mass else 1.0
-    name = "gauss-unit" if unit_mass else (f"gauss:{width:g}" if width != 1.0 else "gauss")
+    name = "gauss-unit" if unit_mass else (f"gauss:{float(width)!r}" if width != 1.0 else "gauss")
 
     def ev(x, _n=norm, _w=width):
         return _n * np.exp(-(x * x) / (2.0 * _w * _w))

@@ -57,7 +57,7 @@ class TestPair:
 
     def test_sampled_density(self):
         sig = fs.gaussian_signal(1.0, 4001, 10.0)
-        val = pair(DD.sampled(sig), GAUSS)
+        val = pair(sig, GAUSS)
         # integral exp(-x^2) dx = sqrt(pi)
         assert_allclose(val, math.sqrt(math.pi), rtol=1e-6)
 

@@ -115,6 +115,12 @@ class TestFrft:
         with pytest.raises(fs.DomainError):
             fs.frft(fs.make_frac_param(0.0), sig, np.array([5.0]))
 
+    @pytest.mark.parametrize("alpha, bad", [(1.0, np.nan), (0.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_frequency_rejected(self, alpha, bad):
+        sig = fs.gaussian_signal(1.0, 128, 4.0)
+        with pytest.raises(fs.DomainError):
+            fs.frft(fs.make_frac_param(alpha), sig, np.array([0.5, bad]))
+
 
 class TestCompose:
     def test_pi6_pi3_deviation(self):

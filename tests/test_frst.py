@@ -141,14 +141,18 @@ class TestForward:
         g2 = frst_forward(p_third, hermite, s2, x, xi).values
         assert_allclose(gm, 2.0 * g1 - 1.5j * g2, atol=1e-12)
 
-    def test_distribution_grid_matches_smooth_density(self, p_third, hermite):
-        # sampled-density descriptor vs the signal quadrature path
+    def test_distribution_grid_matches_smooth_density(self, hermite):
+        # the grid kernels on a signal against per-cell pairings of the signal
         sig = fs.gaussian_signal(1.0, 2048, 8.0)
         x = np.linspace(-1, 1, 3)
-        xi = symmetric_log_xi_axis(0.5, 1.0, 2)
-        by_signal = frst_forward(p_third, hermite, sig, x, xi).values
-        by_pairing = frst_forward(p_third, hermite, DD.sampled(sig), x, xi).values
-        assert np.max(np.abs(by_signal - by_pairing)) < 1e-6
+        for alpha in (np.pi / 3, 4.0):
+            p = fs.make_frac_param(alpha)
+            for forward, point, xi in (
+                    (frst_forward, frst_point, symmetric_log_xi_axis(0.5, 1.0, 2)),
+                    (fs.frwt_forward, fs.frwt_point, fs.positive_log_xi_axis(0.5, 2.0, 3))):
+                by_grid = forward(p, hermite, sig, x, xi).values
+                by_cells = np.array([[point(p, hermite, sig, a, b) for b in xi] for a in x])
+                assert np.max(np.abs(by_grid - by_cells)) < 1e-12, (alpha, forward.__name__)
 
 
 class TestSynthesis:

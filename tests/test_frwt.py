@@ -257,20 +257,19 @@ class TestInversion:
 
     def test_distribution_round_trip_on_battery(self, p_third, mexican):
         # dual-pairing realization of the inversion theorem: push a sampled
-        # distribution through the pairing-path forward transform, synthesize,
-        # and verify <f_tilde, phi> = <f, phi> on the full probe battery
+        # signal through the forward transform, synthesize, and verify
+        # <f_tilde, phi> = <f, phi> on the full probe battery
         src = modulated_gaussian(1.0, 1536, 8.0)
-        f = DD.sampled(src)
         x = np.linspace(-16, 16, 384)
         xi = positive_log_xi_axis(2.0 ** -5, 2.0 ** 3, 80)
-        F = frwt_forward(p_third, mexican, f, x, xi)
+        F = frwt_forward(p_third, mexican, src, x, xi, enforce_sampling=False)
         t = src.t_grid
         adm = fs.admissibility_cg(mexican)
         rec = frwt_synthesis(p_third, mexican, F, t) / (2 * np.pi * adm.half_line)
-        f_rec = DD.sampled(fs.SampledSignal(t[0], src.dt, rec))
+        f_rec = fs.SampledSignal(t[0], src.dt, rec)
         for probe in probe_battery():
             got = pair(f_rec, probe)
-            want = pair(f, probe)
+            want = pair(src, probe)
             assert abs(got - want) < 5e-3 * max(1.0, abs(want)), probe.name
 
 

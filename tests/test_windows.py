@@ -17,7 +17,7 @@ from fracspec.windows import (
 
 class TestRegistry:
     def test_names_round_trip(self):
-        for name in ("gauss-unit", "gauss", "mexican-hat", "hermite1", "dog:3",
+        for name in ("gauss-unit", "gauss", "gauss:2", "mexican-hat", "hermite1", "dog:3",
                      "modulated:hermite1:2.5", "dilated:mexican-hat:0.5",
                      "modulated:dog:4:-1.25"):
             w = window_by_name(name)
@@ -27,7 +27,7 @@ class TestRegistry:
         # the name rebuilds a bit-identical window, e.g. modulated by -csc(pi/3)
         x = np.linspace(-6, 6, 241)
         for w in (fs.modulate(window_by_name("dog:6"), -1.0 / np.sin(np.pi / 3)),
-                  fs.dilate(hermite, 1.0 / 3.0)):
+                  fs.dilate(hermite, 1.0 / 3.0), fs.gaussian_window(1.0 / 3.0)):
             back = window_by_name(w.name)
             assert back.name == w.name
             assert np.array_equal(back.eval(x), w.eval(x))
