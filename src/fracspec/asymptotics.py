@@ -32,9 +32,10 @@ away from the origin:
 * TE4  printed  e^{i x xi (c2-1)} W_g u(x c2, c2/xi);
        derived  sqrt(2 pi / xi) c2^{-m} S_g(M_{xi/c2} u)(x c2, xi/c2)
 
-Ratio verdicts use the derived forms; each printed form's deviation is
-recorded under extras["printed_ratio_deviation"] so the misprints stay
-observable rather than silently corrected.
+Ratio verdicts use the derived forms.  The checkers hand the printed form to
+the driver, which records its deviation at the ratio-check eps under
+extras["printed_ratio_deviation"], so the misprints stay observable rather
+than silently corrected.
 """
 
 from __future__ import annotations
@@ -168,13 +169,13 @@ def _fit_exponent(eps: np.ndarray, mags: np.ndarray) -> float:
 
 
 def _run_scaling_check(theorem_id: str, fixture: AsymptoticFixture, p: FracParam,
-                       g: Window, probes, seq: ScaleSequence,
+                       g: Window, probes, seq: ScaleSequence | None,
                        lhs_fn: Callable, rhs_fn: Callable, expected: float,
                        slope_tol: float, ratio_tol: Optional[float],
-                       notes: tuple = (), extras: dict | None = None) -> AsymptoticReport:
+                       notes: tuple = (), rhs_printed: Callable | None = None) -> AsymptoticReport:
     probes = tuple((float(x), float(xi)) for x, xi in probes)
-    eps = np.array(list(seq))
-    Lv = np.array([float(fixture.L(np.asarray(e))) for e in eps])
+    eps = np.array(list(seq or ScaleSequence()))
+    Lv = fixture.L(eps)
 
     lhs = np.empty((len(probes), eps.size), dtype=complex)
     rhs = np.empty(len(probes), dtype=complex)
@@ -190,62 +191,49 @@ def _run_scaling_check(theorem_id: str, fixture: AsymptoticFixture, p: FracParam
         # e.g. an odd window evaluated at x = 0 (TE5 with hermite1 on a delta)
         degenerate = ("the stated limit vanishes at every probe, so the scaling "
                       "law has no nonzero leading term to fit")
+    extras = {}
     if degenerate is not None:
-        return AsymptoticReport(
-            theorem_id=theorem_id, fixture=fixture.label, alpha=p.alpha,
-            window=g.name, probes=probes, eps=tuple(eps), lhs=lhs, rhs=rhs,
-            fitted_exponent=np.full(len(probes), np.nan),
-            exponent_expected=expected, ratio=np.full_like(lhs, np.nan),
-            max_slope_deviation=float("nan"), max_ratio_deviation=float("nan"),
-            slope_tol=slope_tol, ratio_tol=ratio_tol, verdict="not-applicable",
-            notes=notes + (degenerate,), extras=extras or {})
+        fitted = np.full(len(probes), np.nan)
+        ratio = np.full_like(lhs, np.nan)
+        max_slope_dev = max_ratio_dev = float("nan")
+        verdict = "not-applicable"
+        notes = notes + (degenerate,)
+    else:
+        fitted = np.array([_fit_exponent(eps, np.abs(lhs[i]) / Lv) for i in range(len(probes))])
+        scale_law = eps[None, :] ** expected * Lv[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(np.abs(rhs[:, None]) > 1e-300,
+                             lhs / (scale_law * rhs[:, None]), np.nan + 0j)
 
-    fitted = np.array([_fit_exponent(eps, np.abs(lhs[i]) / Lv) for i in range(len(probes))])
-    scale_law = eps[None, :] ** expected * Lv[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.abs(rhs[:, None]) > 1e-300,
-                         lhs / (scale_law * rhs[:, None]), np.nan + 0j)
+        k_check = int(np.argmin(np.abs(eps - RATIO_CHECK_EPS)))
+        ratio_devs = np.abs(ratio[:, k_check] - 1.0)
+        ratio_devs = ratio_devs[np.isfinite(ratio_devs)]
+        max_ratio_dev = float(np.max(ratio_devs)) if ratio_devs.size else float("nan")
+        max_slope_dev = float(np.nanmax(np.abs(fitted - expected)))
 
-    k_check = int(np.argmin(np.abs(eps - RATIO_CHECK_EPS)))
-    ratio_devs = np.abs(ratio[:, k_check] - 1.0)
-    ratio_devs = ratio_devs[np.isfinite(ratio_devs)]
-    max_ratio_dev = float(np.max(ratio_devs)) if ratio_devs.size else float("nan")
-    slope_devs = np.abs(fitted - expected)
-    max_slope_dev = float(np.nanmax(slope_devs))
-
-    ok = max_slope_dev <= slope_tol
-    if ratio_tol is not None and np.isfinite(max_ratio_dev):
-        ok = ok and max_ratio_dev <= ratio_tol
+        ok = max_slope_dev <= slope_tol
+        if ratio_tol is not None and np.isfinite(max_ratio_dev):
+            ok = ok and max_ratio_dev <= ratio_tol
+        verdict = "pass" if ok else "fail"
+        if rhs_printed is not None:
+            # deviation against the theorem's printed (uncorrected) RHS
+            devs = []
+            for i, (x, xi) in enumerate(probes):
+                rp = rhs_printed(x, xi)
+                if abs(rp) > 1e-300:
+                    devs.append(abs(lhs[i, k_check] / (scale_law[0, k_check] * rp) - 1.0))
+            extras["printed_ratio_deviation"] = float(max(devs)) if devs else float("nan")
     return AsymptoticReport(
         theorem_id=theorem_id, fixture=fixture.label, alpha=p.alpha, window=g.name,
         probes=probes, eps=tuple(eps), lhs=lhs, rhs=rhs, fitted_exponent=fitted,
         exponent_expected=expected, ratio=ratio,
         max_slope_deviation=max_slope_dev, max_ratio_deviation=max_ratio_dev,
-        slope_tol=slope_tol, ratio_tol=ratio_tol,
-        verdict="pass" if ok else "fail", notes=notes, extras=extras or {})
+        slope_tol=slope_tol, ratio_tol=ratio_tol, verdict=verdict, notes=notes,
+        extras=extras)
 
 
 # ---------------------------------------------------------------------------
 # individual theorems
-
-
-def _record_printed_ratio(report: AsymptoticReport, fixture: AsymptoticFixture,
-                          rhs_printed: Callable) -> AsymptoticReport:
-    """Deviation of the ratio against a theorem's printed (uncorrected) RHS."""
-    if report.verdict == "not-applicable":
-        return report
-    eps = np.array(list(report.eps))
-    Lv = np.array([float(fixture.L(np.asarray(e))) for e in eps])
-    k_check = int(np.argmin(np.abs(eps - RATIO_CHECK_EPS)))
-    devs = []
-    for i, (x, xi) in enumerate(report.probes):
-        rp = rhs_printed(x, xi)
-        if abs(rp) > 1e-300:
-            r = report.lhs[i, k_check] / (eps[k_check] ** report.exponent_expected
-                                          * Lv[k_check] * rp)
-            devs.append(abs(r - 1.0))
-    report.extras["printed_ratio_deviation"] = float(max(devs)) if devs else float("nan")
-    return report
 
 
 def check_rez1(p: FracParam, g: Window, fixture: AsymptoticFixture,
@@ -254,7 +242,6 @@ def check_rez1(p: FracParam, g: Window, fixture: AsymptoticFixture,
                ratio_tol: Optional[float] = RATIO_TOL) -> AsymptoticReport:
     """Scaling of the FRST of f against the classical ST of the limit u."""
     _require_angle(p, 0.0, np.pi, "REZ1")
-    seq = seq or ScaleSequence()
     amp = np.sqrt(1.0 - 1j * p.c1) / p.c2 ** fixture.m
 
     def lhs_fn(x, xi, e):
@@ -267,12 +254,12 @@ def check_rez1(p: FracParam, g: Window, fixture: AsymptoticFixture,
     def rhs_printed(x, xi):
         return amp * st_point(g, fixture.u, x * p.c2, xi / p.c2)
 
-    report = _run_scaling_check(
+    return _run_scaling_check(
         "REZ1", fixture, p, g, probes, seq, lhs_fn, rhs_fn,
         fixture.m, slope_tol, ratio_tol,
         notes=("ratio uses the substitution-derived limit "
-               "S_g(M_{xi(1/c2-1)}u); the printed form omits the modulation",))
-    return _record_printed_ratio(report, fixture, rhs_printed)
+               "S_g(M_{xi(1/c2-1)}u); the printed form omits the modulation",),
+        rhs_printed=rhs_printed)
 
 
 def check_teab1(p: FracParam, g: Window, fixture: AsymptoticFixture,
@@ -281,7 +268,6 @@ def check_teab1(p: FracParam, g: Window, fixture: AsymptoticFixture,
                 ratio_tol: Optional[float] = RATIO_TOL) -> AsymptoticReport:
     """Dilated-window scaling: exponent m + 2, modulated limit distribution."""
     _require_angle(p, 0.0, np.pi, "TEAB1")
-    seq = seq or ScaleSequence()
     amp = np.sqrt(1.0 - 1j * p.c1) / p.c2 ** fixture.m
 
     def lhs_fn(x, xi, e):
@@ -302,7 +288,6 @@ def check_te3(p: FracParam, g: Window, fixture: AsymptoticFixture,
               ratio_tol: Optional[float] = RATIO_TOL) -> AsymptoticReport:
     """FRWT scaling with modulated window: exponent m + 1/2 (xi > 0)."""
     _require_angle(p, 0.0, np.pi / 2, "TE3")
-    seq = seq or ScaleSequence()
     gm = modulate(g, p.c2)
     g1 = modulate(g, 1.0)
     amp = p.c2 ** -(fixture.m + 0.5)
@@ -318,12 +303,12 @@ def check_te3(p: FracParam, g: Window, fixture: AsymptoticFixture,
         return amp * np.exp(1j * x * xi * (p.c2 - 1.0)) * wt_point(
             g1, fixture.u, x * p.c2, p.c2 / xi)
 
-    report = _run_scaling_check(
+    return _run_scaling_check(
         "TE3", fixture, p, g, probes, seq, lhs_fn, rhs_fn,
         fixture.m + 0.5, slope_tol, ratio_tol,
         notes=("ratio uses the substitution-derived limit W_{M_{c2}g}u; "
-               "the printed form modulates by 1 and adds a phase",))
-    return _record_printed_ratio(report, fixture, rhs_printed)
+               "the printed form modulates by 1 and adds a phase",),
+        rhs_printed=rhs_printed)
 
 
 def check_te4(p: FracParam, g: Window, fixture: AsymptoticFixture,
@@ -337,7 +322,6 @@ def check_te4(p: FracParam, g: Window, fixture: AsymptoticFixture,
     form's deviation is stored under extras["printed_ratio_deviation"].
     """
     _require_angle(p, 0.0, np.pi / 2, "TE4")
-    seq = seq or ScaleSequence()
     amp_printed = p.c2 ** -(fixture.m + 0.5)
     amp_derived = np.sqrt(2.0 * np.pi) / p.c2 ** fixture.m
 
@@ -354,12 +338,12 @@ def check_te4(p: FracParam, g: Window, fixture: AsymptoticFixture,
         return amp_printed * np.exp(1j * x * xi * (p.c2 - 1.0)) * wt_point(
             g, fixture.u, x * p.c2, p.c2 / xi)
 
-    report = _run_scaling_check(
+    return _run_scaling_check(
         "TE4", fixture, p, g, probes, seq, lhs_fn, rhs_derived,
         fixture.m + 1.5, slope_tol, ratio_tol,
         notes=("ratio uses the proof-derived limit; the printed conclusion "
-               "differs by exp(i*x*xi*(c2-1)) and a window modulation",))
-    return _record_printed_ratio(report, fixture, rhs_printed)
+               "differs by exp(i*x*xi*(c2-1)) and a window modulation",),
+        rhs_printed=rhs_printed)
 
 
 def check_te5(p: FracParam, g: Window, fixture: AsymptoticFixture,
@@ -374,7 +358,6 @@ def check_te5(p: FracParam, g: Window, fixture: AsymptoticFixture,
     classical WT of the modulated limit distribution at x = 0.
     """
     _require_angle(p, 0.0, np.pi, "TE5")
-    seq = seq or ScaleSequence()
 
     def lhs_fn(x, xi, e):
         return frst_point(p, g, fixture.f, e * e * x, xi / e, drop_xi_chirp=True)
@@ -388,10 +371,9 @@ def check_te5(p: FracParam, g: Window, fixture: AsymptoticFixture,
     if report.verdict == "not-applicable":
         return report
 
-    eps = np.array(list(report.eps))
     xis = sorted({xi for _, xi in report.probes})
     decay = []
-    for k, e in enumerate(eps):
+    for k, e in enumerate(report.eps):
         rel = 0.0
         for xi in xis:
             center = lhs_fn(0.0, xi, e)
@@ -457,9 +439,8 @@ def check_te1_hypotheses(p: FracParam, g: Window, f: DistributionDescriptor,
     if s <= 1.0:
         raise InvalidExponent(f"the bound exponent must satisfy s > 1, got {s}")
     _require_angle(p, 0.0, np.pi, "TE1_HYPOTHESES")
-    seq = seq or ScaleSequence()
-    eps = np.array(list(seq))
-    Lv = np.array([float(L(np.asarray(e))) for e in eps])
+    eps = np.array(list(seq or ScaleSequence()))
+    Lv = L(eps)
 
     lattice = tuple((float(x), float(xi)) for x in x_lattice for xi in xi_lattice)
     converged = 0

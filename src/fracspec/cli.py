@@ -36,7 +36,9 @@ from .frst import (
     frst_reconstruct,
     grid_to_csv,
     positive_log_xi_axis,
+    read_csv_rows,
     symmetric_log_xi_axis,
+    write_json,
 )
 from .frwt import frst_frwt_bridge, frwt_forward, frwt_reconstruct
 from .windows import admissibility_cg, admissibility_cgpsi, seminorm_rho, window_by_name
@@ -57,14 +59,7 @@ def write_signal_csv(path, t: np.ndarray, values: np.ndarray) -> None:
 
 
 def read_signal_csv(path) -> SampledSignal:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "t,re,im":
-            raise MalformedCSV(f"expected header 't,re,im', got {header!r}")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise MalformedCSV(str(exc)) from None
+    data = read_csv_rows(path, "t,re,im")
     if data.size == 0 or data.shape[0] < 2:
         raise MalformedCSV("signal file needs at least 2 samples")
     if not np.all(np.isfinite(data)):
@@ -91,12 +86,6 @@ def ingest_signal(spec: str) -> SampledSignal:
                              f"got N={n}, width={width}, T={half}")
         return gaussian_signal(width, n, half)
     return read_signal_csv(spec)
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def _parse_axis(spec: str):
@@ -236,7 +225,7 @@ def run(argv=None) -> int:
             rep = frst_reconstruct(p, g, psi, sig, x, xi)
         else:
             rep = frwt_reconstruct(p, g, sig, x, xi)
-        _write_json(f"{args.output}.report.json", rep.to_json_dict())
+        write_json(f"{args.output}.report.json", rep.to_json_dict())
         print(f"invert {args.transform} rel_l2={rep.rel_l2:.3e} "
               f"max_abs={rep.max_abs_err:.3e} -> {args.output}.report.json")
         if args.tolerance is not None and rep.rel_l2 > args.tolerance:
@@ -250,7 +239,7 @@ def run(argv=None) -> int:
         xpart, xipart = args.points.split("x")
         pts = [(a, b) for a in _linear_axis(xpart) for b in _linear_axis(xipart)]
         rep = frst_frwt_bridge(p, g, sig, pts)
-        _write_json(f"{args.output}.report.json", {
+        write_json(f"{args.output}.report.json", {
             "max_rel_deviation": rep.max_rel_deviation,
             "points": [list(pt) for pt in rep.points],
             "rel_deviation": list(rep.rel_deviation),
@@ -267,7 +256,7 @@ def run(argv=None) -> int:
         L = SV_ONE if args.sv == "one" else SlowlyVarying(args.sv, 1.0)
         if args.theorem == "te1":
             rep = check_te1_hypotheses(p, g, desc, m=m, L=L, r=args.r, s=args.s)
-            _write_json(f"{args.output}.report.json", rep.to_json_dict())
+            write_json(f"{args.output}.report.json", rep.to_json_dict())
             print(f"te1 hypotheses: {rep.verdict} "
                   f"(converged {rep.converged_cells}/{rep.total_cells}, "
                   f"D={rep.bound_constant:.4g})")
@@ -276,7 +265,7 @@ def run(argv=None) -> int:
         checker = asymptotics.CHECKERS[args.theorem]
         rep = checker(p, g, fixture, slope_tol=args.slope_tol,
                       ratio_tol=args.ratio_tol)
-        _write_json(f"{args.output}.report.json", rep.to_json_dict())
+        write_json(f"{args.output}.report.json", rep.to_json_dict())
         fitted = rep.fitted_exponent[np.isfinite(rep.fitted_exponent)]
         shown = f"{np.mean(fitted):+.4f}" if fitted.size else "n/a"
         print(f"{args.theorem}: {rep.verdict} "
@@ -304,13 +293,13 @@ def run(argv=None) -> int:
             print(f"C_g = {adm.value:.10g} (half-line {adm.half_line:.10g}, "
                   f"err {adm.quadrature_error_estimate:.2e})")
         out["quadrature_error_estimate"] = adm.quadrature_error_estimate
-        _write_json(f"{args.output}.report.json", out)
+        write_json(f"{args.output}.report.json", out)
         return EXIT_OK
 
     if cmd == "seminorm":
         g = window_by_name(args.window)
         est = seminorm_rho(g, args.k, args.p)
-        _write_json(f"{args.output}.report.json", {
+        write_json(f"{args.output}.report.json", {
             "indices": list(est.indices), "value": est.value,
             "grid_spec": est.grid_spec})
         print(f"rho_({args.k},{args.p})[{g.name}] = {est.value:.12g}")

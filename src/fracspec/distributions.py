@@ -223,10 +223,10 @@ def pair_with_error(f: SignalOrDistribution, phi: TestFunction) -> tuple[complex
     kw = {"limit": 300, "epsabs": max(1e-13 * scale, 1e-280), "epsrel": 1e-10}
     if pts:
         kw["points"] = sorted(pts)
-    re = quad(lambda t: integrand(t).real, lo, hi, **kw)
-    im = quad(lambda t: integrand(t).imag, lo, hi, **kw)
-    val = complex(re[0], im[0])
-    err = re[1] + im[1]
+    # complex_func integrates the real and imaginary parts separately and
+    # returns their error estimates as one complex number
+    val, err = quad(integrand, lo, hi, complex_func=True, **kw)
+    err = err.real + err.imag
     if err > PAIRING_ERROR_BUDGET * max(abs(val), scale, 1e-250):
         raise PairingDiverged(
             f"pairing error estimate {err:.3e} exceeds budget for value {val:.3e}")

@@ -239,6 +239,12 @@ def frft(p: FracParam, f: SampledSignal, xi_grid, *, enforce_sampling: bool = Tr
     return out * p.c_alpha
 
 
+def rel_l2(got: np.ndarray, ref: np.ndarray) -> float:
+    """||got - ref|| / ||ref||, or ||got|| when the reference is zero."""
+    scale = np.linalg.norm(ref)
+    return float(np.linalg.norm(got - ref) / scale) if scale > 0 else float(np.linalg.norm(got))
+
+
 @dataclass(frozen=True)
 class ComposeReport:
     """Relative L2 deviation of F_a1(F_a2 f) from F_{a1+a2} f."""
@@ -269,6 +275,4 @@ def frft_compose_check(p1: FracParam, p2: FracParam, f: SampledSignal,
     lhs = frft(p1, f_mid, xi, enforce_sampling=enforce_sampling)
     rhs = frft(p12, f, xi, enforce_sampling=enforce_sampling)
 
-    scale = np.linalg.norm(rhs)
-    dev = np.linalg.norm(lhs - rhs) / scale if scale > 0 else np.linalg.norm(lhs)
-    return ComposeReport(alpha1=p1.alpha, alpha2=p2.alpha, n=f.n, deviation=float(dev))
+    return ComposeReport(alpha1=p1.alpha, alpha2=p2.alpha, n=f.n, deviation=rel_l2(lhs, rhs))

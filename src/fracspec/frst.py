@@ -39,6 +39,7 @@ from .fraccore import (
     CLASSICAL_FT_PARAM,
     SampledSignal,
     check_sampling,
+    rel_l2,
     trapezoid_weights,
 )
 from .windows import Window, admissibility_cgpsi
@@ -76,17 +77,17 @@ class TFGrid:
             raise ValueError("grid contains non-finite values")
 
 
-def symmetric_log_xi_axis(xi_min: float = 2.0 ** -3, xi_max: float = 2.0 ** 3,
-                          n_per_sign: int = 96) -> np.ndarray:
-    """Geometric |xi| grid on both signs, increasing overall (FRST)."""
-    pos = np.exp(np.linspace(np.log(xi_min), np.log(xi_max), n_per_sign))
-    return np.concatenate([-pos[::-1], pos])
-
-
 def positive_log_xi_axis(xi_min: float = 2.0 ** -4, xi_max: float = 2.0 ** 4,
                          n: int = 96) -> np.ndarray:
     """Geometric scale grid on the positive axis (FRWT)."""
     return np.exp(np.linspace(np.log(xi_min), np.log(xi_max), n))
+
+
+def symmetric_log_xi_axis(xi_min: float = 2.0 ** -3, xi_max: float = 2.0 ** 3,
+                          n_per_sign: int = 96) -> np.ndarray:
+    """Geometric |xi| grid on both signs, increasing overall (FRST)."""
+    pos = positive_log_xi_axis(xi_min, xi_max, n_per_sign)
+    return np.concatenate([-pos[::-1], pos])
 
 
 def log_branch_weights(xi_axis: np.ndarray) -> np.ndarray:
@@ -110,7 +111,7 @@ def log_branch_weights(xi_axis: np.ndarray) -> np.ndarray:
 
 
 def _integrand_probe(p: FracParam, g: Window, x: float, d: float, omega: float,
-                     amp: complex, name: str) -> TestFunction:
+                     amp: complex) -> TestFunction:
     """t -> amp conj(g((t - x) d)) e^{i (c1 t^2/2 - omega t)} as a probe.
 
     The point form of ``_correlate``: the FRST takes d = xi, omega = c2 xi,
@@ -123,7 +124,7 @@ def _integrand_probe(p: FracParam, g: Window, x: float, d: float, omega: float,
     radius = g.support_radius / abs(d)
     osc = 1.0 + abs(omega) + abs(p.c1) * (abs(x) + radius)
     return TestFunction(fn=fn, center=x, radius=radius,
-                        scale=min(g.decay_scale / abs(d), 1.0 / osc), name=name)
+                        scale=min(g.decay_scale / abs(d), 1.0 / osc))
 
 
 def frst_point(p: FracParam, g: Window, f: SignalOrDistribution,
@@ -141,7 +142,7 @@ def frst_point(p: FracParam, g: Window, f: SignalOrDistribution,
     amp = abs(xi) * p.c_alpha
     if not drop_xi_chirp:
         amp *= np.exp(1j * 0.5 * p.c1 * xi * xi)
-    return pair(f, _integrand_probe(p, g, x, xi, p.c2 * xi, amp, f"frst-integrand[{g.name}]"))
+    return pair(f, _integrand_probe(p, g, x, xi, p.c2 * xi, amp))
 
 
 def st_point(g: Window, f: SignalOrDistribution, x: float, xi: float) -> complex:
@@ -261,11 +262,9 @@ class ReconstructionReport:
 def _compare(transform: str, alpha: float, constant: complex, f: SampledSignal,
              rec: np.ndarray) -> ReconstructionReport:
     ref = f.samples
-    scale = np.linalg.norm(ref)
-    rel = float(np.linalg.norm(rec - ref) / scale) if scale > 0 else float(np.linalg.norm(rec))
     return ReconstructionReport(
         transform=transform, alpha=alpha, constant=constant,
-        rel_l2=rel, max_abs_err=float(np.max(np.abs(rec - ref))),
+        rel_l2=rel_l2(rec, ref), max_abs_err=float(np.max(np.abs(rec - ref))),
         t_grid=f.t_grid, reconstructed=rec, reference=ref)
 
 
@@ -292,6 +291,25 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def write_json(path, obj) -> None:
+    """Sorted-key, one-space-indented JSON with a trailing newline."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def read_csv_rows(path, header: str) -> np.ndarray:
+    """Numeric rows (2-D) of a CSV file whose first line must be ``header``."""
+    with open(path) as fh:
+        first = fh.readline().strip()
+        if first != header:
+            raise MalformedCSV(f"expected header {header!r}, got {first!r}")
+        try:
+            return np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise MalformedCSV(str(exc)) from None
+
+
 def grid_to_csv(grid: TFGrid, csv_path, meta_path=None) -> None:
     """Write `x,xi,re,im` rows (row-major over x then xi) and a meta record."""
     lines = ["x,xi,re,im"]
@@ -305,20 +323,11 @@ def grid_to_csv(grid: TFGrid, csv_path, meta_path=None) -> None:
         meta = dict(grid.meta)
         meta["axes"] = {"x": [float(v) for v in grid.x_axis],
                         "xi": [float(v) for v in grid.xi_axis]}
-        with open(meta_path, "w", newline="\n") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(meta_path, meta)
 
 
 def grid_from_csv(csv_path, meta_path=None) -> TFGrid:
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
-        if header != "x,xi,re,im":
-            raise MalformedCSV(f"expected header 'x,xi,re,im', got {header!r}")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise MalformedCSV(str(exc)) from None
+    data = read_csv_rows(csv_path, "x,xi,re,im")
     if data.size == 0:
         raise MalformedCSV("empty grid file")
     x = np.unique(data[:, 0])

@@ -36,6 +36,7 @@ from .fraccore import (
     SampledSignal,
     check_sampling,
     frft,
+    rel_l2,
     trapezoid_weights,
 )
 from .frst import (
@@ -61,7 +62,7 @@ def frwt_point(p: FracParam, g: Window, f: SignalOrDistribution,
     if xi <= 0:
         raise ValueError("FRWT scale must be positive")
     amp = xi ** -0.5 * np.exp(-1j * 0.5 * p.c1 * x * x)
-    return pair(f, _integrand_probe(p, g, x, 1.0 / xi, 0.0, amp, f"frwt-integrand[{g.name}]"))
+    return pair(f, _integrand_probe(p, g, x, 1.0 / xi, 0.0, amp))
 
 
 def wt_point(g: Window, f: SignalOrDistribution, x: float, xi: float) -> complex:
@@ -149,12 +150,9 @@ def frwt_via_frft(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
                   {"transform": "FRWT", "alpha": p.alpha, "window": g.name,
                    "route": f"frft-{freq_constant}"})
     direct = _frwt_signal_grid(p, g, f, x_axis, xi_axis, enforce_sampling)
-    diff = grid.values - direct
-    scale = np.linalg.norm(direct)
-    rel = float(np.linalg.norm(diff) / scale) if scale > 0 else float(np.linalg.norm(diff))
     return ViaFrftReport(grid=grid, freq_constant=freq_constant,
-                         rel_l2_deviation=rel,
-                         max_abs_deviation=float(np.max(np.abs(diff))))
+                         rel_l2_deviation=rel_l2(grid.values, direct),
+                         max_abs_deviation=float(np.max(np.abs(grid.values - direct))))
 
 
 # ---------------------------------------------------------------------------

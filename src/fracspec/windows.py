@@ -55,9 +55,6 @@ class Window:
     def support_radius(self) -> float:
         return SUPPORT_RADII * self.decay_scale
 
-    def __call__(self, x):
-        return self.eval(np.asarray(x, dtype=float))
-
     def ft_or_numeric(self, w):
         """Closed-form FT when available, else windowed quadrature."""
         if self.ft is not None:
@@ -276,17 +273,6 @@ def _decay_radius(numerator, start: float) -> float:
     return r
 
 
-def _quad_complex(fn, a, b, points=None):
-    kw = {"limit": 400}
-    if points:
-        pts = [p for p in points if a < p < b]
-        if pts:
-            kw["points"] = pts
-    re = quad(lambda x: fn(x).real, a, b, **kw)
-    im = quad(lambda x: fn(x).imag, a, b, **kw)
-    return complex(re[0], im[0]), re[1] + im[1]
-
-
 def admissibility_cg(g: Window) -> AdmissibilityConstant:
     """Wavelet constant C_g = integral |g_hat(w)|^2 / |w| dw.
 
@@ -335,7 +321,8 @@ def admissibility_cgpsi(g: Window, psi: Window, c2: float) -> AdmissibilityConst
     def integrand(w):
         return numerator(np.asarray([w]))[0] / abs(w)
 
-    value, err = _quad_complex(integrand, -r, r, points=[0.0, 1.0])
+    value, err = quad(integrand, -r, r, complex_func=True, limit=400, points=[0.0, 1.0])
+    err = err.real + err.imag
     if not np.isfinite(value):
         raise DivergentAdmissibility(f"C_gpsi[{g.name},{psi.name}] is not finite")
     if abs(value) < 1e-10:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import fracspec as fs
 from fracspec.asymptotics import (
+    CHECKERS,
     check_rez1,
     check_te1_hypotheses,
     check_te3,
@@ -100,17 +102,25 @@ class TestModulationCorrections:
         assert rep.extras["printed_ratio_deviation"] > 0.1
 
 
+# upper end of each theorem's open angle interval (0, hi)
+ANGLE_UPPER = {"rez1": np.pi, "teab1": np.pi, "te3": np.pi / 2, "te4": np.pi / 2,
+               "te5": np.pi}
+
+
 class TestAngleGates:
-    def test_intervals(self, hermite):
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    def test_intervals(self, name, hermite):
+        # the gate fires before any constant is formed: a checker that used
+        # the NaN constants of a singular angle first would warn here
+        check, hi = CHECKERS[name], ANGLE_UPPER[name]
         fx = delta_fixture()
-        with pytest.raises(fs.AngleOutsideTheoremRange):
-            check_rez1(fs.make_frac_param(3.5), hermite, fx)
-        with pytest.raises(fs.AngleOutsideTheoremRange):
-            check_te3(fs.make_frac_param(2.0), hermite, fx)  # > pi/2
-        with pytest.raises(fs.AngleOutsideTheoremRange):
-            check_te4(fs.make_frac_param(2.0), hermite, fx)
-        with pytest.raises(fs.SingularAngle):
-            check_teab1(fs.make_frac_param(0.0), hermite, fx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(fs.AngleOutsideTheoremRange):
+                check(fs.make_frac_param(hi + 0.4), hermite, fx)
+            for singular in (0.0, np.pi):
+                with pytest.raises(fs.SingularAngle):
+                    check(fs.make_frac_param(singular), hermite, fx)
 
     def test_te3_accepts_just_below_half_pi(self, hermite):
         rep = check_te3(fs.make_frac_param(1.5), hermite, delta_fixture())
@@ -153,6 +163,17 @@ class TestTe1Hypotheses:
         assert rep.all_converged
         assert rep.bound_feasible
         assert np.isfinite(rep.bound_constant) and rep.bound_constant > 0
+
+    def test_origin_column_of_the_bound(self, p_third, hermite, mexican):
+        # |x|^r vanishes at x = 0, so the bound holds there only where the
+        # transform does: hermite1 is odd, the mexican hat is not
+        rep = check_te1_hypotheses(p_third, hermite, DD.delta(), m=-1.0,
+                                   x_lattice=(0.0, 1.0))
+        assert rep.bound_feasible and rep.verdict == "pass"
+        rep = check_te1_hypotheses(p_third, mexican, DD.delta(), m=-1.0,
+                                   x_lattice=(0.0, 1.0))
+        assert rep.all_converged
+        assert not rep.bound_feasible and rep.verdict == "fail"
 
     def test_invalid_exponent(self, p_third, hermite):
         with pytest.raises(fs.InvalidExponent):

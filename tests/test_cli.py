@@ -104,6 +104,21 @@ class TestCommands:
         assert np.all(grid.values == 0)
         assert grid.meta["transform"] == "FRST"
 
+    def test_frwt_matches_forward(self, tmp_path):
+        out = tmp_path / "wt"
+        code = run(["frwt", "--alpha", "1.2", "--window", "mexican-hat",
+                    "--input", SYNTH, "--x=-3:3:7", "--xi", "0.5:2:4",
+                    "--output", str(out)])
+        assert code == 0
+        grid = fs.grid_from_csv(f"{out}.csv", f"{out}.meta.json")
+        want = fs.frwt_forward(fs.make_frac_param(1.2), fs.mexican_hat_window(),
+                               ingest_signal(SYNTH), np.linspace(-3, 3, 7),
+                               fs.positive_log_xi_axis(0.5, 2, 4))
+        assert np.array_equal(grid.x_axis, want.x_axis)
+        assert np.array_equal(grid.xi_axis, want.xi_axis)
+        assert np.array_equal(grid.values, want.values)
+        assert grid.meta == {"transform": "FRWT", "alpha": 1.2, "window": "mexican-hat"}
+
     def test_frst_singular_angle_usage_error(self, tmp_path):
         code = run(["frst", "--alpha", "3.14159265", "--window", "gauss-unit",
                     "--input", SYNTH, "--output", str(tmp_path / "x")])

@@ -107,6 +107,22 @@ class TestForward:
                         * np.exp(1j * p_third.c1 * xi * xi / 2))
             assert abs(got - expected) < 1e-12 * max(1.0, abs(expected))
 
+        # descriptor grids: a three-term comb over both xi signs, per cell
+        # sum_j w_j |xi| C_a conj(g(xi (a_j - x))) e^{i (c1 (a_j^2 + xi^2)/2 - c2 a_j xi)}
+        terms = [(-0.7, 0, 1.5), (0.2, 0, -0.5 + 2.0j), (1.1, 0, 0.8j)]
+        comb = DD.delta_comb(terms)
+        x = np.linspace(-2.0, 2.0, 7)
+        xi = symmetric_log_xi_axis(0.3, 4.0, 5)
+        X, XI = np.meshgrid(x, xi, indexing="ij")
+        for alpha in (np.pi / 3, 4.0):
+            p = fs.make_frac_param(alpha)
+            grid = frst_forward(p, hermite, comb, x, xi)
+            expected = sum(
+                w * np.abs(XI) * p.c_alpha * np.conj(hermite.eval(XI * (a - X)))
+                * np.exp(1j * (0.5 * p.c1 * (a * a + XI * XI) - p.c2 * a * XI))
+                for a, _, w in terms)
+            assert_allclose(grid.values, expected, rtol=1e-12, atol=0)
+
     def test_rez1_lhs_covariance_paths(self, p_third, hermite):
         # closed-form delta formula vs the generic pairing path for the
         # gauge-prefactored transform, at random probes and scales

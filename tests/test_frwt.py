@@ -55,6 +55,22 @@ class TestForward:
                         * np.exp(-1j * p_third.c1 * x * x / 2))
             assert abs(got - expected) < 1e-12 * max(1.0, abs(expected))
 
+        # descriptor grids: a three-term comb over positive scales, per cell
+        # sum_j w_j s^{-1/2} conj(g((a_j - x)/s)) e^{i c1 (a_j^2 - x^2)/2}
+        terms = [(-0.7, 0, 1.5), (0.2, 0, -0.5 + 2.0j), (1.1, 0, 0.8j)]
+        comb = DD.delta_comb(terms)
+        x = np.linspace(-2.0, 2.0, 7)
+        scales = positive_log_xi_axis(0.3, 4.0, 5)
+        X, S = np.meshgrid(x, scales, indexing="ij")
+        for alpha in (np.pi / 3, 4.0):
+            p = fs.make_frac_param(alpha)
+            grid = frwt_forward(p, hermite, comb, x, scales)
+            expected = sum(
+                w * S ** -0.5 * np.conj(hermite.eval((a - X) / S))
+                * np.exp(0.5j * p.c1 * (a * a - X * X))
+                for a, _, w in terms)
+            assert_allclose(grid.values, expected, rtol=1e-12, atol=0)
+
     def test_zero_signal(self, p_third, mexican):
         sig = fs.SampledSignal(-4.0, 0.05, np.zeros(161, complex))
         grid = frwt_forward(p_third, mexican, sig, np.linspace(-1, 1, 5),
