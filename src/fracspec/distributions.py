@@ -25,25 +25,11 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (
-    DegenerateSequence,
-    DerivativeOrderTooHigh,
-    PairingDiverged,
-)
+from .errors import DegenerateSequence, PairingDiverged
 from .fraccore import SampledSignal
-from .windows import Window
+from .windows import CONTOUR_RADIUS, Window, contour_derivative
 
 PAIRING_ERROR_BUDGET = 1e-8   # relative; quad estimates beyond this raise
-
-_FD_MAX_ORDER = 4
-# 4th-order-accurate central difference coefficients, derivative orders 1..4
-_FD4 = {
-    1: (np.array([-2, -1, 1, 2]), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0),
-    2: (np.array([-2, -1, 0, 1, 2]), np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0),
-    3: (np.array([-3, -2, -1, 1, 2, 3]), np.array([1.0, -8.0, 13.0, -13.0, 8.0, -1.0]) / 8.0),
-    4: (np.array([-3, -2, -1, 0, 1, 2, 3]), np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0),
-}
-
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -52,22 +38,16 @@ class TestFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     center: float = 0.0
     radius: float = 10.0
-    scale: float = 1.0      # characteristic length, sets FD steps
+    scale: float = 1.0      # characteristic length, sets the derivative contour
     name: str = ""
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
 
     def derivative(self, t0: float, order: int) -> complex:
-        """Derivative by 4th-order central differences (order <= 4)."""
-        if order == 0:
-            return complex(np.asarray(self.fn(np.array([t0])))[0])
-        if order > _FD_MAX_ORDER:
-            raise DerivativeOrderTooHigh(f"pairing derivative order {order} > {_FD_MAX_ORDER}")
-        offs, coeff = _FD4[order]
-        h = 5e-3 * self.scale
-        vals = np.asarray(self.fn(t0 + h * offs.astype(float)), dtype=complex)
-        return complex(np.sum(coeff * vals) / h ** order)
+        """Derivative by ``contour_derivative`` at radius CONTOUR_RADIUS * scale."""
+        return complex(contour_derivative(self.fn, np.array([t0]), order,
+                                          CONTOUR_RADIUS * self.scale)[0])
 
 
 def window_probe(g: Window) -> TestFunction:
@@ -115,23 +95,29 @@ class DistributionDescriptor:
 
     @staticmethod
     def delta(location: float = 0.0, order: int = 0, weight: complex = 1.0):
-        return DistributionDescriptor(
-            kind="delta", terms=(DeltaTerm(location, order, complex(weight)),))
+        return DistributionDescriptor.delta_comb([(location, order, weight)])
 
     @staticmethod
     def delta_comb(terms: Sequence[tuple]):
+        """sum w delta^(k)(. - a) over (a, k, w), each term checked."""
+        terms = [(float(a), float(k), complex(w)) for a, k, w in terms]
+        for a, k, w in terms:
+            if not (np.isfinite(a) and np.isfinite(w) and k.is_integer() and k >= 0):
+                raise ValueError(f"delta term ({a}, {k:g}, {w}) needs a finite location "
+                                 "and weight and a non-negative integer order")
         return DistributionDescriptor(
-            kind="delta",
-            terms=tuple(DeltaTerm(float(a), int(k), complex(w)) for a, k, w in terms))
+            kind="delta", terms=tuple(DeltaTerm(a, int(k), w) for a, k, w in terms))
 
     @staticmethod
     def homogeneous(pattern: str, degree: float):
+        degree = float(degree)
         if pattern not in ("abs", "plus", "minus"):
             raise ValueError(f"unknown homogeneous pattern {pattern!r}")
-        if degree <= -1:
-            raise ValueError("homogeneous degree must exceed -1 (locally integrable)")
+        if not -1 < degree < np.inf:
+            raise ValueError("homogeneous degree must be finite and exceed -1 "
+                             f"(locally integrable); got {degree}")
         return DistributionDescriptor(kind="homogeneous", pattern=pattern,
-                                      degree=float(degree), singular_points=(0.0,))
+                                      degree=degree, singular_points=(0.0,))
 
     @staticmethod
     def closed_form(func, singular_points: tuple = ()):
@@ -144,15 +130,17 @@ class DistributionDescriptor:
 
     @staticmethod
     def from_json(obj: dict) -> "DistributionDescriptor":
-        kind = obj.get("kind")
-        if kind == "delta":
-            terms = []
-            for item in obj["terms"]:
-                a, k, w = item
-                terms.append((a, k, complex(w[0], w[1]) if isinstance(w, (list, tuple)) else w))
-            return DistributionDescriptor.delta_comb(terms)
-        if kind == "homogeneous":
-            return DistributionDescriptor.homogeneous(obj["pattern"], obj["degree"])
+        """Descriptor from its JSON object; malformed input raises ValueError."""
+        try:
+            kind = obj.get("kind")
+            if kind == "delta":
+                return DistributionDescriptor.delta_comb(
+                    [(a, k, complex(*w) if isinstance(w, (list, tuple)) else w)
+                     for a, k, w in obj["terms"]])
+            if kind == "homogeneous":
+                return DistributionDescriptor.homogeneous(obj["pattern"], obj["degree"])
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed descriptor {obj!r}: {exc}") from None
         raise ValueError(f"unknown descriptor kind {kind!r}")
 
     # ---- pointwise density (function-type kinds only) ----------------------
@@ -180,7 +168,9 @@ class DistributionDescriptor:
 def _modulated_probe(phi: TestFunction, a: float) -> TestFunction:
     if a == 0.0:
         return phi
-    return replace(phi, fn=lambda t, _f=phi.fn, _a=a: np.exp(1j * _a * np.asarray(t, dtype=float)) * np.asarray(_f(t), dtype=complex))
+    # e^{iat} varies on the length 1/|a|, which bounds the derivative contour
+    return replace(phi, scale=min(phi.scale, 1.0 / abs(a)),
+                   fn=lambda t, _f=phi.fn, _a=a: np.exp(1j * _a * np.asarray(t)) * np.asarray(_f(t), dtype=complex))
 
 
 SignalOrDistribution = Union[SampledSignal, DistributionDescriptor]
@@ -291,10 +281,10 @@ class ScaleSequence:
 
 
 def scaled_probe(phi: TestFunction, eps: float) -> TestFunction:
-    """phi(./eps): support and FD scale stretch by eps."""
+    """phi(./eps): support and scale stretch by eps."""
     return replace(
         phi,
-        fn=lambda t, _f=phi.fn, _e=eps: np.asarray(_f(np.asarray(t, dtype=float) / _e)),
+        fn=lambda t, _f=phi.fn, _e=eps: np.asarray(_f(np.asarray(t) / _e)),
         center=phi.center * eps,
         radius=phi.radius * eps,
         scale=phi.scale * eps,
@@ -365,7 +355,7 @@ def chirp_factor_check(f: DistributionDescriptor, phi: TestFunction, c: float,
         denom = e * e ** m * float(L(np.asarray(e)))
         base = scaled_probe(phi, e)
         chirp_fn = (lambda t, _f=base.fn, _c=c:
-                    np.exp(1j * _c * np.asarray(t, dtype=float) ** 2 / 2.0) * np.asarray(_f(t)))
+                    np.exp(1j * _c * np.asarray(t) ** 2 / 2.0) * np.asarray(_f(t)))
         plain.append(pair(f, base) / denom)
         chirped.append(pair(f, replace(base, fn=chirp_fn)) / denom)
     plain = np.array(plain)

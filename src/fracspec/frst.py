@@ -118,8 +118,8 @@ def _integrand_probe(p: FracParam, g: Window, x: float, d: float, omega: float,
     the FRWT d = 1/xi, omega = 0; amp carries each transform's constant.
     """
     def fn(t):
-        t = np.asarray(t, dtype=float)
-        return amp * np.conj(g.eval((t - x) * d)) * np.exp(1j * (0.5 * p.c1 * t * t - omega * t))
+        # conj(g(conj u)) is analytic in t and equals conj(g(u)) for real t
+        return amp * np.conj(g.eval(np.conj(t - x) * d)) * np.exp(1j * (0.5 * p.c1 * t * t - omega * t))
 
     radius = g.support_radius / abs(d)
     osc = 1.0 + abs(omega) + abs(p.c1) * (abs(x) + radius)

@@ -92,6 +92,27 @@ class TestUsageErrors:
         assert exit_code(["frft", "--alpha", "1.0", "--input", spec,
                           "--output", str(tmp_path / "f")]) == 1
 
+    @pytest.mark.parametrize("dist", [
+        '{"kind":"delta","terms":[[0,1.5,1.0]]}',
+        '{"kind":"delta","terms":[[0,-1,1.0]]}',
+        '{"kind":"delta","terms":[[NaN,1,1.0]]}',
+        '{"kind":"delta","terms":[[0,1,[NaN,0]]]}',
+        '{"kind":"homogeneous","pattern":"abs","degree":NaN}',
+        '{"kind":"delta","terms":[[0,null,1.0]]}',
+        '{"kind":"delta","terms":5}',
+        '{"kind":"homogeneous","pattern":"abs","degree":"x"}',
+        '[1, 2]',
+    ])
+    def test_bad_descriptor(self, tmp_path, dist):
+        assert exit_code(["verify", "rez1", "--alpha", "1.0472", "--window", "hermite1",
+                          "--dist", dist, "--output", str(tmp_path / "v")]) == 1
+        assert not (tmp_path / "v.report.json").exists()
+
+    @pytest.mark.parametrize("k, p, code", [("-1", "0", 1), ("0", "-1", 1), ("0", "5", 2)])
+    def test_bad_seminorm_index(self, tmp_path, k, p, code):
+        assert exit_code(["seminorm", "--window", "gauss", "--k", k, "--p", p,
+                          "--output", str(tmp_path / "rho")]) == code
+
 
 class TestCommands:
     def test_frst_zero_operator(self, tmp_path):

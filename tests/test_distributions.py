@@ -40,6 +40,12 @@ class TestPair:
         # <delta'(.-a), phi> = -phi'(a); phi = exp(-x^2/2)
         expected = 0.7 * np.exp(-0.49 / 2)
         assert_allclose(pair(d1, GAUSS), expected, rtol=1e-9)
+        # under M_b the probe e^{ibt} phi is differentiated, also where e^{ibt}
+        # varies faster than phi: (e^{ibt - t^2/2})'' = ((ib - t)^2 - 1) e^{ibt - t^2/2}
+        for b in (1.0, 10.0, 40.0):
+            d2 = DD.delta(location=0.3, order=2).modulated(b)
+            expected = ((1j * b - 0.3) ** 2 - 1) * np.exp(1j * b * 0.3 - 0.045)
+            assert_allclose(pair(d2, GAUSS), expected, rtol=1e-12, err_msg=f"b = {b}")
 
     def test_sqrt_abs_oracle(self):
         val = pair(DD.homogeneous("abs", 0.5), GAUSS)

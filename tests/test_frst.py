@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -169,6 +170,55 @@ class TestForward:
                 by_grid = forward(p, hermite, sig, x, xi).values
                 by_cells = np.array([[point(p, hermite, sig, a, b) for b in xi] for a in x])
                 assert np.max(np.abs(by_grid - by_cells)) < 1e-12, (alpha, forward.__name__)
+
+
+class TestCombDerivatives:
+    """Delta combs of order 1..4 against mpmath derivatives of the probe.
+
+    The probes are t -> amp g((t - x) d) e^{i (c1 t^2/2 - omega t)} with the
+    real windows below, so <delta^(k)(. - a), phi> = (-1)^k phi^(k)(a) is
+    differentiated in 40-digit arithmetic, independent of the contour rule.
+    """
+
+    WINDOWS = {"hermite1": lambda u: -u * mp.exp(-u * u / 2),
+               "mexican-hat": lambda u: (1 - u * u) * mp.exp(-u * u / 2)}
+    TERMS = [(0.6, 1.0), (-1.3, 0.5 - 0.25j)]
+    X = np.array([-1.5, -0.5, 0.5, 1.5])
+
+    def _oracle(self, p, g, order, xi_axis, frst):
+        c1, c2 = mp.mpf(p.c1), mp.mpf(p.c2)
+        out = np.empty((self.X.size, xi_axis.size), complex)
+        for i, x in enumerate(map(mp.mpf, self.X)):
+            for j, xi in enumerate(map(mp.mpf, xi_axis)):
+                if frst:
+                    amp = abs(xi) * mp.mpc(p.c_alpha) * mp.expj(c1 * xi * xi / 2)
+                    d, omega = xi, c2 * xi
+                else:
+                    amp = xi ** -0.5 * mp.expj(-c1 * x * x / 2)
+                    d, omega = 1 / xi, 0
+
+                def phi(t):
+                    return amp * g((t - x) * d) * mp.expj(c1 * t * t / 2 - omega * t)
+
+                out[i, j] = complex(sum(mp.mpc(w) * (-1) ** order * mp.diff(phi, mp.mpf(a), order)
+                                        for a, w in self.TERMS))
+        return out
+
+    @pytest.mark.parametrize("window", ["hermite1", "mexican-hat"])
+    @pytest.mark.parametrize("alpha", [1.0, np.pi / 3, 4.0])
+    def test_orders_one_to_four_match_mpmath(self, alpha, window):
+        p = fs.make_frac_param(alpha)
+        g = window_by_name(window)
+        for order in (1, 2, 3, 4):
+            comb = DD.delta_comb([(a, order, w) for a, w in self.TERMS])
+            for forward, xi, frst in (
+                    (frst_forward, symmetric_log_xi_axis(0.25, 4.0, 3), True),
+                    (fs.frwt_forward, fs.positive_log_xi_axis(0.25, 4.0, 4), False)):
+                got = forward(p, g, comb, self.X, xi).values
+                with mp.workdps(40):
+                    want = self._oracle(p, self.WINDOWS[window], order, xi, frst)
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert err <= 1e-12, (order, forward.__name__, err)
 
 
 class TestSynthesis:

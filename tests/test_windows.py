@@ -181,10 +181,16 @@ class TestAdmissibility:
 
 
 class TestSeminorms:
-    def test_rho_examples(self, gauss):
-        assert_allclose(fs.seminorm_rho(gauss, 0, 0).value, 1.0, atol=1e-8)
-        assert_allclose(fs.seminorm_rho(gauss, 1, 0).value, np.exp(-0.5), atol=1e-6)
-        assert_allclose(fs.seminorm_rho(gauss, 0, 1).value, np.exp(-0.5), atol=1e-4)
+    def test_rho_examples(self):
+        # closed forms; every maximiser is 0 or +-1, which n_probe = 16001
+        # puts on the probe grid
+        for name, k, p, want in [
+                ("gauss", 0, 0, 1.0), ("gauss", 1, 0, np.exp(-0.5)),
+                ("gauss", 0, 1, np.exp(-0.5)), ("gauss", 0, 2, 1.0),
+                ("gauss", 0, 4, 3.0), ("hermite1", 0, 1, 1.0),
+                ("hermite1", 0, 3, 3.0), ("mexican-hat", 0, 2, 3.0)]:
+            est = fs.seminorm_rho(window_by_name(name), k, p, n_probe=16001)
+            assert_allclose(est.value, want, rtol=1e-12, err_msg=f"{name} rho_{k},{p}")
 
     def test_rho_monotone_under_refinement(self, mexican):
         coarse = fs.seminorm_rho(mexican, 2, 1, n_probe=2001).value
