@@ -129,27 +129,15 @@ class AsymptoticReport:
             a = np.asarray(a)
             return np.stack([a.real, a.imag], axis=-1).tolist()
 
-        return {
-            "theorem_id": self.theorem_id,
-            "fixture": self.fixture,
-            "alpha": self.alpha,
-            "window": self.window,
-            "probes": [list(p) for p in self.probes],
-            "eps": list(self.eps),
-            "lhs": c2l(self.lhs),
-            "rhs": c2l(self.rhs),
-            "ratio": c2l(np.nan_to_num(self.ratio, nan=0.0)),
-            "fitted_exponent": [float(v) for v in self.fitted_exponent],
-            "exponent_expected": self.exponent_expected,
-            "max_slope_deviation": self.max_slope_deviation,
-            "max_ratio_deviation": self.max_ratio_deviation,
-            "slope_tol": self.slope_tol,
-            "ratio_tol": self.ratio_tol,
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-            "extras": {k: (list(v) if isinstance(v, (tuple, np.ndarray)) else v)
-                       for k, v in self.extras.items()},
-        }
+        # every field; arrays and tuples become lists, complex values [re, im]
+        return dict(vars(self),
+                    probes=[list(p) for p in self.probes], eps=list(self.eps),
+                    lhs=c2l(self.lhs), rhs=c2l(self.rhs),
+                    ratio=c2l(np.nan_to_num(self.ratio, nan=0.0)),
+                    fitted_exponent=[float(v) for v in self.fitted_exponent],
+                    notes=list(self.notes),
+                    extras={k: (list(v) if isinstance(v, (tuple, np.ndarray)) else v)
+                            for k, v in self.extras.items()})
 
 
 def _require_angle(p: FracParam, lo: float, hi: float, theorem: str) -> None:
@@ -412,17 +400,9 @@ class Te1HypothesesReport:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem_id": "TE1_HYPOTHESES",
-            "alpha": self.alpha, "window": self.window,
-            "m": self.m, "r": self.r, "s": self.s,
-            "converged_cells": self.converged_cells,
-            "total_cells": self.total_cells,
-            "all_converged": self.all_converged,
-            "bound_constant": self.bound_constant,
-            "bound_feasible": self.bound_feasible,
-            "verdict": self.verdict,
-        }
+        """Every field but the lattice, under theorem_id TE1_HYPOTHESES."""
+        return {"theorem_id": "TE1_HYPOTHESES",
+                **{k: v for k, v in vars(self).items() if k != "lattice"}}
 
 
 def check_te1_hypotheses(p: FracParam, g: Window, f: DistributionDescriptor,

@@ -195,10 +195,12 @@ def run(argv=None) -> int:
         print(f"frft alpha={p.alpha:.6g} -> {args.output}.csv ({xi.size} points)")
         return EXIT_OK
 
-    if cmd in ("frst", "frwt"):
+    if cmd in ("frst", "frwt", "invert", "bridge"):
         p = make_frac_param(args.alpha)
         g = window_by_name(args.window)
         sig = ingest_signal(args.input)
+
+    if cmd in ("frst", "frwt"):
         x = _linear_axis(args.x)
         xi = _xi_axis(cmd, args.xi)
         if cmd == "frst":
@@ -215,9 +217,6 @@ def run(argv=None) -> int:
         return EXIT_OK
 
     if cmd == "invert":
-        p = make_frac_param(args.alpha)
-        g = window_by_name(args.window)
-        sig = ingest_signal(args.input)
         x = _linear_axis(args.x)
         xi = _xi_axis(args.transform, args.xi)
         if args.transform == "frst":
@@ -233,9 +232,6 @@ def run(argv=None) -> int:
         return EXIT_OK
 
     if cmd == "bridge":
-        p = make_frac_param(args.alpha)
-        g = window_by_name(args.window)
-        sig = ingest_signal(args.input)
         xpart, xipart = args.points.split("x")
         pts = [(a, b) for a in _linear_axis(xpart) for b in _linear_axis(xipart)]
         rep = frst_frwt_bridge(p, g, sig, pts)

@@ -27,7 +27,7 @@ from scipy.integrate import quad
 
 from .errors import DegenerateSequence, PairingDiverged
 from .fraccore import SampledSignal
-from .windows import CONTOUR_RADIUS, Window, contour_derivative
+from .windows import CONTOUR_RADIUS, Window, contour_derivative, modulated_length
 
 PAIRING_ERROR_BUDGET = 1e-8   # relative; quad estimates beyond this raise
 
@@ -53,7 +53,7 @@ class TestFunction:
 def window_probe(g: Window) -> TestFunction:
     return TestFunction(fn=lambda t: np.asarray(g.eval(t), dtype=complex),
                         center=0.0, radius=g.support_radius,
-                        scale=g.decay_scale, name=g.name)
+                        scale=g.length_scale, name=g.name)
 
 
 def probe_battery(c2: float = 2.0 / np.sqrt(3.0)) -> list[TestFunction]:
@@ -131,14 +131,14 @@ class DistributionDescriptor:
     @staticmethod
     def from_json(obj: dict) -> "DistributionDescriptor":
         """Descriptor from its JSON object; malformed input raises ValueError."""
+        num = _json_number
         try:
             kind = obj.get("kind")
             if kind == "delta":
                 return DistributionDescriptor.delta_comb(
-                    [(a, k, complex(*w) if isinstance(w, (list, tuple)) else w)
-                     for a, k, w in obj["terms"]])
+                    [(num(a), num(k), _json_weight(w)) for a, k, w in obj["terms"]])
             if kind == "homogeneous":
-                return DistributionDescriptor.homogeneous(obj["pattern"], obj["degree"])
+                return DistributionDescriptor.homogeneous(obj["pattern"], num(obj["degree"]))
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed descriptor {obj!r}: {exc}") from None
         raise ValueError(f"unknown descriptor kind {kind!r}")
@@ -165,11 +165,21 @@ class DistributionDescriptor:
         return base
 
 
+def _json_number(v):
+    if type(v) not in (int, float):   # a JSON string, boolean or null
+        raise TypeError(f"{v!r} is not a number")
+    return v
+
+
+def _json_weight(w):
+    re, im = w if isinstance(w, (list, tuple)) else (w, 0)   # a number or [re, im]
+    return complex(_json_number(re), _json_number(im))
+
+
 def _modulated_probe(phi: TestFunction, a: float) -> TestFunction:
     if a == 0.0:
         return phi
-    # e^{iat} varies on the length 1/|a|, which bounds the derivative contour
-    return replace(phi, scale=min(phi.scale, 1.0 / abs(a)),
+    return replace(phi, scale=modulated_length(phi.scale, a),
                    fn=lambda t, _f=phi.fn, _a=a: np.exp(1j * _a * np.asarray(t)) * np.asarray(_f(t), dtype=complex))
 
 

@@ -124,7 +124,7 @@ def _integrand_probe(p: FracParam, g: Window, x: float, d: float, omega: float,
     radius = g.support_radius / abs(d)
     osc = 1.0 + abs(omega) + abs(p.c1) * (abs(x) + radius)
     return TestFunction(fn=fn, center=x, radius=radius,
-                        scale=min(g.decay_scale / abs(d), 1.0 / osc))
+                        scale=min(g.length_scale / abs(d), 1.0 / osc))
 
 
 def frst_point(p: FracParam, g: Window, f: SignalOrDistribution,

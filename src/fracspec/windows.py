@@ -46,12 +46,19 @@ class Window:
     ``eval`` must accept complex ndarray input and be entire (derivatives
     are Cauchy integrals, see ``contour_derivative``), and must decay
     faster than any polynomial within ``SUPPORT_RADII * decay_scale``.
+    ``length_scale`` (default ``decay_scale``), the shortest length on which
+    ``eval`` varies, sizes derivative contours; ``modulate`` shortens it.
     """
 
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
     ft: Optional[Callable[[np.ndarray], np.ndarray]]
     decay_scale: float
+    length_scale: Optional[float] = None
+
+    def __post_init__(self):
+        if self.length_scale is None:
+            object.__setattr__(self, "length_scale", self.decay_scale)
 
     @property
     def support_radius(self) -> float:
@@ -141,6 +148,11 @@ def dog_window(m: int) -> Window:
     return Window(name=f"dog:{m}", eval=ev, ft=ft, decay_scale=1.0)
 
 
+def modulated_length(length: float, a: float) -> float:
+    """Length scale of e^{iax} f(x): e^{iaz} grows like e^{|a| r} at radius r."""
+    return min(length, 1.0 / abs(a)) if a else length
+
+
 def modulate(g: Window, a: float) -> Window:
     """M_a g(x) = exp(i*a*x) g(x); shifts the spectrum by a."""
     a = float(a)
@@ -154,7 +166,8 @@ def modulate(g: Window, a: float) -> Window:
         return np.exp(1j * _a * x) * _g.eval(x)
 
     return Window(name=f"modulated:{g.name}:{a!r}", eval=ev, ft=ft,
-                  decay_scale=g.decay_scale)
+                  decay_scale=g.decay_scale,
+                  length_scale=modulated_length(g.length_scale, a))
 
 
 def dilate(g: Window, eps: float) -> Window:
@@ -171,7 +184,7 @@ def dilate(g: Window, eps: float) -> Window:
         return _g.eval(np.asarray(x) * _e)
 
     return Window(name=f"dilated:{g.name}:{eps!r}", eval=ev, ft=ft,
-                  decay_scale=g.decay_scale / eps)
+                  decay_scale=g.decay_scale / eps, length_scale=g.length_scale / eps)
 
 
 def window_by_name(name: str) -> Window:
@@ -382,8 +395,10 @@ def seminorm_rho(g: Window, k: int, p: int, n_probe: int = 16385) -> SeminormEst
         raise ValueError(f"seminorm weight power k = {k} is negative")
     r = g.support_radius
     x = np.linspace(-r, r, n_probe)
-    rc = CONTOUR_RADIUS * g.decay_scale
-    value = float(np.max(np.abs(x ** k * contour_derivative(g.eval, x, p, rc))))
+    rc = CONTOUR_RADIUS * g.length_scale
+    # 128-point blocks keep the (points x CONTOUR_NODES) evaluation in cache
+    value = max(float(np.max(np.abs(xb ** k * contour_derivative(g.eval, xb, p, rc))))
+                for xb in np.split(x, range(128, x.size, 128)))
     return SeminormEstimate(indices=(k, p), value=value,
                             grid_spec=f"[-{r:g},{r:g}] n={n_probe} contour r={rc:g} M={CONTOUR_NODES}")
 

@@ -52,6 +52,18 @@ class TestDeltaFixtures:
         assert rep.max_ratio_deviation < 1e-10
         assert rep.extras["printed_ratio_deviation"] < 1e-10
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.1])
+    @pytest.mark.parametrize("window", ["hermite1", "mexican-hat"])
+    def test_te3_delta_prime_at_small_angle(self, alpha, window):
+        # TE3 probes through M_{c2} g with c2 = csc(alpha) of 10 to 20: the
+        # window's modulation, not its envelope, sets the derivative contour
+        d1 = DD.delta(order=1)
+        fx = AsymptoticFixture(f=d1, m=-2.0, L=SV_ONE, u=d1, label="delta'")
+        rep = check_te3(fs.make_frac_param(alpha), fs.window_by_name(window), fx)
+        assert rep.verdict == "pass"
+        assert_allclose(rep.fitted_exponent, -1.5, atol=1e-10)
+        assert rep.max_ratio_deviation < 1e-12
+
     def test_te4_printed_phase_visible(self, p_third, hermite):
         rep = check_te4(p_third, hermite, delta_fixture())
         assert rep.verdict == "pass"

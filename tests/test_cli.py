@@ -101,6 +101,13 @@ class TestUsageErrors:
         '{"kind":"delta","terms":[[0,null,1.0]]}',
         '{"kind":"delta","terms":5}',
         '{"kind":"homogeneous","pattern":"abs","degree":"x"}',
+        '{"kind":"delta","terms":[[0,"1",1.0]]}',
+        '{"kind":"delta","terms":[[0,true,1.0]]}',
+        '{"kind":"delta","terms":[["0.5",1,[1,2]]]}',
+        '{"kind":"delta","terms":[[0.5,1,["1",2]]]}',
+        '{"kind":"homogeneous","pattern":"abs","degree":"0.5"}',
+        '{"kind":"delta","terms":[[0,1,[]]]}',
+        '{"kind":"delta","terms":[[0,1,[2.0]]]}',
         '[1, 2]',
     ])
     def test_bad_descriptor(self, tmp_path, dist):

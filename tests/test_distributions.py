@@ -46,6 +46,14 @@ class TestPair:
             d2 = DD.delta(location=0.3, order=2).modulated(b)
             expected = ((1j * b - 0.3) ** 2 - 1) * np.exp(1j * b * 0.3 - 0.045)
             assert_allclose(pair(d2, GAUSS), expected, rtol=1e-12, err_msg=f"b = {b}")
+        # the same through a window's own modulation: phi = e^{iat} h(t),
+        # h(t) = -t e^{-t^2/2}, phi'(t) = (t^2 - 1 - iat) e^{iat - t^2/2}
+        for a in (20.0, 40.0):
+            phi = window_probe(fs.window_by_name(f"modulated:hermite1:{a}"))
+            for loc in (0.0, 0.3, -1.2):
+                expected = -(loc * loc - 1 - 1j * a * loc) * np.exp(1j * a * loc - loc * loc / 2)
+                assert_allclose(pair(DD.delta(location=loc, order=1), phi), expected,
+                                rtol=1e-12, err_msg=f"a = {a}, location = {loc}")
 
     def test_sqrt_abs_oracle(self):
         val = pair(DD.homogeneous("abs", 0.5), GAUSS)

@@ -175,13 +175,16 @@ class TestForward:
 class TestCombDerivatives:
     """Delta combs of order 1..4 against mpmath derivatives of the probe.
 
-    The probes are t -> amp g((t - x) d) e^{i (c1 t^2/2 - omega t)} with the
-    real windows below, so <delta^(k)(. - a), phi> = (-1)^k phi^(k)(a) is
-    differentiated in 40-digit arithmetic, independent of the contour rule.
+    The probes are t -> amp conj(g((t - x) d)) e^{i (c1 t^2/2 - omega t)};
+    WINDOWS holds u -> conj(g(u)) as an analytic function of u, so
+    <delta^(k)(. - a), phi> = (-1)^k phi^(k)(a) is differentiated in 40-digit
+    arithmetic, independent of the contour rule.  The modulated window
+    varies 20 times faster than its envelope.
     """
 
     WINDOWS = {"hermite1": lambda u: -u * mp.exp(-u * u / 2),
-               "mexican-hat": lambda u: (1 - u * u) * mp.exp(-u * u / 2)}
+               "mexican-hat": lambda u: (1 - u * u) * mp.exp(-u * u / 2),
+               "modulated:hermite1:20": lambda u: -u * mp.exp(-u * u / 2 - 20j * u)}
     TERMS = [(0.6, 1.0), (-1.3, 0.5 - 0.25j)]
     X = np.array([-1.5, -0.5, 0.5, 1.5])
 
@@ -204,7 +207,7 @@ class TestCombDerivatives:
                                         for a, w in self.TERMS))
         return out
 
-    @pytest.mark.parametrize("window", ["hermite1", "mexican-hat"])
+    @pytest.mark.parametrize("window", ["hermite1", "mexican-hat", "modulated:hermite1:20"])
     @pytest.mark.parametrize("alpha", [1.0, np.pi / 3, 4.0])
     def test_orders_one_to_four_match_mpmath(self, alpha, window):
         p = fs.make_frac_param(alpha)

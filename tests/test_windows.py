@@ -183,12 +183,18 @@ class TestAdmissibility:
 class TestSeminorms:
     def test_rho_examples(self):
         # closed forms; every maximiser is 0 or +-1, which n_probe = 16001
-        # puts on the probe grid
+        # puts on the probe grid.  Modulated: |(e^{iax - x^2/2})'| =
+        # |ia - x| e^{-x^2/2} peaks at x = 0 with |a|, the second derivative
+        # at 0 with a^2 + 1; dilating by 0.5 halves a, and the dilation
+        # inside the modulation widens only the envelope.
         for name, k, p, want in [
                 ("gauss", 0, 0, 1.0), ("gauss", 1, 0, np.exp(-0.5)),
                 ("gauss", 0, 1, np.exp(-0.5)), ("gauss", 0, 2, 1.0),
                 ("gauss", 0, 4, 3.0), ("hermite1", 0, 1, 1.0),
-                ("hermite1", 0, 3, 3.0), ("mexican-hat", 0, 2, 3.0)]:
+                ("hermite1", 0, 3, 3.0), ("mexican-hat", 0, 2, 3.0),
+                ("modulated:gauss:40", 0, 1, 40.0), ("modulated:gauss:40", 0, 2, 1601.0),
+                ("dilated:modulated:gauss:40:0.5", 0, 1, 20.0),
+                ("modulated:dilated:gauss:0.05:40", 0, 1, 40.0)]:
             est = fs.seminorm_rho(window_by_name(name), k, p, n_probe=16001)
             assert_allclose(est.value, want, rtol=1e-12, err_msg=f"{name} rho_{k},{p}")
 
