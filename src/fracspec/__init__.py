@@ -15,7 +15,6 @@ from .errors import (
     GridTooCoarse,
     InvalidExponent,
     MalformedCSV,
-    MissingClosedFormFT,
     MomentOrderTooHigh,
     NonPositiveScale,
     NonUniformGrid,

@@ -51,6 +51,7 @@ from .distributions import (
     SlowlyVarying,
     SV_ONE,
     is_cauchy,
+    log_slope,
 )
 from .errors import AngleOutsideTheoremRange, InvalidExponent
 from .fraccore import FracParam
@@ -61,7 +62,9 @@ from .windows import Window, dilate, modulate
 SLOPE_TOL = 0.05
 RATIO_TOL = 0.02
 RATIO_CHECK_EPS = 2.0 ** -10
-FIT_POINTS = 6
+# An RHS at most this fraction of the largest |RHS| over the probes is the
+# rounding noise of a limit that vanishes there; no ratio is formed against it.
+RHS_FLOOR = 1e-12
 
 DEFAULT_PROBES = tuple((x, xi) for x in (-1.5, -0.5, 0.5, 1.5) for xi in (0.5, 2.0))
 
@@ -147,13 +150,10 @@ def _require_angle(p: FracParam, lo: float, hi: float, theorem: str) -> None:
             f"{theorem} needs alpha in ({lo:.6g}, {hi:.6g}); got {p.alpha:.6g}")
 
 
-def _fit_exponent(eps: np.ndarray, mags: np.ndarray) -> float:
-    usable = mags > 1e-300
-    if usable.sum() < 3:
-        return float("nan")
-    le = np.log(eps[usable])[-FIT_POINTS:]
-    lv = np.log(mags[usable])[-FIT_POINTS:]
-    return float(np.polyfit(le, lv, 1)[0])
+def _live(rhs: np.ndarray) -> np.ndarray:
+    """Probes whose RHS exceeds RHS_FLOOR of the largest |RHS|."""
+    mags = np.abs(rhs)
+    return mags > RHS_FLOOR * np.max(mags)
 
 
 def _run_scaling_check(theorem_id: str, fixture: AsymptoticFixture, p: FracParam,
@@ -187,10 +187,10 @@ def _run_scaling_check(theorem_id: str, fixture: AsymptoticFixture, p: FracParam
         verdict = "not-applicable"
         notes = notes + (degenerate,)
     else:
-        fitted = np.array([_fit_exponent(eps, np.abs(lhs[i]) / Lv) for i in range(len(probes))])
+        fitted = np.array([log_slope(eps, np.abs(lhs[i]) / Lv)[0] for i in range(len(probes))])
         scale_law = eps[None, :] ** expected * Lv[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(np.abs(rhs[:, None]) > 1e-300,
+            ratio = np.where(_live(rhs)[:, None],
                              lhs / (scale_law * rhs[:, None]), np.nan + 0j)
 
         k_check = int(np.argmin(np.abs(eps - RATIO_CHECK_EPS)))
@@ -205,11 +205,9 @@ def _run_scaling_check(theorem_id: str, fixture: AsymptoticFixture, p: FracParam
         verdict = "pass" if ok else "fail"
         if rhs_printed is not None:
             # deviation against the theorem's printed (uncorrected) RHS
-            devs = []
-            for i, (x, xi) in enumerate(probes):
-                rp = rhs_printed(x, xi)
-                if abs(rp) > 1e-300:
-                    devs.append(abs(lhs[i, k_check] / (scale_law[0, k_check] * rp) - 1.0))
+            rp = np.array([rhs_printed(x, xi) for x, xi in probes])
+            devs = [abs(lhs[i, k_check] / (scale_law[0, k_check] * rp[i]) - 1.0)
+                    for i in np.flatnonzero(_live(rp))]
             extras["printed_ratio_deviation"] = float(max(devs)) if devs else float("nan")
     return AsymptoticReport(
         theorem_id=theorem_id, fixture=fixture.label, alpha=p.alpha, window=g.name,
@@ -391,7 +389,6 @@ class Te1HypothesesReport:
     m: float
     r: int
     s: float
-    lattice: tuple
     converged_cells: int
     total_cells: int
     all_converged: bool
@@ -400,9 +397,8 @@ class Te1HypothesesReport:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        """Every field but the lattice, under theorem_id TE1_HYPOTHESES."""
-        return {"theorem_id": "TE1_HYPOTHESES",
-                **{k: v for k, v in vars(self).items() if k != "lattice"}}
+        """Every field, under theorem_id TE1_HYPOTHESES."""
+        return {"theorem_id": "TE1_HYPOTHESES", **vars(self)}
 
 
 def check_te1_hypotheses(p: FracParam, g: Window, f: DistributionDescriptor,
@@ -441,7 +437,7 @@ def check_te1_hypotheses(p: FracParam, g: Window, f: DistributionDescriptor,
     all_conv = converged == len(lattice)
     ok = all_conv and feasible and np.isfinite(D)
     return Te1HypothesesReport(
-        alpha=p.alpha, window=g.name, m=m, r=r, s=s, lattice=lattice,
+        alpha=p.alpha, window=g.name, m=m, r=r, s=s,
         converged_cells=converged, total_cells=len(lattice),
         all_converged=all_conv, bound_constant=D, bound_feasible=feasible,
         verdict="pass" if ok else "fail")

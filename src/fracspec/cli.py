@@ -8,7 +8,7 @@ invert         forward + synthesis round trip, reconstruction report JSON
 bridge         FRST <-> FRWT bridge deviation report
 verify         theorem checkers (rez1, teab1, te1, te3, te4, te5)
 admissibility  wavelet / reconstruction-pair constants
-seminorm       window rho seminorm or grid sigma seminorm
+seminorm       window rho seminorm
 
 Exit codes: 0 success, 1 usage error, 2 numerical error, 3 verification
 failed, 4 not-applicable.
@@ -31,13 +31,13 @@ from .distributions import DistributionDescriptor, SlowlyVarying, SV_ONE
 from .errors import FracspecError, MalformedCSV, NonUniformGrid
 from .fraccore import SampledSignal, frft, gaussian_signal, make_frac_param
 from .frst import (
-    _fmt,
     frst_forward,
     frst_reconstruct,
     grid_to_csv,
     positive_log_xi_axis,
     read_csv_rows,
     symmetric_log_xi_axis,
+    write_csv_rows,
     write_json,
 )
 from .frwt import frst_frwt_bridge, frwt_forward, frwt_reconstruct
@@ -51,11 +51,8 @@ EXIT_NOT_APPLICABLE = 4
 
 
 def write_signal_csv(path, t: np.ndarray, values: np.ndarray) -> None:
-    lines = ["t,re,im"]
-    for tv, v in zip(t, values):
-        lines.append(f"{_fmt(tv)},{_fmt(v.real)},{_fmt(v.imag)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """A complex signal as `t,re,im` rows."""
+    write_csv_rows(path, "t,re,im", t, np.real(values), np.imag(values))
 
 
 def read_signal_csv(path) -> SampledSignal:
@@ -249,6 +246,8 @@ def run(argv=None) -> int:
         g = window_by_name(args.window)
         desc = DistributionDescriptor.from_json(json.loads(args.dist))
         m = args.degree if args.degree is not None else _infer_degree(desc)
+        if not np.isfinite(m):
+            raise ValueError(f"--degree must be finite, got {m}")
         L = SV_ONE if args.sv == "one" else SlowlyVarying(args.sv, 1.0)
         if args.theorem == "te1":
             rep = check_te1_hypotheses(p, g, desc, m=m, L=L, r=args.r, s=args.s)

@@ -146,16 +146,18 @@ class DistributionDescriptor:
     # ---- pointwise density (function-type kinds only) ----------------------
 
     def density(self, t: np.ndarray) -> np.ndarray:
+        """Pointwise density of a function-type kind.
+
+        Homogeneous densities are 0 at the origin: for m < 0, |0|^m is
+        infinite, and one infinite sample would poison the magnitude that
+        sets the pairing's error tolerance.  A single point does not change
+        the integral.
+        """
         t = np.asarray(t, dtype=float)
         if self.kind == "homogeneous":
-            with np.errstate(invalid="ignore"):
-                if self.pattern == "abs":
-                    base = np.abs(t) ** self.degree
-                elif self.pattern == "plus":
-                    base = np.where(t > 0, np.abs(t) ** self.degree, 0.0)
-                else:
-                    base = np.where(t < 0, np.abs(t) ** self.degree, 0.0)
-            base = np.nan_to_num(base, nan=0.0)
+            support = {"abs": t != 0, "plus": t > 0, "minus": t < 0}[self.pattern]
+            with np.errstate(divide="ignore"):
+                base = np.where(support, np.abs(t) ** self.degree, 0.0)
         elif self.kind == "closed_form":
             base = np.asarray(self.func(t), dtype=complex)
         else:
@@ -308,25 +310,33 @@ def scaled_pair(f: DistributionDescriptor, phi: TestFunction, eps: float,
     return raw / (eps * eps ** m * float(L(np.asarray(eps))))
 
 
-def quasi_degree_estimate(f: DistributionDescriptor, phi: TestFunction,
-                          seq: ScaleSequence | None = None,
-                          fit_points: int = 6) -> tuple[float, float]:
-    """Least-squares slope of log|<f(eps x), phi>| against log eps.
+FIT_POINTS = 6   # tail entries a log-slope fit uses
 
-    Fits the last ``fit_points`` usable entries; returns (slope, max abs
-    residual).
+
+def log_slope(eps: np.ndarray, mags: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of log mags against log eps.
+
+    Fits the last FIT_POINTS entries with mags > 1e-300; returns (slope,
+    max abs residual), or (nan, nan) when fewer than 3 entries are usable.
     """
+    usable = mags > 1e-300
+    if usable.sum() < 3:
+        return float("nan"), float("nan")
+    le = np.log(eps[usable])[-FIT_POINTS:]
+    lv = np.log(mags[usable])[-FIT_POINTS:]
+    slope, intercept = np.polyfit(le, lv, 1)
+    return float(slope), float(np.max(np.abs(lv - (slope * le + intercept))))
+
+
+def quasi_degree_estimate(f: DistributionDescriptor, phi: TestFunction,
+                          seq: ScaleSequence | None = None) -> tuple[float, float]:
+    """``log_slope`` of |<f(eps x), phi>| along the sequence."""
     seq = seq or ScaleSequence()
     eps = np.array(list(seq))
-    vals = np.array([scaled_pair(f, phi, e) for e in eps])
-    usable = np.abs(vals) > 1e-300
-    if usable.sum() < 3:
+    slope, residual = log_slope(eps, np.abs([scaled_pair(f, phi, e) for e in eps]))
+    if np.isnan(slope):
         raise DegenerateSequence("fewer than 3 nonzero pairings along the sequence")
-    le = np.log(eps[usable])[-fit_points:]
-    lv = np.log(np.abs(vals[usable]))[-fit_points:]
-    slope, intercept = np.polyfit(le, lv, 1)
-    residual = float(np.max(np.abs(lv - (slope * le + intercept))))
-    return float(slope), residual
+    return slope, residual
 
 
 # Cauchy criterion for "the sequence converges" at finite precision.

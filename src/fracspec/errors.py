@@ -45,10 +45,6 @@ class GridTooCoarse(FracspecError):
     """Grid does not support the requested stencil or quadrature."""
 
 
-class MissingClosedFormFT(FracspecError):
-    pass
-
-
 class PairingDiverged(FracspecError):
     """Distribution pairing quadrature exceeded its error budget."""
 

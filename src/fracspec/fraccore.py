@@ -150,18 +150,20 @@ class SampledSignal:
         return self.t0 + self.dt * (self.n - 1)
 
     def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(self.n, self.dt)
-        w[0] = w[-1] = 0.5 * self.dt
-        return w
+        return _step_weights(np.full(self.n - 1, self.dt))
+
+
+def _step_weights(d: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights of the nodes joined by steps d."""
+    w = np.zeros(d.size + 1)
+    w[:-1] += 0.5 * d
+    w[1:] += 0.5 * d
+    return w
 
 
 def trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     """Trapezoid-rule weights on a (possibly non-uniform) monotone axis."""
-    w = np.zeros_like(axis)
-    d = np.diff(axis)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
+    return _step_weights(np.diff(axis))
 
 
 def gaussian_signal(width: float = 1.0, n: int = 1024, half_width: float = 12.0,

@@ -1,7 +1,7 @@
 """Window/wavelet descriptors and the numerics built on them.
 
-A Window bundles a pointwise evaluation closure, an optional closed-form
-Fourier transform (unitary convention, f_hat(w) = (2*pi)^{-1/2} * integral
+A Window bundles a pointwise evaluation closure, its closed-form Fourier
+transform (unitary convention, f_hat(w) = (2*pi)^{-1/2} * integral
 f(x) exp(-i*w*x) dx), and an effective decay scale used to truncate
 quadratures.  The built-in library covers the unit-mass Gaussian, the
 Mexican hat, the Hermite wavelet d/dt exp(-t^2/2), and modulated/dilated
@@ -46,13 +46,15 @@ class Window:
     ``eval`` must accept complex ndarray input and be entire (derivatives
     are Cauchy integrals, see ``contour_derivative``), and must decay
     faster than any polynomial within ``SUPPORT_RADII * decay_scale``.
+    ``ft`` is the required closed-form Fourier transform on real
+    frequencies; ``numeric_ft`` is its quadrature check.
     ``length_scale`` (default ``decay_scale``), the shortest length on which
     ``eval`` varies, sizes derivative contours; ``modulate`` shortens it.
     """
 
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
-    ft: Optional[Callable[[np.ndarray], np.ndarray]]
+    ft: Callable[[np.ndarray], np.ndarray]
     decay_scale: float
     length_scale: Optional[float] = None
 
@@ -63,12 +65,6 @@ class Window:
     @property
     def support_radius(self) -> float:
         return SUPPORT_RADII * self.decay_scale
-
-    def ft_or_numeric(self, w):
-        """Closed-form FT when available, else windowed quadrature."""
-        if self.ft is not None:
-            return self.ft(np.asarray(w, dtype=float))
-        return numeric_ft(self, w)
 
 
 def numeric_ft(g: Window, w) -> np.ndarray:
@@ -156,10 +152,9 @@ def modulated_length(length: float, a: float) -> float:
 def modulate(g: Window, a: float) -> Window:
     """M_a g(x) = exp(i*a*x) g(x); shifts the spectrum by a."""
     a = float(a)
-    ft = None
-    if g.ft is not None:
-        def ft(w, _g=g, _a=a):
-            return _g.ft(np.asarray(w, dtype=float) - _a)
+
+    def ft(w, _g=g, _a=a):
+        return _g.ft(np.asarray(w, dtype=float) - _a)
 
     def ev(x, _g=g, _a=a):
         x = np.asarray(x)
@@ -175,10 +170,9 @@ def dilate(g: Window, eps: float) -> Window:
     eps = float(eps)
     if eps <= 0:
         raise NonPositiveScale("dilation factor must be positive")
-    ft = None
-    if g.ft is not None:
-        def ft(w, _g=g, _e=eps):
-            return _g.ft(np.asarray(w, dtype=float) / _e) / _e
+
+    def ft(w, _g=g, _e=eps):
+        return _g.ft(np.asarray(w, dtype=float) / _e) / _e
 
     def ev(x, _g=g, _e=eps):
         return _g.eval(np.asarray(x) * _e)
@@ -297,7 +291,7 @@ def admissibility_cg(g: Window) -> AdmissibilityConstant:
     require_wavelet(g)
 
     def numerator(w):
-        v = g.ft_or_numeric(w)
+        v = g.ft(np.asarray(w, dtype=float))
         return (v * np.conj(v)).real
 
     _check_small_freq_convergence(numerator, f"C_g[{g.name}]")
@@ -327,7 +321,7 @@ def admissibility_cgpsi(g: Window, psi: Window, c2: float) -> AdmissibilityConst
 
     def numerator(w):
         arg = c2 * (np.asarray(w, dtype=float) - 1.0)
-        return psi.ft_or_numeric(arg) * np.conj(g.ft_or_numeric(arg))
+        return psi.ft(arg) * np.conj(g.ft(arg))
 
     _check_small_freq_convergence(numerator, f"C_gpsi[{g.name},{psi.name}]")
     # numerator support: |c2*(w-1)| up to the windows' spectral decay

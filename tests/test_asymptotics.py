@@ -167,6 +167,33 @@ class TestVanishingLimit:
         assert rep.verdict == "pass"
 
 
+    @pytest.mark.parametrize("checker", [check_teab1, check_te4])
+    def test_rounding_noise_limit_is_masked(self, checker, hermite):
+        # on delta' the hermite1 limit vanishes analytically at the probes
+        # (+-0.5, 2.0) but evaluates to ~1e-16; no ratio is formed against it
+        d1 = DD.delta(order=1)
+        fx = AsymptoticFixture(f=d1, m=-2.0, L=SV_ONE, u=d1, label="delta'")
+        rep = checker(fs.make_frac_param(1.0), hermite, fx)
+        live = np.abs(rep.rhs) > 1e-12 * np.max(np.abs(rep.rhs))
+        assert 0 < live.sum() < len(rep.probes)
+        assert np.all(np.isnan(rep.ratio[~live])) and np.all(np.isfinite(rep.ratio[live]))
+        assert rep.max_ratio_deviation < 1e-5
+        assert rep.extras.get("printed_ratio_deviation", 0.0) < 1.0
+
+
+class TestNegativeDegree:
+    def test_te5_inverse_sqrt_abs(self, p_third, mexican):
+        # |x|^-1/2 is infinite at the origin, where TE5's limit and its
+        # x-dependence centre are evaluated
+        h = DD.homogeneous("abs", -0.5)
+        fx = AsymptoticFixture(f=h, m=-0.5, L=SV_ONE, u=h, label="|x|^-1/2")
+        rep = check_te5(p_third, mexican, fx)
+        assert rep.verdict == "pass"
+        assert rep.max_ratio_deviation < 5e-3
+        decay = rep.extras["x_dependence_decay"]
+        assert all(b < 0.6 * a for a, b in zip(decay, decay[1:]))
+
+
 class TestTe1Hypotheses:
     def test_delta_passes(self, p_third, hermite):
         rep = check_te1_hypotheses(p_third, hermite, DD.delta(), m=-1.0,

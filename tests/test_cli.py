@@ -115,6 +115,13 @@ class TestUsageErrors:
                           "--dist", dist, "--output", str(tmp_path / "v")]) == 1
         assert not (tmp_path / "v.report.json").exists()
 
+    @pytest.mark.parametrize("degree", ["nan", "inf", "-inf"])
+    def test_non_finite_degree(self, tmp_path, degree):
+        assert exit_code(["verify", "rez1", "--alpha", "1.0472", "--window", "hermite1",
+                          "--dist", '{"kind":"delta","terms":[[0,0,1.0]]}',
+                          f"--degree={degree}", "--output", str(tmp_path / "v")]) == 1
+        assert not (tmp_path / "v.report.json").exists()
+
     @pytest.mark.parametrize("k, p, code", [("-1", "0", 1), ("0", "-1", 1), ("0", "5", 2)])
     def test_bad_seminorm_index(self, tmp_path, k, p, code):
         assert exit_code(["seminorm", "--window", "gauss", "--k", k, "--p", p,

@@ -65,6 +65,23 @@ class TestPair:
         assert_allclose(plus + minus, PAIR_SQRT_ABS_GAUSS, rtol=1e-9)
         assert_allclose(plus, minus, rtol=1e-9)
 
+    @pytest.mark.parametrize("m", [-0.9, -0.5, -0.25, 0.5])
+    def test_homogeneous_closed_form(self, m):
+        # integral over a half-line of |t|^m e^{-t^2/2} = 2^{(m-1)/2} Gamma((m+1)/2);
+        # for m < 0 the density is infinite at the probe's centre
+        half = 2.0 ** ((m - 1) / 2) * math.gamma((m + 1) / 2)
+        for pattern, expected in (("abs", 2 * half), ("plus", half), ("minus", half)):
+            assert_allclose(pair(DD.homogeneous(pattern, m), GAUSS), expected,
+                            rtol=1e-12, err_msg=pattern)
+
+    def test_homogeneous_density_at_origin(self):
+        # |0|^m is infinite for m < 0; the density is 0 there for every pattern
+        t = np.array([-4.0, 0.0, 4.0])
+        for pattern, expected in (("abs", [0.5, 0.0, 0.5]), ("plus", [0.0, 0.0, 0.5]),
+                                  ("minus", [0.5, 0.0, 0.0])):
+            assert_allclose(DD.homogeneous(pattern, -0.5).density(t), expected,
+                            rtol=1e-15, err_msg=pattern)
+
     def test_error_estimate_reported(self):
         _, err = pair_with_error(DD.homogeneous("abs", 0.5), GAUSS)
         assert err < 1e-9

@@ -154,14 +154,6 @@ class TestViaFrft:
         assert rep_c2.rel_l2_deviation < 1e-6
         assert rep_c1.rel_l2_deviation > 0.1
 
-    def test_missing_ft(self, p_third):
-        base = fs.mexican_hat_window()
-        noft = fs.Window(name="bare", eval=base.eval, ft=None, decay_scale=1.0)
-        sig = fs.gaussian_signal(1.0, 256, 6.0)
-        with pytest.raises(fs.MissingClosedFormFT):
-            frwt_via_frft(p_third, noft, sig, np.linspace(-1, 1, 3),
-                          positive_log_xi_axis(0.5, 1.0, 3))
-
     def test_zero_signal_both_variants(self, p_third, mexican):
         sig = fs.SampledSignal(-6.0, 6.0 / 128, np.zeros(257, complex))
         x = np.linspace(-1, 1, 3)

@@ -165,14 +165,6 @@ class TestAdmissibility:
         assert abs(adm.value.imag) < 1e-9
         assert adm.quadrature_error_estimate < 1e-8
 
-    def test_numeric_ft_fallback(self, hermite):
-        # same window with the closed-form spectrum stripped: the numeric
-        # route must deliver the same constant
-        bare = fs.Window(name="hermite-bare", eval=hermite.eval, ft=None,
-                         decay_scale=hermite.decay_scale)
-        adm = fs.admissibility_cg(bare)
-        assert abs(adm.value - 1.0) < 1e-6
-
     def test_pair_zero_for_disjoint_spectra(self, mexican):
         # psi spectrum pushed far away: integrand identically ~0
         psi = window_by_name("modulated:gauss:40")
