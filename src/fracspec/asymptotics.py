@@ -40,6 +40,7 @@ than silently corrected.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -52,6 +53,7 @@ from .distributions import (
     SV_ONE,
     is_cauchy,
     log_slope,
+    tally_pairings,
 )
 from .errors import AngleOutsideTheoremRange, InvalidExponent
 from .fraccore import FracParam
@@ -218,10 +220,24 @@ def _run_scaling_check(theorem_id: str, fixture: AsymptoticFixture, p: FracParam
         extras=extras)
 
 
+def _tallied(check: Callable) -> Callable:
+    """Put the pairing counters of a checker run into its report's extras."""
+
+    @functools.wraps(check)
+    def run(*args, **kwargs) -> AsymptoticReport:
+        with tally_pairings() as tally:
+            report = check(*args, **kwargs)
+        report.extras.update(tally.as_dict())
+        return report
+
+    return run
+
+
 # ---------------------------------------------------------------------------
 # individual theorems
 
 
+@_tallied
 def check_rez1(p: FracParam, g: Window, fixture: AsymptoticFixture,
                probes=DEFAULT_PROBES, seq: ScaleSequence | None = None,
                slope_tol: float = SLOPE_TOL,
@@ -248,6 +264,7 @@ def check_rez1(p: FracParam, g: Window, fixture: AsymptoticFixture,
         rhs_printed=rhs_printed)
 
 
+@_tallied
 def check_teab1(p: FracParam, g: Window, fixture: AsymptoticFixture,
                 probes=DEFAULT_PROBES, seq: ScaleSequence | None = None,
                 slope_tol: float = SLOPE_TOL,
@@ -268,6 +285,7 @@ def check_teab1(p: FracParam, g: Window, fixture: AsymptoticFixture,
                               fixture.m + 2.0, slope_tol, ratio_tol)
 
 
+@_tallied
 def check_te3(p: FracParam, g: Window, fixture: AsymptoticFixture,
               probes=DEFAULT_PROBES, seq: ScaleSequence | None = None,
               slope_tol: float = SLOPE_TOL,
@@ -297,6 +315,7 @@ def check_te3(p: FracParam, g: Window, fixture: AsymptoticFixture,
         rhs_printed=rhs_printed)
 
 
+@_tallied
 def check_te4(p: FracParam, g: Window, fixture: AsymptoticFixture,
               probes=DEFAULT_PROBES, seq: ScaleSequence | None = None,
               slope_tol: float = SLOPE_TOL,
@@ -332,6 +351,7 @@ def check_te4(p: FracParam, g: Window, fixture: AsymptoticFixture,
         rhs_printed=rhs_printed)
 
 
+@_tallied
 def check_te5(p: FracParam, g: Window, fixture: AsymptoticFixture,
               probes=DEFAULT_PROBES, seq: ScaleSequence | None = None,
               slope_tol: float = SLOPE_TOL,
@@ -395,6 +415,10 @@ class Te1HypothesesReport:
     bound_constant: float        # smallest feasible D over the lattice
     bound_feasible: bool
     verdict: str
+    pairings: int                # pairing counters, as in AsymptoticReport.extras
+    integrand_evaluations: int
+    max_rel_error_estimate: float
+    quad_fallbacks: int
 
     def to_json_dict(self) -> dict:
         """Every field, under theorem_id TE1_HYPOTHESES."""
@@ -422,9 +446,10 @@ def check_te1_hypotheses(p: FracParam, g: Window, f: DistributionDescriptor,
     converged = 0
     D = 0.0
     feasible = True
-    for x, xi in lattice:
-        v = np.array([frst_point(p, g, f, e * x, e * xi, drop_xi_chirp=True)
-                      for e in eps]) / (eps ** m * Lv)
+    with tally_pairings() as tally:
+        cells = [np.array([frst_point(p, g, f, e * x, e * xi, drop_xi_chirp=True)
+                           for e in eps]) / (eps ** m * Lv) for x, xi in lattice]
+    for (x, xi), v in zip(lattice, cells):
         if is_cauchy(v):
             converged += 1
         mags = np.abs(v)
@@ -440,7 +465,7 @@ def check_te1_hypotheses(p: FracParam, g: Window, f: DistributionDescriptor,
         alpha=p.alpha, window=g.name, m=m, r=r, s=s,
         converged_cells=converged, total_cells=len(lattice),
         all_converged=all_conv, bound_constant=D, bound_feasible=feasible,
-        verdict="pass" if ok else "fail")
+        verdict="pass" if ok else "fail", **tally.as_dict())
 
 
 CHECKERS = {

@@ -103,9 +103,17 @@ def _xi_axis(transform: str, spec):
     return make(*_parse_axis(spec)) if spec else make()
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on its own usage errors; this CLI reserves 2 for
+    numerical errors, so they exit EXIT_USAGE.  Subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="fracspec",
-                                 description="fractional time-frequency toolkit")
+    ap = _Parser(prog="fracspec", description="fractional time-frequency toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, needs_window=True):

@@ -46,7 +46,8 @@ class GridTooCoarse(FracspecError):
 
 
 class PairingDiverged(FracspecError):
-    """Distribution pairing quadrature exceeded its error budget."""
+    """Distribution pairing exceeded its error budget: the tanh-sinh rule
+    missed it, and so did adaptive quadrature, its fallback."""
 
 
 class DegenerateSequence(FracspecError):

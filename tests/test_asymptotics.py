@@ -224,6 +224,14 @@ class TestTe1Hypotheses:
         assert rep.verdict == "pass"
         assert rep.bound_constant == 0.0
 
+    def test_sqrt_abs_cell_diverges_through_the_fallback(self, p_third, hermite):
+        # the (eps x, eps xi) probe spans 10/(eps xi) under a chirp: the
+        # tanh-sinh rule misses its budget, and adaptive quadrature, its
+        # fallback, refuses the pairing (estimate 8.6e-5 for a value 6.5e-4)
+        with pytest.raises(fs.PairingDiverged, match=r"estimate 8\.6\d*e-05"):
+            check_te1_hypotheses(p_third, hermite, sqrt_abs_fixture().f, m=0.5,
+                                 x_lattice=(1.0,), xi_lattice=(1.0,))
+
 
 class TestSlowlyVaryingFixture:
     def test_log_fixture_slope_restored(self, p_third, hermite):
@@ -250,3 +258,18 @@ class TestReportSerialization:
         rep = check_te1_hypotheses(p_third, hermite, DD.delta(), m=-1.0)
         payload = json.loads(json.dumps(rep.to_json_dict()))
         assert payload["theorem_id"] == "TE1_HYPOTHESES"
+        # one exact pairing per lattice cell and eps, no integrand
+        assert payload["pairings"] == rep.total_cells * len(ScaleSequence())
+        assert payload["integrand_evaluations"] == payload["quad_fallbacks"] == 0
+
+    def test_pairing_counters(self, p_third, hermite, mexican):
+        rep = check_rez1(p_third, hermite, sqrt_abs_fixture())
+        # LHS at 8 probes x 11 eps, and the derived and printed RHS at 8 probes
+        assert rep.extras["pairings"] == 8 * 11 + 2 * 8
+        assert rep.extras["quad_fallbacks"] == 0
+        assert rep.extras["integrand_evaluations"] > 1000 * rep.extras["pairings"]
+        assert 0.0 < rep.extras["max_rel_error_estimate"] < 1e-12
+        # TE5 also counts the x = 0 centres of its x-dependence decay
+        assert check_te5(p_third, mexican, sqrt_abs_fixture()).extras["pairings"] == 8 * 11 + 8 + 2 * 11
+        again = check_rez1(p_third, hermite, sqrt_abs_fixture())
+        assert json.dumps(again.to_json_dict()) == json.dumps(rep.to_json_dict())

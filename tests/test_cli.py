@@ -122,6 +122,23 @@ class TestUsageErrors:
                           f"--degree={degree}", "--output", str(tmp_path / "v")]) == 1
         assert not (tmp_path / "v.report.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        [],                                                       # no command
+        ["verify", "rez1", "--alpha", "1"],                       # missing --window, --dist
+        ["frft", "--alpha", "1", "--input", SYNTH, "--bogus"],    # unknown option
+        ["verify", "rez1", "--alpha", "1", "--window", "hermite1",
+         "--dist", "{}", "--degree", "-inf"],                     # -inf read as an option
+    ])
+    def test_argparse_usage_errors(self, argv, capsys):
+        # argparse's own errors are usage errors too; exit 2 means numerical
+        assert exit_code(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert exit_code(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
     @pytest.mark.parametrize("k, p, code", [("-1", "0", 1), ("0", "-1", 1), ("0", "5", 2)])
     def test_bad_seminorm_index(self, tmp_path, k, p, code):
         assert exit_code(["seminorm", "--window", "gauss", "--k", k, "--p", p,

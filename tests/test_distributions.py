@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import fracspec as fs
@@ -17,8 +19,11 @@ from fracspec.distributions import (
     quasi_degree_estimate,
     scaled_pair,
     probe_battery,
+    scaled_probe,
+    tally_pairings,
     window_probe,
 )
+from fracspec import distributions
 
 GAUSS = window_probe(fs.gaussian_window())
 
@@ -98,7 +103,6 @@ class TestPair:
         assert_allclose(pair(d, GAUSS), expected, rtol=1e-12)
 
     def test_linearity_in_probe(self):
-        from dataclasses import replace
         h = DD.homogeneous("abs", 0.5)
         mex = window_probe(fs.mexican_hat_window())
         combo = replace(GAUSS, fn=lambda t: 2.0 * GAUSS.fn(t) - 1j * mex.fn(t))
@@ -114,6 +118,65 @@ class TestPair:
     def test_homogeneous_degree_gate(self):
         with pytest.raises(ValueError):
             DD.homogeneous("abs", -1.0)
+
+
+BATTERY = probe_battery()
+
+
+class TestTanhSinhEngine:
+    """The tanh-sinh rule against adaptive quadrature, its oracle."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120, database=None)
+    @given(pattern=st.sampled_from(["abs", "plus", "minus"]),
+           degree=st.floats(-0.9, 2.0, exclude_min=True),
+           k=st.integers(0, len(BATTERY) - 1),
+           center=st.floats(-3.0, 3.0),
+           modulation=st.floats(-8.0, 8.0),
+           log2_eps=st.floats(-20.0, 0.0))
+    def test_matches_quad(self, pattern, degree, k, center, modulation, log2_eps):
+        # a battery probe moved to `center` and scaled by eps, against
+        # M_{modulation/eps} of the homogeneous density: the same number of
+        # e^{iat} cycles across the probe at every scale the checkers use
+        eps = 2.0 ** log2_eps
+        phi = BATTERY[k]
+        moved = replace(phi, fn=lambda t: phi.fn(np.asarray(t) - center), center=center)
+        probe = scaled_probe(moved, eps)
+        f = DD.homogeneous(pattern, degree).modulated(modulation / eps)
+        lo, hi = distributions._pairing_interval(f, probe)
+        assume(hi > lo)
+        val, err, scale, _ = distributions._tanh_sinh_pairing(f, probe, lo, hi)
+        # where the rule misses its own acceptance, pair_with_error falls back
+        assume(distributions._tanh_sinh_accepts(val, err, scale))
+        try:
+            ref, _, ref_scale, _ = distributions._quad_pairing(f, probe, lo, hi)
+        except fs.PairingDiverged:
+            assume(False)
+        # each side meets its own tolerance: quad the epsrel 1e-10 and
+        # epsabs 1e-13 * scale it is asked for, the rule the 1e-10 of its
+        # scale it accepts at.  quad uses most of its share (3.2e-11
+        # relative against 30-digit mpmath at degree 1.73, where the rule
+        # was off by 1.9e-16)
+        tol = (1e-10 * abs(ref) + 1e-13 * ref_scale
+               + distributions.TANH_SINH_ACCEPT * distributions.PAIRING_ERROR_BUDGET * scale)
+        assert abs(val - ref) <= tol
+        assert pair(f, probe) == val
+
+    def test_fallback_is_counted(self, p_third, hermite):
+        # the te1 probe at eps = 1/4, x = xi = 1 is the window stretched
+        # fourfold under a chirp: the rule misses its acceptance, and
+        # quad's value comes back as it is
+        from fracspec.frst import _integrand_probe
+        f = DD.homogeneous("abs", 0.5)
+        probe = _integrand_probe(p_third, hermite, 0.25, 0.25, p_third.c2 * 0.25,
+                                 0.25 * p_third.c_alpha)
+        with tally_pairings() as outer:
+            with tally_pairings() as inner:
+                val = pair(f, probe)
+            pair(f, GAUSS)
+        assert val == distributions._quad_pairing(f, probe, *distributions._pairing_interval(f, probe))[0]
+        assert inner.pairings == 1 and inner.quad_fallbacks == 1
+        assert outer.pairings == 2 and outer.quad_fallbacks == 1
+        assert inner.max_rel_error_estimate < distributions.PAIRING_ERROR_BUDGET
 
 
 class TestScaledPair:
