@@ -1,5 +1,9 @@
 """Fractional-angle parameter algebra and the fractional Fourier transform.
 
+The transform of a sampled signal is the trapezoid sum of its integral,
+evaluated as a chirp-z transform on uniform frequency grids and by the
+dense kernel matrix elsewhere (``frft``).
+
 The transform family is parametrized by an angle ``alpha``.  Away from
 multiples of pi the kernel is a chirp::
 
@@ -179,8 +183,9 @@ def check_sampling(p: FracParam, f: SampledSignal, omega: float) -> None:
 
     The maximal instantaneous kernel frequency over the truncation window is
     the chirp's ``|c1|*T`` plus ``omega``, the frequency bound of the rest of
-    the kernel (``|c2|*max|xi|`` for the FRFT and FRST, the window bandwidth
-    at the finest scale for the FRWT); we require at most pi/4 phase per
+    the kernel (``|c2|*max|xi|`` for the FRFT; for the FRST that plus the
+    window's carrier times max|xi|; for the FRWT the window bandwidth plus
+    its carrier at the finest scale); we require at most pi/4 phase per
     sample.
     """
     if not p.is_regular:
@@ -203,12 +208,65 @@ def _interp_complex(x_new: np.ndarray, x_old: np.ndarray, y_old: np.ndarray) -> 
     return np.interp(x_new, x_old, y_old.real) + 1j * np.interp(x_new, x_old, y_old.imag)
 
 
+# 2*pi to long-double precision, for reducing chirp phases of hundreds of radians
+TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900576839")
+
+
+def _unit_phase(theta: np.ndarray) -> np.ndarray:
+    """e^{i theta} of long-double phases, reduced mod 2*pi before the
+    double-precision exp."""
+    return np.exp(1j * (theta - TWO_PI_LD * np.round(theta / TWO_PI_LD)).astype(float))
+
+
+def _uniform_step(xi: np.ndarray):
+    """The step of a grid of at least 3 points that equals xi[0] + m*step
+    to a few ulps (np.linspace and t0 + k*dt both do), else None."""
+    if xi.ndim != 1 or xi.size < 3:
+        return None
+    step = (xi[-1] - xi[0]) / (xi.size - 1)
+    dev = np.max(np.abs(xi - (xi[0] + step * np.arange(xi.size))))
+    if step == 0 or dev > 4.0 * np.spacing(np.max(np.abs(xi))):
+        return None
+    return step
+
+
+def _chirp_z(p: FracParam, fw: np.ndarray, t0: float, dt: float, xi0: float,
+             dxi: float, m: int) -> np.ndarray:
+    """sum_k fw_k e^{i (c1 (t_k^2 + xi_j^2)/2 - c2 t_k xi_j)} at
+    t_k = t0 + k dt, xi_j = xi0 + j dxi, j < m, by Bluestein's chirp-z
+    (Rabiner, Schafer and Rader 1969).
+
+    k j = (k^2 + j^2 - (j - k)^2)/2 makes the cross term a convolution with
+    the chirp e^{i beta n^2/2}, beta = c2 dt dxi, evaluated by one FFT
+    product.  Phases are formed in long double from exact integer squares.
+    """
+    ld = np.longdouble
+    c1, c2, t0, dt, xi0, dxi = (ld(v) for v in (p.c1, p.c2, t0, dt, xi0, dxi))
+    k = np.arange(fw.size, dtype=ld)
+    j = np.arange(m, dtype=ld)
+    beta = c2 * dt * dxi
+    t = t0 + k * dt
+    xi = xi0 + j * dxi
+    pre = fw * _unit_phase(c1 * t * t / 2 - c2 * dt * xi0 * k - beta * k * k / 2)
+    post = _unit_phase(c1 * xi * xi / 2 - c2 * t0 * xi - beta * j * j / 2)
+    size = 1 << (fw.size + m - 2).bit_length()   # a power of two >= N + m - 1
+    n = np.arange(max(fw.size, m), dtype=ld)
+    chirp = _unit_phase(beta * n * n / 2)
+    kern = np.zeros(size, dtype=complex)
+    kern[:m] = chirp[:m]
+    kern[size - fw.size + 1:] = chirp[fw.size - 1:0:-1]   # n = -(N-1) .. -1
+    conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(kern))
+    return post * conv[:m]
+
+
 def frft(p: FracParam, f: SampledSignal, xi_grid, *, enforce_sampling: bool = True) -> np.ndarray:
-    """Fractional Fourier transform by trapezoid quadrature.
+    """Fractional Fourier transform, the trapezoid sum of its integral.
 
     F_alpha f(xi) = integral f(x) K_alpha(x, xi) dx for regular angles;
     the identity/parity branches interpolate f(xi) / f(-xi) on the sample
-    grid.
+    grid.  On a uniform xi grid of at least 3 points the sum is a chirp-z
+    transform (``_chirp_z``, O((N + M) log(N + M))); other grids sum the
+    kernel matrix directly, which is also the chirp-z's test oracle.
 
     Parameters
     ----------
@@ -229,8 +287,15 @@ def frft(p: FracParam, f: SampledSignal, xi_grid, *, enforce_sampling: bool = Tr
     if enforce_sampling and xi.size:
         check_sampling(p, f, abs(p.c2) * np.max(np.abs(xi)))
 
-    t = f.t_grid
     fw = f.samples * f.trapezoid_weights()
+    step = _uniform_step(xi)
+    if step is not None:
+        return p.c_alpha * _chirp_z(p, fw, f.t0, f.dt, xi[0], step, xi.size)
+    return p.c_alpha * _frft_dense(p, f.t_grid, fw, xi)
+
+
+def _frft_dense(p: FracParam, t: np.ndarray, fw: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """sum_k fw_k e^{i (c1 (t_k^2 + xi^2)/2 - c2 t_k xi)} by the kernel matrix."""
     out = np.empty(xi.shape, dtype=complex)
     # 128-row blocks bound the kernel matrix at 128 x N
     for lo in range(0, xi.size, 128):
@@ -238,7 +303,7 @@ def frft(p: FracParam, f: SampledSignal, xi_grid, *, enforce_sampling: bool = Tr
         phase = (t[None, :] ** 2 + xb ** 2) * (0.5 * p.c1) - t[None, :] * xb * p.c2
         out[lo:lo + 128] = np.exp(1j * phase) @ fw
         del phase   # a phase kept alive into the next block adds 4 MB at N = 4096
-    return out * p.c_alpha
+    return out
 
 
 def rel_l2(got: np.ndarray, ref: np.ndarray) -> float:

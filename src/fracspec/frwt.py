@@ -47,6 +47,7 @@ from .frst import (
     _correlate,
     _integrand_probe,
     _spread,
+    check_axes,
     frst_point,
     log_branch_weights,
 )
@@ -73,8 +74,8 @@ def _frwt_signal_grid(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis
                       enforce_sampling: bool) -> np.ndarray:
     """FRWT values of a signal: the correlation at d = 1/xi, omega = 0."""
     if enforce_sampling:
-        # the window bandwidth at the finest scale
-        check_sampling(p, f, (4.0 / g.decay_scale) / float(xi_axis.min()))
+        # the window bandwidth and carrier at the finest scale
+        check_sampling(p, f, (4.0 / g.decay_scale + abs(g.carrier)) / float(xi_axis.min()))
     vals = _correlate(g, f.t_grid, x_axis, 1.0 / xi_axis, np.zeros_like(xi_axis),
                       _chirped(p, f))
     vals *= xi_axis ** -0.5
@@ -90,6 +91,7 @@ def frwt_forward(p: FracParam, g: Window, f: SignalOrDistribution,
     xi_axis = np.asarray(xi_axis, dtype=float)
     if np.any(xi_axis <= 0):
         raise ValueError("FRWT scale axis must be positive")
+    check_axes(x_axis, xi_axis)
     require_wavelet(g)
     meta = {"transform": "FRWT", "alpha": p.alpha, "window": g.name}
     if isinstance(f, SampledSignal):

@@ -50,6 +50,10 @@ class Window:
     frequencies; ``numeric_ft`` is its quadrature check.
     ``length_scale`` (default ``decay_scale``), the shortest length on which
     ``eval`` varies, sizes derivative contours; ``modulate`` shortens it.
+    A modulated window records its split eval(x) = e^{i carrier x} b(x):
+    ``envelope`` is the unmodulated window b (None when the window is its
+    own envelope), so the signal kernels can move the carrier out of their
+    window matrices.  ``eval`` stays the full window.
     """
 
     name: str
@@ -57,6 +61,8 @@ class Window:
     ft: Callable[[np.ndarray], np.ndarray]
     decay_scale: float
     length_scale: Optional[float] = None
+    carrier: float = 0.0
+    envelope: Optional["Window"] = None
 
     def __post_init__(self):
         if self.length_scale is None:
@@ -65,6 +71,10 @@ class Window:
     @property
     def support_radius(self) -> float:
         return SUPPORT_RADII * self.decay_scale
+
+    def carrier_split(self) -> tuple[float, "Window"]:
+        """(a, b) with eval(x) = e^{i a x} b.eval(x)."""
+        return self.carrier, (self if self.envelope is None else self.envelope)
 
 
 def numeric_ft(g: Window, w) -> np.ndarray:
@@ -162,11 +172,13 @@ def modulate(g: Window, a: float) -> Window:
 
     return Window(name=f"modulated:{g.name}:{a!r}", eval=ev, ft=ft,
                   decay_scale=g.decay_scale,
-                  length_scale=modulated_length(g.length_scale, a))
+                  length_scale=modulated_length(g.length_scale, a),
+                  carrier=g.carrier + a, envelope=g.carrier_split()[1])
 
 
 def dilate(g: Window, eps: float) -> Window:
-    """g_eps(x) = g(eps*x); the decay scale stretches by 1/eps."""
+    """g_eps(x) = g(eps*x); the decay scale stretches by 1/eps, and a
+    carrier a over the envelope b becomes a*eps over b_eps."""
     eps = float(eps)
     if eps <= 0:
         raise NonPositiveScale("dilation factor must be positive")
@@ -178,7 +190,9 @@ def dilate(g: Window, eps: float) -> Window:
         return _g.eval(np.asarray(x) * _e)
 
     return Window(name=f"dilated:{g.name}:{eps!r}", eval=ev, ft=ft,
-                  decay_scale=g.decay_scale / eps, length_scale=g.length_scale / eps)
+                  decay_scale=g.decay_scale / eps, length_scale=g.length_scale / eps,
+                  carrier=g.carrier * eps,
+                  envelope=None if g.envelope is None else dilate(g.envelope, eps))
 
 
 def window_by_name(name: str) -> Window:

@@ -77,6 +77,18 @@ class TestUsageErrors:
                           "--window", "mexican-hat", "--input", SYNTH,
                           "--xi", "0.5:2:1", "--output", str(tmp_path / "inv")]) == 1
 
+    @pytest.mark.parametrize("cmd, window", [("frst", "hermite1"), ("frwt", "mexican-hat")])
+    def test_decreasing_x_axis_refused_before_the_kernel(self, tmp_path, monkeypatch,
+                                                          cmd, window):
+        def kernel(*args):
+            raise AssertionError("the grid kernel ran on a bad axis")
+
+        monkeypatch.setattr(fs.frst, "_correlate", kernel)
+        monkeypatch.setattr(fs.frwt, "_correlate", kernel)
+        assert exit_code([cmd, "--alpha", "1.0", "--window", window, "--input", SYNTH,
+                          "--x=2:-2:4", "--output", str(tmp_path / "g")]) == 1
+        assert not (tmp_path / "g.csv").exists()
+
     def test_non_finite_axis_bound(self, tmp_path):
         assert exit_code(["frft", "--alpha", "1.0", "--input", SYNTH, "--xi=nan:1:5",
                           "--output", str(tmp_path / "f")]) == 1
@@ -170,6 +182,12 @@ class TestCommands:
         assert np.array_equal(grid.xi_axis, want.xi_axis)
         assert np.array_equal(grid.values, want.values)
         assert grid.meta == {"transform": "FRWT", "alpha": 1.2, "window": "mexican-hat"}
+
+    def test_frst_window_carrier_counts_in_sampling_check(self, tmp_path):
+        # the carrier aliases on the 512-sample signal: a numerical error
+        assert exit_code(["frst", "--alpha", "1.5707963", "--window",
+                          "modulated:hermite1:1e6", "--input", SYNTH,
+                          "--output", str(tmp_path / "g")]) == 2
 
     def test_frst_singular_angle_usage_error(self, tmp_path):
         code = run(["frst", "--alpha", "3.14159265", "--window", "gauss-unit",

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import fracspec as fs
 from fracspec import AngleKind, SingularAngle, UndersampledChirp
-from fracspec.fraccore import SINGULAR_THRESHOLD
+from fracspec.fraccore import SINGULAR_THRESHOLD, _frft_dense, _uniform_step
 
 
 def unitary_ft_oracle(sig: fs.SampledSignal, xi):
@@ -120,6 +120,49 @@ class TestFrft:
         sig = fs.gaussian_signal(1.0, 128, 4.0)
         with pytest.raises(fs.DomainError):
             fs.frft(fs.make_frac_param(alpha), sig, np.array([0.5, bad]))
+
+
+def chirped_signal(n: int) -> fs.SampledSignal:
+    t = np.linspace(-12.0, 12.0, n)
+    return fs.SampledSignal(t[0], t[1] - t[0],
+                            np.exp(1j * (1.3 * t + 0.2 * t * t)) * np.exp(-t * t / 2.0))
+
+
+class TestChirpZ:
+    """frft on uniform grids (chirp-z) against the dense kernel matrix."""
+
+    @pytest.mark.parametrize("n", [320, 1024, 4096, 8192])
+    @pytest.mark.parametrize("alpha", [0.9, np.pi / 3, 1.35, 4.0])
+    def test_matches_dense(self, n, alpha):
+        p = fs.make_frac_param(alpha)
+        sig = chirped_signal(n)
+        fw = sig.samples * sig.trapezoid_weights()
+        # the dense oracle on every stride-th point keeps N = 8192 cheap
+        stride = max(1, n // 512)
+        for xi in (sig.t_grid, np.linspace(12.0, -12.0, n), np.linspace(-0.5, 1.5, 3),
+                   np.linspace(-5.0, 7.0, 301)):
+            assert _uniform_step(xi) is not None
+            got = fs.frft(p, sig, xi, enforce_sampling=False)[::stride]
+            want = p.c_alpha * _frft_dense(p, sig.t_grid, fw, xi[::stride])
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_non_uniform_grid_takes_dense_path(self):
+        p = fs.make_frac_param(np.pi / 3)
+        sig = chirped_signal(512)
+        xi = np.linspace(-6.0, 6.0, 121)
+        xi[60] += 1e-9
+        assert _uniform_step(xi) is None
+        fw = sig.samples * sig.trapezoid_weights()
+        got = fs.frft(p, sig, xi)
+        assert np.array_equal(got, p.c_alpha * _frft_dense(p, sig.t_grid, fw, xi))
+
+    def test_uniform_step_detection(self):
+        sig = chirped_signal(4096)
+        assert _uniform_step(sig.t_grid) is not None
+        assert _uniform_step(np.linspace(3.0, -1.0, 7)) is not None
+        assert _uniform_step(np.array([1.0, 2.0])) is None
+        assert _uniform_step(np.full(5, 2.0)) is None
+        assert _uniform_step(np.array([0.0, 1.0, 3.0])) is None
 
 
 class TestCompose:

@@ -1,11 +1,14 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import fracspec as fs
 from fracspec.distributions import DistributionDescriptor as DD
 from fracspec.frst import (
+    _correlate,
+    _spread,
     frst_forward,
     frst_point,
     frst_reconstruct,
@@ -87,6 +90,13 @@ class TestForward:
         with pytest.raises(fs.SingularAngle):
             frst_forward(fs.make_frac_param(np.pi), unit_gauss, sig,
                          np.linspace(-1, 1, 5), symmetric_log_xi_axis(0.5, 2.0, 4))
+
+    def test_sampling_guard_counts_the_carrier(self, p_half):
+        # the carrier (2 pi/dt - 2)/4 at |xi| = 4 aliases onto frequency -2
+        sig = fs.gaussian_signal(1.0, 3072, 12.0)
+        g = window_by_name(f"modulated:hermite1:{float(2 * np.pi / sig.dt - 2) / 4!r}")
+        with pytest.raises(fs.UndersampledChirp):
+            frst_forward(p_half, g, sig, np.linspace(-1, 1, 3), np.array([-4.0, 4.0]))
 
     def test_classical_st_special_case(self, p_half, unit_gauss):
         sig = fs.gaussian_signal(1.0, 512, 8.0)
@@ -305,6 +315,66 @@ class TestSynthesisOracle:
         got = frst_synthesis(p, hermite, F, t)
         want = frst_synthesis_oracle(p, hermite, F, t)
         assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def correlate_oracle(g, t, x, d, omega, h):
+    """C[i, j] = sum_k conj(g(d_j (t_k - x_i))) e^{-i omega_j t_k} h_k from
+    the full window matrix of every column."""
+    out = np.empty((x.size, d.size), complex)
+    for j in range(d.size):
+        gm = g.eval((t[None, :] - x[:, None]) * d[j])
+        out[:, j] = np.conj(gm) @ (h * np.exp(-1j * omega[j] * t))
+    return out
+
+
+def spread_oracle(g, t, x, d, omega, H):
+    """s(t_k) = sum_j e^{i omega_j t_k} sum_i g(d_j (t_k - x_i)) H[i, j]."""
+    out = np.zeros(t.size, complex)
+    for j in range(d.size):
+        out += np.exp(1j * omega[j] * t) * (g.eval((t[:, None] - x[None, :]) * d[j]) @ H[:, j])
+    return out
+
+
+KERNEL_WINDOWS = ["hermite1", "mexican-hat", "gauss", "dog:6", "modulated:dog:6:-1.3",
+                  "modulated:mexican-hat:4.0", "dilated:hermite1:0.3", "dilated:gauss:2.5",
+                  "dilated:modulated:hermite1:2.5:0.5", "modulated:dilated:mexican-hat:2.0:-3.0"]
+
+
+class TestBandedKernels:
+    """The banded, carrier-split kernels against full window matrices."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80, database=None)
+    @given(window=st.sampled_from(KERNEL_WINDOWS),
+           x_kind=st.sampled_from(["non-uniform", "one", "two", "uniform"]),
+           n_x=st.integers(3, 48),
+           n_t=st.sampled_from([40, 321, 1000]),
+           log2_d=st.lists(st.floats(-5.0, 4.0), min_size=2, max_size=6),
+           flip=st.lists(st.booleans(), min_size=6, max_size=6),
+           c=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2 ** 16))
+    def test_match_dense(self, window, x_kind, n_x, n_t, log2_d, flip, c, seed):
+        # support radii 10 decay scales / |d| run from below one t step to
+        # far beyond the [-9, 9] grid
+        g = window_by_name(window)
+        rng = np.random.default_rng(seed)
+        t = np.linspace(-9.0, 9.0, n_t)
+        x = {"non-uniform": np.sort(rng.uniform(-14.0, 14.0, n_x)),
+             "one": rng.uniform(-10.0, 10.0, 1),
+             "two": np.sort(rng.uniform(-10.0, 10.0, 2)),
+             "uniform": np.linspace(-12.0, 12.0, n_x)}[x_kind]
+        d = np.array([(-1.0 if s else 1.0) * 2.0 ** v for v, s in zip(log2_d, flip)])
+        omega = c * d
+        h = rng.normal(size=n_t) + 1j * rng.normal(size=n_t)
+        got = _correlate(g, t, x, d, omega, h)
+        want = correlate_oracle(g, t, x, d, omega, h)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if x.size < 2:
+            return
+        H = rng.normal(size=(x.size, d.size)) + 1j * rng.normal(size=(x.size, d.size))
+        ts = rng.permutation(t)   # synthesis accepts t in any order
+        got = _spread(g, ts, x, d, omega, H)
+        want = spread_oracle(g, ts, x, d, omega, H)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestReconstruction:

@@ -14,7 +14,7 @@ from fracspec.frwt import (
     frwt_via_frft,
     wt_point,
 )
-from fracspec.windows import seminorm_rho, seminorm_sigma
+from fracspec.windows import seminorm_rho, seminorm_sigma, window_by_name
 
 
 def modulated_gaussian(width, n, half_width, om0=4.0):
@@ -92,6 +92,14 @@ class TestForward:
         with pytest.raises(fs.UndersampledChirp):
             frwt_forward(p_third, mexican, sig, np.linspace(-1, 1, 5),
                          positive_log_xi_axis(2.0 ** -5, 1.0, 8))
+
+    def test_sampling_guard_counts_the_carrier(self, p_half):
+        # at xi = 1/16 the carrier a/xi = 2 pi/dt + 2 aliases onto frequency 2,
+        # where the unchecked grid reads 1.2e-2 for a true value of 0
+        sig = fs.gaussian_signal(1.0, 3072, 12.0)
+        g = window_by_name(f"modulated:mexican-hat:{float(2 * np.pi / sig.dt + 2) / 16!r}")
+        with pytest.raises(fs.UndersampledChirp):
+            frwt_forward(p_half, g, sig, np.linspace(-1, 1, 3), np.array([1 / 16, 1 / 8]))
 
     def test_linearity(self, p_third, mexican):
         s1 = fs.gaussian_signal(1.0, 512, 8.0)

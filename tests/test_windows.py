@@ -96,6 +96,20 @@ class TestOperators:
         with pytest.raises(fs.NonPositiveScale):
             fs.dilate(gauss, 0.0)
 
+    @pytest.mark.parametrize("name, carrier", [
+        ("hermite1", 0.0),
+        ("modulated:dog:6:-1.3", -1.3),
+        ("dilated:modulated:hermite1:2.5:0.5", 1.25),
+        ("modulated:dilated:modulated:gauss:2.0:3.0:-0.5", 5.5),
+    ])
+    def test_eval_is_envelope_times_carrier(self, name, carrier):
+        g = window_by_name(name)
+        a, b = g.carrier_split()
+        assert a == carrier
+        assert b.carrier == 0.0 and b.envelope is None
+        x = np.linspace(-12, 12, 241)
+        assert_allclose(g.eval(x), np.exp(1j * a * x) * b.eval(x), rtol=1e-13, atol=1e-15)
+
 
 class TestMoments:
     def test_mexican_hat_zeroth(self, mexican):
