@@ -56,9 +56,11 @@ from .distributions import (
     tally_pairings,
 )
 from .errors import AngleOutsideTheoremRange, InvalidExponent
-from .fraccore import FracParam
-from .frst import frst_point, st_point
-from .frwt import frwt_point, wt_point
+from .fraccore import FracParam, cmul
+# frst_point and frwt_point are not called here; perfbench's tracer looks
+# them up in this module
+from .frst import frst_cells, frst_point, st_point  # noqa: F401
+from .frwt import frwt_cells, frwt_point, wt_point  # noqa: F401
 from .windows import Window, dilate, modulate
 
 SLOPE_TOL = 0.05
@@ -152,6 +154,12 @@ def _require_angle(p: FracParam, lo: float, hi: float, theorem: str) -> None:
             f"{theorem} needs alpha in ({lo:.6g}, {hi:.6g}); got {p.alpha:.6g}")
 
 
+def _columns(points) -> tuple[np.ndarray, np.ndarray]:
+    """The x and xi of (x, xi) points as (n, 1) columns, to broadcast
+    against an eps sequence."""
+    return np.array(points, dtype=float).reshape(-1, 2).T[:, :, None]
+
+
 def _live(rhs: np.ndarray) -> np.ndarray:
     """Probes whose RHS exceeds RHS_FLOOR of the largest |RHS|."""
     mags = np.abs(rhs)
@@ -163,16 +171,16 @@ def _run_scaling_check(theorem_id: str, fixture: AsymptoticFixture, p: FracParam
                        lhs_fn: Callable, rhs_fn: Callable, expected: float,
                        slope_tol: float, ratio_tol: Optional[float],
                        notes: tuple = (), rhs_printed: Callable | None = None) -> AsymptoticReport:
+    """Drive one scaling statement.  ``lhs_fn(x, xi, eps)`` evaluates the
+    whole probe x eps lattice: x and xi are (n_probes, 1) columns, eps the
+    (n_eps,) sequence, and it returns the (n_probes, n_eps) LHS; ``rhs_fn``
+    and ``rhs_printed`` take one probe (x, xi)."""
     probes = tuple((float(x), float(xi)) for x, xi in probes)
     eps = np.array(list(seq or ScaleSequence()))
     Lv = fixture.L(eps)
 
-    lhs = np.empty((len(probes), eps.size), dtype=complex)
-    rhs = np.empty(len(probes), dtype=complex)
-    for i, (x, xi) in enumerate(probes):
-        rhs[i] = rhs_fn(x, xi)
-        for k, e in enumerate(eps):
-            lhs[i, k] = lhs_fn(x, xi, e)
+    lhs = np.asarray(lhs_fn(*_columns(probes), eps), dtype=complex)
+    rhs = np.array([rhs_fn(x, xi) for x, xi in probes], dtype=complex)
 
     degenerate = None
     if np.max(np.abs(lhs)) < 1e-300:
@@ -246,8 +254,8 @@ def check_rez1(p: FracParam, g: Window, fixture: AsymptoticFixture,
     _require_angle(p, 0.0, np.pi, "REZ1")
     amp = np.sqrt(1.0 - 1j * p.c1) / p.c2 ** fixture.m
 
-    def lhs_fn(x, xi, e):
-        return frst_point(p, g, fixture.f, e * x, xi / e, drop_xi_chirp=True)
+    def lhs_fn(x, xi, eps):
+        return frst_cells(p, g, fixture.f, eps * x, xi / eps, drop_xi_chirp=True)
 
     def rhs_fn(x, xi):
         mod_u = fixture.u.modulated(xi * (1.0 / p.c2 - 1.0))
@@ -273,9 +281,10 @@ def check_teab1(p: FracParam, g: Window, fixture: AsymptoticFixture,
     _require_angle(p, 0.0, np.pi, "TEAB1")
     amp = np.sqrt(1.0 - 1j * p.c1) / p.c2 ** fixture.m
 
-    def lhs_fn(x, xi, e):
-        ge = dilate(g, 1.0 / (e * e))
-        return frst_point(p, ge, fixture.f, e * x, e * xi, drop_xi_chirp=True)
+    def lhs_fn(x, xi, eps):
+        # the window depends on eps: one batch of probes per eps
+        return np.hstack([frst_cells(p, dilate(g, 1.0 / (e * e)), fixture.f, e * x, e * xi,
+                                     drop_xi_chirp=True) for e in eps])
 
     def rhs_fn(x, xi):
         mod_u = fixture.u.modulated(xi / p.c2)
@@ -296,9 +305,9 @@ def check_te3(p: FracParam, g: Window, fixture: AsymptoticFixture,
     g1 = modulate(g, 1.0)
     amp = p.c2 ** -(fixture.m + 0.5)
 
-    def lhs_fn(x, xi, e):
-        w = frwt_point(p, gm, fixture.f, e * x, e / xi)
-        return np.exp(1j * 0.5 * p.c1 * (e * x) ** 2) * w
+    def lhs_fn(x, xi, eps):
+        w = frwt_cells(p, gm, fixture.f, eps * x, eps / xi)
+        return cmul(np.exp(1j * 0.5 * p.c1 * (eps * x) ** 2), w)
 
     def rhs_fn(x, xi):
         return amp * wt_point(gm, fixture.u, x * p.c2, p.c2 / xi)
@@ -330,10 +339,14 @@ def check_te4(p: FracParam, g: Window, fixture: AsymptoticFixture,
     amp_printed = p.c2 ** -(fixture.m + 0.5)
     amp_derived = np.sqrt(2.0 * np.pi) / p.c2 ** fixture.m
 
-    def lhs_fn(x, xi, e):
+    def lhs_cells(x, xi, e):
+        # the window depends on eps: one batch of probes per eps
         h = modulate(dilate(g, 1.0 / (e * e)), p.c2)
-        w = frwt_point(p, h, fixture.f, e * x, 1.0 / (e * xi))
-        return np.exp(1j * (0.5 * p.c1 * (e * x) ** 2 - p.c2 * e * e * x * xi)) * w
+        w = frwt_cells(p, h, fixture.f, e * x, 1.0 / (e * xi))
+        return cmul(np.exp(1j * (0.5 * p.c1 * (e * x) ** 2 - p.c2 * e * e * x * xi)), w)
+
+    def lhs_fn(x, xi, eps):
+        return np.hstack([lhs_cells(x, xi, e) for e in eps])
 
     def rhs_derived(x, xi):
         mod_u = fixture.u.modulated(xi / p.c2)
@@ -365,8 +378,8 @@ def check_te5(p: FracParam, g: Window, fixture: AsymptoticFixture,
     """
     _require_angle(p, 0.0, np.pi, "TE5")
 
-    def lhs_fn(x, xi, e):
-        return frst_point(p, g, fixture.f, e * e * x, xi / e, drop_xi_chirp=True)
+    def lhs_fn(x, xi, eps):
+        return frst_cells(p, g, fixture.f, eps * eps * x, xi / eps, drop_xi_chirp=True)
 
     def rhs_fn(x, xi):
         mod_u = fixture.u.modulated(-xi * p.c2)
@@ -378,11 +391,12 @@ def check_te5(p: FracParam, g: Window, fixture: AsymptoticFixture,
         return report
 
     xis = sorted({xi for _, xi in report.probes})
+    centers = lhs_fn(0.0, np.array(xis)[:, None], np.array(report.eps))
     decay = []
-    for k, e in enumerate(report.eps):
+    for k in range(len(report.eps)):
         rel = 0.0
-        for xi in xis:
-            center = lhs_fn(0.0, xi, e)
+        for j, xi in enumerate(xis):
+            center = centers[j, k]
             if abs(center) < 1e-300:
                 continue
             worst = max(abs(report.lhs[i, k] - center)
@@ -446,9 +460,10 @@ def check_te1_hypotheses(p: FracParam, g: Window, f: DistributionDescriptor,
     converged = 0
     D = 0.0
     feasible = True
+    x_col, xi_col = _columns(lattice)
     with tally_pairings() as tally:
-        cells = [np.array([frst_point(p, g, f, e * x, e * xi, drop_xi_chirp=True)
-                           for e in eps]) / (eps ** m * Lv) for x, xi in lattice]
+        cells = frst_cells(p, g, f, eps * x_col, eps * xi_col, drop_xi_chirp=True)
+    cells = cells / (eps ** m * Lv)
     for (x, xi), v in zip(lattice, cells):
         if is_cauchy(v):
             converged += 1

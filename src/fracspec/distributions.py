@@ -17,6 +17,10 @@ Where the rule's own error estimate misses its budget, adaptive quadrature
 rule on the signal's own grid; that is the one way a sampled signal is
 paired, so the point transforms and the grid kernels agree on it.
 
+``pair_cells`` pairs f with a family of probes, one per cell: a delta comb
+at all cells in one evaluation per term, anything else cell by cell through
+``pair``, so those pairings are the per-cell ones.
+
 Scaled pairings <f(eps x), phi(x)> reduce to (1/eps) <f(t), phi(t/eps)>,
 and a modulation wrapper realizes M_a f exactly by multiplying the test
 function with exp(i*a*t).
@@ -33,8 +37,15 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DegenerateSequence, PairingDiverged
-from .fraccore import SampledSignal
-from .windows import CONTOUR_RADIUS, Window, contour_derivative, modulated_length
+from .fraccore import SampledSignal, cmul
+from .windows import (
+    CONTOUR_NODES,
+    CONTOUR_RADIUS,
+    KERNEL_BLOCK_ELEMENTS,
+    Window,
+    contour_derivative,
+    modulated_length,
+)
 
 # relative; a pairing whose error estimate exceeds it even through the
 # adaptive-quadrature fallback raises PairingDiverged
@@ -42,7 +53,12 @@ PAIRING_ERROR_BUDGET = 1e-8
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth rapidly decaying probe with an effective support interval."""
+    """Smooth rapidly decaying probe with an effective support interval.
+
+    A probe family (see ``pair_cells``) holds arrays of center, radius and
+    scale, one entry per cell, and its fn maps t whose leading axes are the
+    cells' to each cell's probe values.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     center: float = 0.0
@@ -52,11 +68,6 @@ class TestFunction:
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
-
-    def derivative(self, t0: float, order: int) -> complex:
-        """Derivative by ``contour_derivative`` at radius CONTOUR_RADIUS * scale."""
-        return complex(contour_derivative(self.fn, np.array([t0]), order,
-                                          CONTOUR_RADIUS * self.scale)[0])
 
 
 def window_probe(g: Window) -> TestFunction:
@@ -218,7 +229,8 @@ class PairingTally:
 
 # The open tallies live in a context variable, not in a parameter: pairings
 # are made several calls below the checkers that count them, through
-# frst_point and frwt_point, whose signatures stay as they are.
+# frst_point/frst_cells and frwt_point/frwt_cells, whose signatures carry no
+# counters.  A batch of cells counts one pairing per cell.
 _OPEN_TALLIES: ContextVar[tuple] = ContextVar("fracspec_open_tallies", default=())
 
 
@@ -233,9 +245,10 @@ def tally_pairings():
         _OPEN_TALLIES.reset(token)
 
 
-def _record(evaluations: int, rel_error: float, fallback: bool = False) -> None:
+def _record(evaluations: int, rel_error: float, fallback: bool = False,
+            pairings: int = 1) -> None:
     for tally in _OPEN_TALLIES.get():
-        tally.pairings += 1
+        tally.pairings += pairings
         tally.integrand_evaluations += evaluations
         tally.max_rel_error_estimate = max(tally.max_rel_error_estimate, rel_error)
         tally.quad_fallbacks += fallback
@@ -343,12 +356,7 @@ def pair_with_error(f: SignalOrDistribution, phi: TestFunction) -> tuple[complex
         _record(f.n, 0.0)
         return complex(np.sum(f.samples * phi(f.t_grid) * f.trapezoid_weights())), 0.0
     if f.kind == "delta":
-        # modulation goes onto the test function; density() handles it for
-        # the function-type kinds below
-        probe = _modulated_probe(phi, f.modulation)
-        val = 0.0 + 0.0j
-        for term in f.terms:
-            val += term.weight * (-1.0) ** term.order * probe.derivative(term.location, term.order)
+        val = complex(_delta_pairing(f, phi, 1)[0])
         _record(0, 0.0)
         return val, 0.0
 
@@ -368,6 +376,46 @@ def pair_with_error(f: SignalOrDistribution, phi: TestFunction) -> tuple[complex
 
 def pair(f: SignalOrDistribution, phi: TestFunction) -> complex:
     return pair_with_error(f, phi)[0]
+
+
+def _delta_pairing(f: DistributionDescriptor, phi: TestFunction, n: int) -> np.ndarray:
+    """sum_j w_j (-1)^k_j phi^(k_j)(a_j) at each of phi's n cells (n = 1 for
+    a single probe), by ``contour_derivative`` at radius CONTOUR_RADIUS *
+    scale per cell."""
+    # modulation goes onto the test function; density() handles it for the
+    # function-type kinds
+    probe = _modulated_probe(phi, f.modulation)
+    radius = CONTOUR_RADIUS * probe.scale
+    val = np.zeros(n, dtype=complex)
+    for term in f.terms:
+        val += cmul(term.weight * (-1.0) ** term.order, contour_derivative(
+            probe.fn, np.full(n, term.location), term.order, radius))
+    return val
+
+
+def pair_cells(f: SignalOrDistribution, probe_of: Callable[[object], TestFunction],
+               n: int) -> np.ndarray:
+    """<f, phi_c> for the cells c = 0 .. n-1 of a probe family.
+
+    ``probe_of(cells)`` is the probe family of the cells selected by a slice
+    (arrays of center, radius and scale), or the single probe of an integer
+    cell.  A delta comb is paired at the cells of one block at once; a
+    block's contours hold at most KERNEL_BLOCK_ELEMENTS values.  Signals
+    and function-type descriptors are paired cell by cell through ``pair``.
+    Every cell counts as one pairing.
+    """
+    vals = np.empty(n, dtype=complex)
+    if isinstance(f, SampledSignal) or f.kind != "delta":
+        for c in range(n):
+            vals[c] = pair(f, probe_of(c))
+        return vals
+    nodes = CONTOUR_NODES if any(term.order for term in f.terms) else 1
+    block = KERNEL_BLOCK_ELEMENTS // nodes
+    for lo in range(0, n, block):
+        cells = slice(lo, min(lo + block, n))
+        vals[cells] = _delta_pairing(f, probe_of(cells), cells.stop - lo)
+    _record(0, 0.0, pairings=n)
+    return vals
 
 
 @dataclass(frozen=True)

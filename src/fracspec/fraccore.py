@@ -125,6 +125,22 @@ def kernel_eval(p: FracParam, x, xi):
     return p.c_alpha * np.exp(1j * phase)
 
 
+def cmul(a, b) -> np.ndarray:
+    """a * b for complex arrays, each entry rounded as the product of two
+    complex scalars: (ar br - ai bi) + i (ar bi + ai br).
+
+    numpy's vector loop for complex arrays fuses multiply and add, and so
+    moves about half of its products by an ulp from the same product of
+    scalars; batched evaluations use this to repeat per-cell values exactly.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 @dataclass(frozen=True)
 class SampledSignal:
     """Uniformly sampled complex signal; sample j lives at t0 + j*dt."""

@@ -22,8 +22,10 @@ correlation (``_correlate``) and its adjoint (``_spread``); the bridge
 identity in ``frwt`` is what makes the two transforms the same kernel with
 different dilations and modulations.  Both evaluate each window only within
 its support radius of the cell (in blocks, ``_bands``) and keep a modulated
-window's carrier out of the window matrix.  Single points of either
-transform pair f with ``_integrand_probe``, the same kernel at one cell.
+window's carrier out of the window matrix.  Distribution descriptors pair f
+with ``_integrand_probe``, the same kernel at given cells: single points
+through ``pair``, grids and lattices of cells through ``pair_cells``, which
+pairs a delta comb at all cells in one evaluation.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import SignalOrDistribution, TestFunction, pair
+from .distributions import SignalOrDistribution, TestFunction, pair, pair_cells
 from .errors import GridTooCoarse, MalformedCSV, SingularAngle
 from .fraccore import (
     AngleKind,
@@ -41,10 +43,11 @@ from .fraccore import (
     CLASSICAL_FT_PARAM,
     SampledSignal,
     check_sampling,
+    cmul,
     rel_l2,
     trapezoid_weights,
 )
-from .windows import Window, admissibility_cgpsi
+from .windows import KERNEL_BLOCK_ELEMENTS, Window, admissibility_cgpsi
 
 XI_FLOOR = 2.0 ** -6
 
@@ -117,21 +120,51 @@ def log_branch_weights(xi_axis: np.ndarray) -> np.ndarray:
 # forward
 
 
-def _integrand_probe(p: FracParam, g: Window, x: float, d: float, omega: float,
-                     amp: complex) -> TestFunction:
+def _integrand_probe(p: FracParam, g: Window, x, d, omega, amp) -> TestFunction:
     """t -> amp conj(g((t - x) d)) e^{i (c1 t^2/2 - omega t)} as a probe.
 
     The point form of ``_correlate``: the FRST takes d = xi, omega = c2 xi,
     the FRWT d = 1/xi, omega = 0; amp carries each transform's constant.
+    x, d, omega and amp are scalars for one cell, or 1-D arrays over a
+    family of cells; then center, radius and scale are arrays too, and fn
+    takes t whose first axis is the cells' (a contour adds a second).
     """
+    family = getattr(x, "ndim", 0) > 0
+
     def fn(t):
+        xs, ds, om, am = x, d, omega, amp
+        if family:
+            lead = (-1,) + (1,) * (t.ndim - 1)
+            xs, ds, om, am = (v.reshape(lead) for v in (x, d, omega, amp))
         # conj(g(conj u)) is analytic in t and equals conj(g(u)) for real t
-        return amp * np.conj(g.eval(np.conj(t - x) * d)) * np.exp(1j * (0.5 * p.c1 * t * t - omega * t))
+        return am * np.conj(g.eval(np.conj(t - xs) * ds)) * np.exp(1j * (0.5 * p.c1 * t * t - om * t))
 
     radius = g.support_radius / abs(d)
     osc = 1.0 + abs(omega) + abs(p.c1) * (abs(x) + radius)
     return TestFunction(fn=fn, center=x, radius=radius,
-                        scale=min(g.length_scale / abs(d), 1.0 / osc))
+                        scale=np.minimum(g.length_scale / abs(d), 1.0 / osc))
+
+
+def _pair_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, d, omega,
+                amp) -> np.ndarray:
+    """<f, _integrand_probe(p, g, x, d, omega, amp)> at every cell of the
+    broadcast parameter arrays."""
+    params = np.broadcast_arrays(x, d, omega, amp)
+    flat = [v.ravel() for v in params]
+    vals = pair_cells(f, lambda cells: _integrand_probe(p, g, *(v[cells] for v in flat)),
+                      flat[0].size)
+    return vals.reshape(params[0].shape)
+
+
+def _frst_params(p: FracParam, x, xi, drop_xi_chirp: bool):
+    """(x, d, omega, amp) of the FRST probe at the cells (x, xi != 0)."""
+    p.require_regular("frst_point")
+    if not np.asarray(xi).all():
+        raise ValueError("xi must be nonzero")
+    amp = abs(xi) * p.c_alpha
+    if not drop_xi_chirp:
+        amp = cmul(amp, np.exp(1j * 0.5 * p.c1 * xi * xi))
+    return x, xi, p.c2 * xi, amp
 
 
 def frst_point(p: FracParam, g: Window, f: SignalOrDistribution,
@@ -143,13 +176,13 @@ def frst_point(p: FracParam, g: Window, f: SignalOrDistribution,
     which evaluates exp(-i*c1*xi^2/2) * S_g^alpha f directly (the gauge the
     asymptotic theorems use) without forming huge cancelling phases.
     """
-    p.require_regular("frst_point")
-    if xi == 0:
-        raise ValueError("xi must be nonzero")
-    amp = abs(xi) * p.c_alpha
-    if not drop_xi_chirp:
-        amp *= np.exp(1j * 0.5 * p.c1 * xi * xi)
-    return pair(f, _integrand_probe(p, g, x, xi, p.c2 * xi, amp))
+    return pair(f, _integrand_probe(p, g, *_frst_params(p, x, xi, drop_xi_chirp)))
+
+
+def frst_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, xi, *,
+               drop_xi_chirp: bool = False) -> np.ndarray:
+    """``frst_point`` at every cell of the broadcast arrays x and xi."""
+    return _pair_cells(p, g, f, *_frst_params(p, x, xi, drop_xi_chirp))
 
 
 def st_point(g: Window, f: SignalOrDistribution, x: float, xi: float) -> complex:
@@ -165,10 +198,7 @@ def _chirped(p: FracParam, f: SampledSignal) -> np.ndarray:
 
 # Band blocks of the signal kernels: a block spans at most two band radii of
 # the blocked axis, or KERNEL_MIN_BLOCK points if that is more, and its window
-# matrix holds at most KERNEL_BLOCK_ELEMENTS values (on a 2-vCPU Xeon, a
-# hermite1 evaluation took ~4.5 ns per point up to 28k points and ~13 ns
-# from 32k, where each numpy temporary reaches 256 kB).
-KERNEL_BLOCK_ELEMENTS = 16384
+# matrix holds at most KERNEL_BLOCK_ELEMENTS values.
 KERNEL_MIN_BLOCK = 32
 
 
@@ -224,18 +254,12 @@ def _correlate(g: Window, t, x, d, omega, h) -> np.ndarray:
     return out
 
 
-def _cells(point, x_axis, xi_axis) -> np.ndarray:
-    """Grid of point(x, xi) values, one call per cell."""
-    return np.array([[point(float(x), float(xi)) for xi in xi_axis] for x in x_axis],
-                    dtype=complex).reshape(x_axis.size, xi_axis.size)
-
-
 def frst_forward(p: FracParam, g: Window, f: SignalOrDistribution,
                  x_axis, xi_axis, *, enforce_sampling: bool = True) -> TFGrid:
     """FRST on a full time-frequency grid.
 
     Signals go through the trapezoid correlation on their own grid;
-    distribution descriptors through per-cell pairings.  alpha = 0 yields
+    distribution descriptors through ``frst_cells``.  alpha = 0 yields
     the zero grid; alpha = pi is rejected.
     """
     x_axis = np.asarray(x_axis, dtype=float)
@@ -255,7 +279,7 @@ def frst_forward(p: FracParam, g: Window, f: SignalOrDistribution,
         vals = _correlate(g, f.t_grid, x_axis, xi_axis, p.c2 * xi_axis, _chirped(p, f))
         vals *= np.abs(xi_axis) * p.c_alpha * np.exp(1j * 0.5 * p.c1 * xi_axis * xi_axis)
     else:
-        vals = _cells(lambda x, xi: frst_point(p, g, f, x, xi), x_axis, xi_axis)
+        vals = frst_cells(p, g, f, x_axis[:, None], xi_axis[None, :])
     return TFGrid(x_axis, xi_axis, vals, meta)
 
 

@@ -41,28 +41,41 @@ from .fraccore import (
 from .frst import (
     ReconstructionReport,
     TFGrid,
-    _cells,
     _chirped,
     _compare,
     _correlate,
     _integrand_probe,
+    _pair_cells,
     _spread,
     check_axes,
-    frst_point,
+    frst_cells,
+    frst_point,  # not called here; perfbench's tracer looks it up in this module
     log_branch_weights,
 )
 from .windows import Window, admissibility_cg, modulate, require_wavelet
+
+
+def _frwt_params(p: FracParam, x, xi):
+    """(x, d, omega, amp) of the FRWT probe at the cells (x, xi > 0)."""
+    p.require_regular("frwt_point")
+    if (np.asarray(xi) <= 0).any():
+        raise ValueError("FRWT scale must be positive")
+    # float_power is libm's pow for scalars and arrays alike; numpy's vector
+    # power loop differs from it in the last bit
+    amp = np.float_power(xi, -0.5) * np.exp(-1j * 0.5 * p.c1 * x * x)
+    return x, 1.0 / xi, 0.0, amp
 
 
 def frwt_point(p: FracParam, g: Window, f: SignalOrDistribution,
                x: float, xi: float) -> complex:
     """Single-point FRWT (xi > 0): the pairing of f with the integrand
     t -> xi^{-1/2} conj(g((t-x)/xi)) e^{i c1 (t^2-x^2)/2}."""
-    p.require_regular("frwt_point")
-    if xi <= 0:
-        raise ValueError("FRWT scale must be positive")
-    amp = xi ** -0.5 * np.exp(-1j * 0.5 * p.c1 * x * x)
-    return pair(f, _integrand_probe(p, g, x, 1.0 / xi, 0.0, amp))
+    return pair(f, _integrand_probe(p, g, *_frwt_params(p, x, xi)))
+
+
+def frwt_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, xi) -> np.ndarray:
+    """``frwt_point`` at every cell of the broadcast arrays x and xi."""
+    return _pair_cells(p, g, f, *_frwt_params(p, x, xi))
 
 
 def wt_point(g: Window, f: SignalOrDistribution, x: float, xi: float) -> complex:
@@ -97,7 +110,7 @@ def frwt_forward(p: FracParam, g: Window, f: SignalOrDistribution,
     if isinstance(f, SampledSignal):
         vals = _frwt_signal_grid(p, g, f, x_axis, xi_axis, enforce_sampling)
     else:
-        vals = _cells(lambda x, xi: frwt_point(p, g, f, x, xi), x_axis, xi_axis)
+        vals = frwt_cells(p, g, f, x_axis[:, None], xi_axis[None, :])
     return TFGrid(x_axis, xi_axis, vals, meta)
 
 
@@ -213,17 +226,16 @@ def frst_frwt_bridge(p: FracParam, g: Window, f: SignalOrDistribution,
     """
     p.require_regular("frst_frwt_bridge")
     gm = modulate(g, p.c2)
-    lhs_vals, rhs_vals, devs = [], [], []
-    for x, xi in points:
-        x = float(x)
-        xi = float(xi)
-        if xi <= 0:
-            raise ValueError("bridge probes need xi > 0")
-        lhs = frst_point(p, g, f, x, xi, drop_xi_chirp=True)
-        w = frwt_point(p, gm, f, x, 1.0 / xi)
+    xs, xis = np.array(points, dtype=float).reshape(-1, 2).T
+    if np.any(xis <= 0):
+        raise ValueError("bridge probes need xi > 0")
+    lhs_vals = frst_cells(p, g, f, xs, xis, drop_xi_chirp=True)
+    w_vals = frwt_cells(p, gm, f, xs, 1.0 / xis)
+    # right-hand sides and deviations in scalar arithmetic, point by point
+    rhs_vals, devs = [], []
+    for x, xi, lhs, w in zip(xs.tolist(), xis.tolist(), lhs_vals, w_vals):
         rhs = np.sqrt(xi) * p.c_alpha * np.exp(
             1j * (0.5 * p.c1 * x * x - p.c2 * x * xi)) * w
-        lhs_vals.append(lhs)
         rhs_vals.append(rhs)
         scale = max(abs(lhs), abs(rhs), 1e-300)
         devs.append(abs(lhs - rhs) / scale)

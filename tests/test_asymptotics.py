@@ -273,3 +273,70 @@ class TestReportSerialization:
         assert check_te5(p_third, mexican, sqrt_abs_fixture()).extras["pairings"] == 8 * 11 + 8 + 2 * 11
         again = check_rez1(p_third, hermite, sqrt_abs_fixture())
         assert json.dumps(again.to_json_dict()) == json.dumps(rep.to_json_dict())
+
+
+def _per_cell(f, probe_of, n):
+    """pair_cells as a loop over single-cell pairings."""
+    return np.array([fs.distributions.pair(f, probe_of(c)) for c in range(n)], dtype=complex)
+
+
+def _delta_prime_fixture():
+    d1 = DD.delta(order=1)
+    return AsymptoticFixture(f=d1, m=-2.0, L=SV_ONE, u=d1, label="delta'")
+
+
+class TestBatchedLattices:
+    """Each checker pairs its probe x eps lattice in one batch; run again
+    with pair_cells replaced by single-cell pairings, it must report the same
+    verdicts, exponents and counters.  Function-type fixtures are paired cell
+    by cell in both runs and must report the same bytes."""
+
+    FIXTURES = {"delta": delta_fixture, "delta'": _delta_prime_fixture,
+                "sqrt-abs": sqrt_abs_fixture}
+
+    @staticmethod
+    def _compare(batched, per_cell, exact):
+        assert batched.verdict == per_cell.verdict
+        a, b = np.asarray(batched.fitted_exponent), np.asarray(per_cell.fitted_exponent)
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert np.all(np.abs(a - b)[~np.isnan(a)] <= 1e-12)
+        for key in ("pairings", "integrand_evaluations", "quad_fallbacks"):
+            assert batched.extras[key] == per_cell.extras[key], key
+        if exact:
+            assert json.dumps(batched.to_json_dict()) == json.dumps(per_cell.to_json_dict())
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    @pytest.mark.parametrize("theorem", sorted(CHECKERS))
+    def test_checkers(self, monkeypatch, p_third, hermite, mexican, theorem, fixture):
+        fx = self.FIXTURES[fixture]()
+        g = mexican if theorem == "te5" else hermite
+        batched = CHECKERS[theorem](p_third, g, fx)
+        monkeypatch.setattr(fs.frst, "pair_cells", _per_cell)
+        per_cell = CHECKERS[theorem](p_third, g, fx)
+        self._compare(batched, per_cell, exact=fixture == "sqrt-abs")
+
+    def test_log_fixture(self, monkeypatch, p_third, hermite):
+        deep = ScaleSequence(tuple(2.0 ** -k for k in range(6, 21)))
+        batched = check_te4(p_third, hermite, log_sqrt_abs_fixture(), seq=deep, ratio_tol=None)
+        monkeypatch.setattr(fs.frst, "pair_cells", _per_cell)
+        per_cell = check_te4(p_third, hermite, log_sqrt_abs_fixture(), seq=deep, ratio_tol=None)
+        self._compare(batched, per_cell, exact=True)
+
+    def test_te1_lattice(self, monkeypatch, p_third, hermite):
+        batched = check_te1_hypotheses(p_third, hermite, DD.delta(order=1), m=-2.0)
+        monkeypatch.setattr(fs.frst, "pair_cells", _per_cell)
+        per_cell = check_te1_hypotheses(p_third, hermite, DD.delta(order=1), m=-2.0)
+        assert batched.verdict == per_cell.verdict
+        assert batched.converged_cells == per_cell.converged_cells
+        assert abs(batched.bound_constant - per_cell.bound_constant) <= 1e-12 * per_cell.bound_constant
+        assert batched.pairings == per_cell.pairings == 80 * len(ScaleSequence())
+
+    def test_function_type_lattice_repeats_the_scalar_formula(self, p_third, hermite):
+        # TE3's LHS, e^{i c1 (eps x)^2/2} W f(eps x, eps/xi), written per cell
+        # in scalar arithmetic: the batch must round every cell the same way
+        p, fx = p_third, sqrt_abs_fixture()
+        rep = check_te3(p, hermite, fx)
+        gm = fs.modulate(hermite, p.c2)
+        want = [[np.exp(1j * 0.5 * p.c1 * (e * x) ** 2) * fs.frwt_point(p, gm, fx.f, e * x, e / xi)
+                 for e in rep.eps] for x, xi in rep.probes]
+        assert np.array_equal(rep.lhs, np.array(want))

@@ -221,6 +221,14 @@ class TestCommands:
                     "--output", str(out)])
         assert code == 0
 
+    def test_verify_te1_sqrt_abs_refuses_a_divergent_pairing(self, tmp_path, capsys):
+        # te1's lattice on |x|^1/2 is paired cell by cell, and the first cell
+        # the quad fallback refuses ends the run (ROADMAP item 3)
+        assert exit_code(["verify", "te1", "--alpha", "1.0472", "--window", "hermite1",
+                          "--dist", '{"kind":"homogeneous","pattern":"abs","degree":0.5}',
+                          "--output", str(tmp_path / "te1")]) == 2
+        assert "error: pairing error estimate 8.869e-05 exceeds budget" in capsys.readouterr().err
+
     def test_verify_not_applicable_exit_code(self, tmp_path):
         code = run(["verify", "rez1", "--alpha", "1.0472", "--window", "hermite1",
                     "--dist", '{"kind":"delta","terms":[[0,0,0.0]]}',

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import fracspec as fs
 from fracspec import AngleKind, SingularAngle, UndersampledChirp
-from fracspec.fraccore import SINGULAR_THRESHOLD, _frft_dense, _uniform_step
+from fracspec.fraccore import SINGULAR_THRESHOLD, _frft_dense, _uniform_step, cmul
 
 
 def unitary_ft_oracle(sig: fs.SampledSignal, xi):
@@ -163,6 +163,16 @@ class TestChirpZ:
         assert _uniform_step(np.array([1.0, 2.0])) is None
         assert _uniform_step(np.full(5, 2.0)) is None
         assert _uniform_step(np.array([0.0, 1.0, 3.0])) is None
+
+
+class TestCmul:
+    def test_rounds_as_scalar_products(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=4000) + 1j * rng.normal(size=4000)
+        b = rng.normal(size=(3, 4000)) + 1j * rng.normal(size=(3, 4000))
+        want = np.array([[complex(u) * complex(v) for u, v in zip(a, row)] for row in b])
+        assert np.array_equal(cmul(a, b), want)
+        assert cmul(2.0 + 1.0j, 3.0 - 0.5j) == (2.0 + 1.0j) * (3.0 - 0.5j)
 
 
 class TestCompose:

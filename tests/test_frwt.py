@@ -71,6 +71,21 @@ class TestForward:
                 for a, _, w in terms)
             assert_allclose(grid.values, expected, rtol=1e-12, atol=0)
 
+        # the batched grid against per-cell points, combs of order 0..4; 24 x
+        # 12 cells take two contour blocks, and the modulated window's carrier
+        # caps the contour radius
+        x = np.linspace(-2.0, 2.0, 24)
+        scales = positive_log_xi_axis(0.3, 4.0, 12)
+        for alpha in (np.pi / 3, 4.0):
+            p = fs.make_frac_param(alpha)
+            for g in (hermite, window_by_name("modulated:hermite1:20")):
+                for order in range(5):
+                    comb = DD.delta_comb([(a, order, w) for a, _, w in terms])
+                    grid = frwt_forward(p, g, comb, x, scales).values
+                    cells = np.array([[frwt_point(p, g, comb, a, s) for s in scales] for a in x])
+                    err = np.max(np.abs(grid - cells)) / np.max(np.abs(cells))
+                    assert err <= 1e-13, (alpha, g.name, order, err)
+
     def test_zero_signal(self, p_third, mexican):
         sig = fs.SampledSignal(-4.0, 0.05, np.zeros(161, complex))
         grid = frwt_forward(p_third, mexican, sig, np.linspace(-1, 1, 5),

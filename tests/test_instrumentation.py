@@ -41,3 +41,31 @@ def test_install_and_uninstall_with_tracing_off():
         inst.uninstall()
     assert [getattr(owner, attr) for owner, attr in sites] == originals
     assert fs.asymptotics.CHECKERS == checkers
+
+
+def test_batched_paths_under_tracing():
+    # the batched pairings must keep the tracer's contract: spans around the
+    # wrapped functions and scalar error estimates for note_max
+    spans = load_spans()
+    tracer = spans.Tracer()
+    inst = spans.Instrumentation(fs, tracer)
+    try:
+        inst.install()
+        tracer.enabled = True
+        p = fs.make_frac_param(1.0)
+        comb = fs.DistributionDescriptor.delta_comb([(-0.4, 0, 1.0), (0.3, 1, 0.5j)])
+        grid = fs.frst.frst_forward(p, fs.windows.window_by_name("hermite1"), comb,
+                                    np.linspace(-1.0, 1.0, 5),
+                                    fs.frst.symmetric_log_xi_axis(0.5, 2.0, 3))
+        d1 = fs.DistributionDescriptor.delta(order=1)
+        fixture = fs.asymptotics.AsymptoticFixture(f=d1, m=-2.0, L=fs.SV_ONE, u=d1,
+                                                   label="delta'")
+        rep = fs.asymptotics.check_rez1(p, fs.windows.window_by_name("hermite1"), fixture)
+    finally:
+        tracer.enabled = False
+        inst.uninstall()
+    assert grid.values.shape == (5, 6) and np.all(np.isfinite(grid.values))
+    assert rep.verdict == "pass"
+    assert tracer.calls["frst.frst_forward"] == 1
+    assert tracer.calls["asymptotics.check"] == 1
+    assert tracer.counters["windows.eval.points"] > 0

@@ -9,6 +9,7 @@ from fracspec import (
     ZeroAdmissibility,
 )
 from fracspec.windows import (
+    dog_window,
     moment_with_error,
     numeric_ft,
     window_by_name,
@@ -109,6 +110,19 @@ class TestOperators:
         assert b.carrier == 0.0 and b.envelope is None
         x = np.linspace(-12, 12, 241)
         assert_allclose(g.eval(x), np.exp(1j * a * x) * b.eval(x), rtol=1e-13, atol=1e-15)
+
+
+class TestDerivativeOfGaussian:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_horner_matches_hermite_e(self, m):
+        # (-1)^m He_m(x) e^{-x^2/2} through numpy's Hermite_e series, on
+        # real and complex arguments (derivative contours are complex)
+        he = np.polynomial.hermite_e.HermiteE.basis(m)
+        u = np.linspace(-10.0, 10.0, 401)
+        for x in (u, u[:, None] + 1j * np.linspace(-3.0, 3.0, 13)):
+            want = (-1.0) ** m * he(x) * np.exp(-x * x / 2.0)
+            got = dog_window(m).eval(x)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), m
 
 
 class TestMoments:
