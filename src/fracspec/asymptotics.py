@@ -430,6 +430,7 @@ class Te1HypothesesReport:
     bound_feasible: bool
     verdict: str
     pairings: int                # pairing counters, as in AsymptoticReport.extras
+    closed_form_pairings: int
     integrand_evaluations: int
     max_rel_error_estimate: float
     quad_fallbacks: int

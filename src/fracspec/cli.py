@@ -17,6 +17,7 @@ failed, 4 not-applicable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -179,6 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and shared by every ``run``.
+    Parsing leaves a parser unchanged: no argument has a mutable default
+    or an append action."""
+    return build_parser()
+
+
 def _infer_degree(desc: DistributionDescriptor) -> float:
     if desc.kind == "delta":
         return -1.0 - max(t.order for t in desc.terms)
@@ -188,7 +197,7 @@ def _infer_degree(desc: DistributionDescriptor) -> float:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cmd = args.command
 
     if cmd == "frft":

@@ -8,18 +8,30 @@ A descriptor represents a tempered/Lizorkin distribution through the action
   integrable),
 * closed-form functions of polynomial growth.
 
-The function-type kinds are paired by a fixed tanh-sinh rule on panels
-split at their singular points, evaluated on all of its nodes at once.
-Where the rule's own error estimate misses its budget, adaptive quadrature
-(``quad``) takes over; it is also the rule's test oracle.
+Descriptors are paired by one of three routes:
+
+* delta combs by contour derivatives of the probe (exact up to rounding);
+* homogeneous kinds, with a probe that carries a ``GaussianForm``
+  Q(t) e^{-a t^2 + b t + c} (every FRST/FRWT probe of a library window), in
+  closed form: a sum of Kummer functions M(alpha, beta, b^2/4a), one
+  vectorised ``hyp1f1`` call over all cells of a family.  The closed form
+  is used where |z| = |b^2/4a| <= HOMOGENEOUS_Z_MAX = 10 and its terms
+  exceed its value at most HOMOGENEOUS_CANCELLATION_MAX = 1e3-fold;
+* everything else (closed-form descriptors, the cells the closed form
+  leaves out, probes without a form) by a fixed tanh-sinh rule on panels
+  split at their singular points, evaluated on all of its nodes at once.
+  Where the rule's own error estimate misses its budget, adaptive
+  quadrature (``quad``) takes over; it is also the rule's test oracle.
 
 ``pair`` also takes a ``SampledSignal``, which it pairs by the trapezoid
 rule on the signal's own grid; that is the one way a sampled signal is
 paired, so the point transforms and the grid kernels agree on it.
 
 ``pair_cells`` pairs f with a family of probes, one per cell: a delta comb
-at all cells in one evaluation per term, anything else cell by cell through
-``pair``, so those pairings are the per-cell ones.
+at all cells in one evaluation per term, a homogeneous kind at all cells in
+one closed-form evaluation, anything else cell by cell through ``pair``, so
+those pairings are the per-cell ones.  A batch rounds every cell as the
+cell alone would.
 
 Scaled pairings <f(eps x), phi(x)> reduce to (1/eps) <f(t), phi(t/eps)>,
 and a modulation wrapper realizes M_a f exactly by multiplying the test
@@ -35,6 +47,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gamma, hyp1f1
 
 from .errors import DegenerateSequence, PairingDiverged
 from .fraccore import SampledSignal, cmul
@@ -51,13 +64,40 @@ from .windows import (
 # adaptive-quadrature fallback raises PairingDiverged
 PAIRING_ERROR_BUDGET = 1e-8
 
+
+@dataclass(frozen=True)
+class GaussianForm:
+    """phi(t) = sum_k q[..., k] t^k e^{-a t^2 + b t + c} with Re a > 0.
+
+    The leading axes of q, and the shapes of a, b and c, are the cells' of
+    a probe family (none for a single probe).
+    """
+
+    q: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    def scaled(self, eps: float) -> "GaussianForm":
+        """The form of phi(t/eps)."""
+        k = np.arange(self.q.shape[-1])
+        return GaussianForm(self.q / eps ** k, self.a / eps ** 2, self.b / eps, self.c)
+
+    def modulated(self, a: float) -> "GaussianForm":
+        """The form of e^{iat} phi(t)."""
+        return replace(self, b=self.b + 1j * a)
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Smooth rapidly decaying probe with an effective support interval.
 
     A probe family (see ``pair_cells``) holds arrays of center, radius and
     scale, one entry per cell, and its fn maps t whose leading axes are the
-    cells' to each cell's probe values.
+    cells' to each cell's probe values.  ``form``, when known, builds fn's
+    ``GaussianForm`` (on demand: only homogeneous pairings read it, in
+    closed form).  A transform of fn must transform the form too, or drop
+    it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -65,6 +105,7 @@ class TestFunction:
     radius: float = 10.0
     scale: float = 1.0      # characteristic length, sets the derivative contour
     name: str = ""
+    form: Optional[Callable[[], GaussianForm]] = field(default=None, repr=False)
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
@@ -202,7 +243,8 @@ def _modulated_probe(phi: TestFunction, a: float) -> TestFunction:
     if a == 0.0:
         return phi
     return replace(phi, scale=modulated_length(phi.scale, a),
-                   fn=lambda t, _f=phi.fn, _a=a: np.exp(1j * _a * np.asarray(t)) * np.asarray(_f(t), dtype=complex))
+                   fn=lambda t, _f=phi.fn, _a=a: np.exp(1j * _a * np.asarray(t)) * np.asarray(_f(t), dtype=complex),
+                   form=None if phi.form is None else lambda _f=phi.form, _a=a: _f().modulated(_a))
 
 
 SignalOrDistribution = Union[SampledSignal, DistributionDescriptor]
@@ -212,13 +254,16 @@ SignalOrDistribution = Union[SampledSignal, DistributionDescriptor]
 class PairingTally:
     """Counters of the pairings made while a ``tally_pairings`` block is open.
 
-    ``integrand_evaluations`` counts the points at which a quadrature rule
-    evaluated density x probe (0 for exact delta pairings);
-    ``max_rel_error_estimate`` is the largest error estimate relative to
-    the scale its budget is set against.
+    ``closed_form_pairings`` counts the homogeneous pairings made by the
+    Kummer closed form; ``integrand_evaluations`` counts the points at
+    which a quadrature rule evaluated density x probe (0 for exact delta
+    and closed-form pairings); ``max_rel_error_estimate`` is the largest
+    quadrature error estimate relative to the scale its budget is set
+    against.
     """
 
     pairings: int = 0
+    closed_form_pairings: int = 0
     integrand_evaluations: int = 0
     max_rel_error_estimate: float = 0.0
     quad_fallbacks: int = 0
@@ -246,9 +291,10 @@ def tally_pairings():
 
 
 def _record(evaluations: int, rel_error: float, fallback: bool = False,
-            pairings: int = 1) -> None:
+            pairings: int = 1, closed_form: int = 0) -> None:
     for tally in _OPEN_TALLIES.get():
         tally.pairings += pairings
+        tally.closed_form_pairings += closed_form
         tally.integrand_evaluations += evaluations
         tally.max_rel_error_estimate = max(tally.max_rel_error_estimate, rel_error)
         tally.quad_fallbacks += fallback
@@ -343,14 +389,77 @@ def _quad_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: float,
     return val, err, scale, evaluations + 65
 
 
+# Homogeneous pairings in closed form (DLMF 12.5.6 and 13.2.2).  With
+# z = b^2/(4a) and nu > -1,
+#   int_0^inf t^nu e^{-a t^2 + b t} dt = (E_nu + O_nu)/2,
+#   E_nu = a^{-(nu+1)/2} Gamma((nu+1)/2) M((nu+1)/2, 1/2, z),
+#   O_nu = b a^{-(nu+2)/2} Gamma(nu/2+1) M(nu/2+1, 3/2, z),
+# with M Kummer's 1F1; t -> -t flips the sign of b, which leaves E_nu and
+# negates O_nu.  So int |t|^m t^k e^{-a t^2 + b t} dt is E_{m+k} for even k
+# and O_{m+k} for odd k; x_+^m pairs with (E + O)/2 and x_-^m with
+# (-1)^k (E - O)/2.  scipy's hyp1f1 is within 2e-15 of M(|z|) against
+# 30-digit mpmath for |z| <= 12; where the value is a small difference of
+# large terms (a probe centred on the far side of a one-sided power, or a
+# high-degree Q far from the origin) the closed form loses that ratio, so a
+# cell is paired in closed form only where |z| <= HOMOGENEOUS_Z_MAX and its
+# terms exceed its value at most HOMOGENEOUS_CANCELLATION_MAX-fold.  The
+# quadrature rule pairs the other cells.
+HOMOGENEOUS_Z_MAX = 10.0
+HOMOGENEOUS_CANCELLATION_MAX = 1e3
+
+
+def _homogeneous_closed_form(f: "DistributionDescriptor",
+                             form: GaussianForm) -> tuple[np.ndarray, np.ndarray]:
+    """(<f, phi>, accepted) at each cell of the form; the value is NaN
+    where the closed form is not accepted (see HOMOGENEOUS_Z_MAX)."""
+    a = np.asarray(form.a, dtype=complex)[..., None]
+    b = np.asarray(form.b, dtype=complex)[..., None] + 1j * f.modulation
+    accepted = np.abs(b * b / (4.0 * a))[..., 0] <= HOMOGENEOUS_Z_MAX
+    # cells beyond the bound are evaluated at a = 1, b = 0 and discarded;
+    # complex products go through cmul, so that a batch of cells rounds
+    # each cell as it rounds alone
+    a, b = np.where(accepted[..., None], a, 1.0), np.where(accepted[..., None], b, 0.0)
+    z = cmul(b, b) / (4.0 * a)
+    k = np.arange(form.q.shape[-1])
+    nu = f.degree + k
+
+    def kummer(alpha, beta, lead):
+        """lead a^{-alpha} Gamma(alpha) M(alpha, beta, z), and its size: the
+        magnitudes of M's series terms sum to M(alpha, beta, |z|), the scale
+        M's rounding error is set against."""
+        pre = cmul(lead, a ** -alpha) * gamma(alpha)
+        return cmul(pre, hyp1f1(alpha, beta, z)), np.abs(pre) * hyp1f1(alpha, beta, np.abs(z))
+
+    even, odd = (nu + 1.0) / 2.0, nu / 2.0 + 1.0
+    if f.pattern == "abs":
+        # E for even k, O for odd k
+        k_odd = k % 2 == 1
+        moments, sizes = kummer(np.where(k_odd, odd, even), np.where(k_odd, 1.5, 0.5),
+                                np.where(k_odd, b, 1.0))
+    else:
+        E, E_size = kummer(even, 0.5, 1.0)
+        O, O_size = kummer(odd, 1.5, b)
+        sign = 1.0 if f.pattern == "plus" else -1.0
+        moments = sign ** k * 0.5 * (E + sign * O)
+        sizes = 0.5 * (E_size + O_size)
+    ec = np.exp(form.c)
+    vals = cmul(ec, np.sum(cmul(form.q, moments), axis=-1))
+    terms = np.abs(ec) * np.sum(np.abs(form.q) * sizes, axis=-1)
+    accepted &= terms <= HOMOGENEOUS_CANCELLATION_MAX * np.abs(vals)
+    return np.where(accepted, vals, np.nan), accepted
+
+
 def pair_with_error(f: SignalOrDistribution, phi: TestFunction) -> tuple[complex, float]:
     """Dual pairing <f, phi> with a quadrature error estimate.
 
     A sampled signal is paired by the trapezoid rule on its own grid, with
-    no error estimate (0.0): the samples are all that is known of it.
-    Function-type descriptors go through the tanh-sinh rule, and through
-    adaptive quadrature where its estimate exceeds TANH_SINH_ACCEPT of the
-    budget.  Every pairing is counted in the open ``tally_pairings`` blocks.
+    no error estimate (0.0): the samples are all that is known of it.  A
+    homogeneous descriptor pairs with a probe that has a ``GaussianForm``
+    in closed form where that is accepted (see HOMOGENEOUS_Z_MAX), also
+    with estimate 0.0.  Other function-type pairings go through the
+    tanh-sinh rule, and through adaptive quadrature where its estimate
+    exceeds TANH_SINH_ACCEPT of the budget.  Every pairing is counted in
+    the open ``tally_pairings`` blocks.
     """
     if isinstance(f, SampledSignal):
         _record(f.n, 0.0)
@@ -359,6 +468,11 @@ def pair_with_error(f: SignalOrDistribution, phi: TestFunction) -> tuple[complex
         val = complex(_delta_pairing(f, phi, 1)[0])
         _record(0, 0.0)
         return val, 0.0
+    if f.kind == "homogeneous" and phi.form is not None:
+        val, accepted = _homogeneous_closed_form(f, phi.form())
+        if accepted:
+            _record(0, 0.0, closed_form=1)
+            return complex(val), 0.0
 
     lo, hi = _pairing_interval(f, phi)
     if hi <= lo:
@@ -400,14 +514,23 @@ def pair_cells(f: SignalOrDistribution, probe_of: Callable[[object], TestFunctio
     ``probe_of(cells)`` is the probe family of the cells selected by a slice
     (arrays of center, radius and scale), or the single probe of an integer
     cell.  A delta comb is paired at the cells of one block at once; a
-    block's contours hold at most KERNEL_BLOCK_ELEMENTS values.  Signals
-    and function-type descriptors are paired cell by cell through ``pair``.
-    Every cell counts as one pairing.
+    block's contours hold at most KERNEL_BLOCK_ELEMENTS values.  A
+    homogeneous descriptor is paired in closed form at every cell of a
+    family with a ``GaussianForm`` in one evaluation.  Signals, other
+    function-type descriptors and the cells the closed form leaves out are
+    paired cell by cell through ``pair``.  Every cell counts as one pairing.
     """
     vals = np.empty(n, dtype=complex)
+    rest = range(n)
+    if isinstance(f, DistributionDescriptor) and f.kind == "homogeneous":
+        form = probe_of(slice(0, n)).form
+        if form is not None:
+            vals, accepted = _homogeneous_closed_form(f, form())
+            _record(0, 0.0, pairings=int(accepted.sum()), closed_form=int(accepted.sum()))
+            rest = np.flatnonzero(~accepted)
     if isinstance(f, SampledSignal) or f.kind != "delta":
-        for c in range(n):
-            vals[c] = pair(f, probe_of(c))
+        for c in rest:
+            vals[c] = pair(f, probe_of(int(c)))
         return vals
     nodes = CONTOUR_NODES if any(term.order for term in f.terms) else 1
     block = KERNEL_BLOCK_ELEMENTS // nodes
@@ -479,6 +602,7 @@ def scaled_probe(phi: TestFunction, eps: float) -> TestFunction:
         center=phi.center * eps,
         radius=phi.radius * eps,
         scale=phi.scale * eps,
+        form=None if phi.form is None else lambda _f=phi.form, _e=eps: _f().scaled(_e),
     )
 
 
@@ -556,7 +680,7 @@ def chirp_factor_check(f: DistributionDescriptor, phi: TestFunction, c: float,
         chirp_fn = (lambda t, _f=base.fn, _c=c:
                     np.exp(1j * _c * np.asarray(t) ** 2 / 2.0) * np.asarray(_f(t)))
         plain.append(pair(f, base) / denom)
-        chirped.append(pair(f, replace(base, fn=chirp_fn)) / denom)
+        chirped.append(pair(f, replace(base, fn=chirp_fn, form=None)) / denom)
     plain = np.array(plain)
     chirped = np.array(chirped)
     return ChirpEquivalenceReport(

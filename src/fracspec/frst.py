@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import SignalOrDistribution, TestFunction, pair, pair_cells
+from .distributions import GaussianForm, SignalOrDistribution, TestFunction, pair, pair_cells
 from .errors import GridTooCoarse, MalformedCSV, SingularAngle
 from .fraccore import (
     AngleKind,
@@ -142,7 +142,27 @@ def _integrand_probe(p: FracParam, g: Window, x, d, omega, amp) -> TestFunction:
     radius = g.support_radius / abs(d)
     osc = 1.0 + abs(omega) + abs(p.c1) * (abs(x) + radius)
     return TestFunction(fn=fn, center=x, radius=radius,
-                        scale=np.minimum(g.length_scale / abs(d), 1.0 / osc))
+                        scale=np.minimum(g.length_scale / abs(d), 1.0 / osc),
+                        form=None if g.poly is None else lambda: _probe_form(p, g, x, d, omega, amp))
+
+
+def _probe_form(p: FracParam, g: Window, x, d, omega, amp) -> GaussianForm:
+    """``_integrand_probe`` as a Gaussian polynomial, for a window
+    g(u) = P(u) e^{-u^2/(2 w^2)} e^{i kappa u}: with s = d^2/w^2,
+    a = (s - i c1)/2, b = s x - i (kappa d + omega),
+    c = -s x^2/2 + i kappa d x and Q(t) = amp conj(P)(d (t - x))."""
+    x, d, omega, amp = np.broadcast_arrays(x, d, omega, amp)
+    s = (d / g.width) ** 2
+    dx = d * x
+    # Horner: Q <- Q (d t - d x) + conj(p_j), from the leading coefficient down
+    q = np.zeros(x.shape + (len(g.poly),), dtype=complex)
+    for pj in reversed(g.poly):
+        q[..., 1:] = d[..., None] * q[..., :-1] - dx[..., None] * q[..., 1:]
+        q[..., 0] *= -dx
+        q[..., 0] += np.conj(pj)
+    return GaussianForm(q=cmul(q, np.asarray(amp)[..., None]), a=0.5 * (s - 1j * p.c1),
+                        b=s * x - 1j * (g.carrier * d + omega),
+                        c=-0.5 * s * x * x + 1j * g.carrier * dx)
 
 
 def _pair_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, d, omega,

@@ -4,8 +4,10 @@ A Window bundles a pointwise evaluation closure, its closed-form Fourier
 transform (unitary convention, f_hat(w) = (2*pi)^{-1/2} * integral
 f(x) exp(-i*w*x) dx), and an effective decay scale used to truncate
 quadratures.  The built-in library covers the unit-mass Gaussian, the
-Mexican hat, the Hermite wavelet d/dt exp(-t^2/2), and modulated/dilated
-variants of any of them.
+Mexican hat, the Hermite wavelet d/dt exp(-t^2/2), the derivatives of the
+Gaussian, and modulated/dilated variants of any of them.  Each of them is a
+Gaussian polynomial P(u) e^{-u^2/(2 w^2)} e^{i carrier u}, and records P and
+w, so that pairings with homogeneous distributions have a closed form.
 """
 
 from __future__ import annotations
@@ -53,13 +55,16 @@ class Window:
     are Cauchy integrals, see ``contour_derivative``), and must decay
     faster than any polynomial within ``SUPPORT_RADII * decay_scale``.
     ``ft`` is the required closed-form Fourier transform on real
-    frequencies; ``numeric_ft`` is its quadrature check.
+    frequencies.
     ``length_scale`` (default ``decay_scale``), the shortest length on which
     ``eval`` varies, sizes derivative contours; ``modulate`` shortens it.
     A modulated window records its split eval(x) = e^{i carrier x} b(x):
     ``envelope`` is the unmodulated window b (None when the window is its
     own envelope), so the signal kernels can move the carrier out of their
     window matrices.  ``eval`` stays the full window.
+    A library window is eval(u) = P(u) e^{-u^2/(2 width^2)} e^{i carrier u}:
+    ``poly`` holds P's coefficients in ascending order.  A window built
+    otherwise leaves ``poly`` None, and is paired by quadrature.
     """
 
     name: str
@@ -69,6 +74,8 @@ class Window:
     length_scale: Optional[float] = None
     carrier: float = 0.0
     envelope: Optional["Window"] = None
+    poly: Optional[tuple] = None
+    width: Optional[float] = None
 
     def __post_init__(self):
         if self.length_scale is None:
@@ -81,20 +88,6 @@ class Window:
     def carrier_split(self) -> tuple[float, "Window"]:
         """(a, b) with eval(x) = e^{i a x} b.eval(x)."""
         return self.carrier, (self if self.envelope is None else self.envelope)
-
-
-def numeric_ft(g: Window, w) -> np.ndarray:
-    """Trapezoid FT of g.eval over its truncation window."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    r = g.support_radius
-    wmax = float(np.max(np.abs(w))) if w.size else 1.0
-    # resolve both the window itself and the requested oscillation
-    dx = min(g.decay_scale / 16.0, np.pi / (8.0 * max(wmax, 1.0)))
-    n = int(np.ceil(2 * r / dx)) | 1
-    x = np.linspace(-r, r, n + 1)
-    vals = g.eval(x) * trapezoid_weights(x)
-    out = np.exp(-1j * np.outer(w, x)) @ vals / SQRT_2PI
-    return out if np.ndim(w) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +106,7 @@ def gaussian_window(width: float = 1.0, unit_mass: bool = False) -> Window:
     def ft(w, _n=norm, _w=width):
         return _n * _w * np.exp(-(_w * _w) * (w * w) / 2.0)
 
-    return Window(name=name, eval=ev, ft=ft, decay_scale=width)
+    return Window(name=name, eval=ev, ft=ft, decay_scale=width, poly=(norm,), width=width)
 
 
 def mexican_hat_window() -> Window:
@@ -123,7 +116,8 @@ def mexican_hat_window() -> Window:
     def ft(w):
         return (w * w) * np.exp(-(w * w) / 2.0)
 
-    return Window(name="mexican-hat", eval=ev, ft=ft, decay_scale=1.0)
+    return Window(name="mexican-hat", eval=ev, ft=ft, decay_scale=1.0,
+                  poly=(1.0, 0.0, -1.0), width=1.0)
 
 
 def hermite_wavelet_window() -> Window:
@@ -135,7 +129,8 @@ def hermite_wavelet_window() -> Window:
     def ft(w):
         return 1j * w * np.exp(-(w * w) / 2.0)
 
-    return Window(name="hermite1", eval=ev, ft=ft, decay_scale=1.0)
+    return Window(name="hermite1", eval=ev, ft=ft, decay_scale=1.0,
+                  poly=(0.0, -1.0), width=1.0)
 
 
 def dog_window(m: int) -> Window:
@@ -147,8 +142,10 @@ def dog_window(m: int) -> Window:
     """
     if not 1 <= m <= 8:
         raise ValueError("derivative-of-Gaussian order must be in 1..8")
-    # (-1)^m He_m(x) = x^(m mod 2) P(x^2): P's coefficients, highest first
-    coef = (-1.0) ** m * np.polynomial.hermite_e.herme2poly([0] * m + [1])[m % 2::2][::-1]
+    # (-1)^m He_m(x), ascending; it is x^(m mod 2) P(x^2), which ev evaluates
+    # by Horner in x^2 from P's coefficients, highest first
+    poly = (-1.0) ** m * np.polynomial.hermite_e.herme2poly([0] * m + [1])
+    coef = poly[m % 2::2][::-1]
 
     def ev(x, _c=tuple(coef), _odd=m % 2):
         x = np.asarray(x)
@@ -164,7 +161,8 @@ def dog_window(m: int) -> Window:
         w = np.asarray(w, dtype=float)
         return (1j * w) ** _m * np.exp(-(w * w) / 2.0)
 
-    return Window(name=f"dog:{m}", eval=ev, ft=ft, decay_scale=1.0)
+    return Window(name=f"dog:{m}", eval=ev, ft=ft, decay_scale=1.0,
+                  poly=tuple(poly.tolist()), width=1.0)
 
 
 def modulated_length(length, a: float):
@@ -187,12 +185,14 @@ def modulate(g: Window, a: float) -> Window:
     return Window(name=f"modulated:{g.name}:{a!r}", eval=ev, ft=ft,
                   decay_scale=g.decay_scale,
                   length_scale=float(modulated_length(g.length_scale, a)),
-                  carrier=g.carrier + a, envelope=g.carrier_split()[1])
+                  carrier=g.carrier + a, envelope=g.carrier_split()[1],
+                  poly=g.poly, width=g.width)
 
 
 def dilate(g: Window, eps: float) -> Window:
     """g_eps(x) = g(eps*x); the decay scale stretches by 1/eps, and a
-    carrier a over the envelope b becomes a*eps over b_eps."""
+    carrier a over the envelope b becomes a*eps over b_eps, and P(u) over
+    the width w becomes P(eps u) over w/eps."""
     eps = float(eps)
     if eps <= 0:
         raise NonPositiveScale("dilation factor must be positive")
@@ -206,7 +206,9 @@ def dilate(g: Window, eps: float) -> Window:
     return Window(name=f"dilated:{g.name}:{eps!r}", eval=ev, ft=ft,
                   decay_scale=g.decay_scale / eps, length_scale=g.length_scale / eps,
                   carrier=g.carrier * eps,
-                  envelope=None if g.envelope is None else dilate(g.envelope, eps))
+                  envelope=None if g.envelope is None else dilate(g.envelope, eps),
+                  poly=None if g.poly is None else tuple(c * eps ** k for k, c in enumerate(g.poly)),
+                  width=None if g.poly is None else g.width / eps)
 
 
 def window_by_name(name: str) -> Window:

@@ -20,6 +20,8 @@ from fracspec.asymptotics import (
 )
 from fracspec.distributions import DistributionDescriptor as DD, ScaleSequence, SV_ONE
 from fracspec.asymptotics import AsymptoticFixture
+from fracspec.frst import _frst_params, _integrand_probe
+from scipy.integrate import IntegrationWarning
 
 
 def zero_fixture():
@@ -224,12 +226,29 @@ class TestTe1Hypotheses:
         assert rep.verdict == "pass"
         assert rep.bound_constant == 0.0
 
-    def test_sqrt_abs_cell_diverges_through_the_fallback(self, p_third, hermite):
-        # the (eps x, eps xi) probe spans 10/(eps xi) under a chirp: the
-        # tanh-sinh rule misses its budget, and adaptive quadrature, its
-        # fallback, refuses the pairing (estimate 8.6e-5 for a value 6.5e-4)
-        with pytest.raises(fs.PairingDiverged, match=r"estimate 8\.6\d*e-05"):
-            check_te1_hypotheses(p_third, hermite, sqrt_abs_fixture().f, m=0.5,
+    def test_sqrt_abs_cell_pairs_in_closed_form(self, p_third, hermite, mp_pairing):
+        # the (eps x, eps xi) probe spans 10/(eps xi) under a chirp; the
+        # quadrature rule and its quad fallback refuse some of these cells
+        # (below), the Kummer closed form pairs every one of them
+        f = sqrt_abs_fixture().f
+        rep = check_te1_hypotheses(p_third, hermite, f, m=0.5, x_lattice=(1.0,),
+                                   xi_lattice=(1.0, 16.0, -16.0))
+        assert rep.closed_form_pairings == rep.pairings == 3 * len(ScaleSequence())
+        assert rep.integrand_evaluations == 0 and rep.quad_fallbacks == 0
+        for xi in (1.0, 16.0, -16.0):
+            probe = _integrand_probe(p_third, hermite, *_frst_params(p_third, 0.25, 0.25 * xi, True))
+            ref = mp_pairing(f, probe.form())
+            assert abs(fs.pair(f, probe) - ref) <= 1e-13 * abs(ref)
+
+    def test_quad_fallback_refuses_the_cell_of_a_closed_form_density(self, p_third, hermite):
+        # the same te1 cell against sqrt|x| given as a closed_form descriptor,
+        # which takes the quadrature route: the rule misses its budget, and
+        # adaptive quadrature, its fallback, refuses the pairing (estimate
+        # 8.6e-5 for a value 6.5e-4) with scipy's IntegrationWarning
+        sqrt_abs = DD.closed_form(lambda t: np.sqrt(np.abs(t)) + 0j, singular_points=(0.0,))
+        with pytest.warns(IntegrationWarning), \
+                pytest.raises(fs.PairingDiverged, match=r"estimate 8\.6\d*e-05"):
+            check_te1_hypotheses(p_third, hermite, sqrt_abs, m=0.5,
                                  x_lattice=(1.0,), xi_lattice=(1.0,))
 
 
@@ -264,15 +283,27 @@ class TestReportSerialization:
 
     def test_pairing_counters(self, p_third, hermite, mexican):
         rep = check_rez1(p_third, hermite, sqrt_abs_fixture())
-        # LHS at 8 probes x 11 eps, and the derived and printed RHS at 8 probes
+        # LHS at 8 probes x 11 eps, and the derived and printed RHS at 8
+        # probes, all in closed form: no integrand is evaluated
         assert rep.extras["pairings"] == 8 * 11 + 2 * 8
+        assert rep.extras["closed_form_pairings"] == rep.extras["pairings"]
+        assert rep.extras["integrand_evaluations"] == 0
         assert rep.extras["quad_fallbacks"] == 0
-        assert rep.extras["integrand_evaluations"] > 1000 * rep.extras["pairings"]
-        assert 0.0 < rep.extras["max_rel_error_estimate"] < 1e-12
+        assert rep.extras["max_rel_error_estimate"] == 0.0
         # TE5 also counts the x = 0 centres of its x-dependence decay
         assert check_te5(p_third, mexican, sqrt_abs_fixture()).extras["pairings"] == 8 * 11 + 8 + 2 * 11
         again = check_rez1(p_third, hermite, sqrt_abs_fixture())
         assert json.dumps(again.to_json_dict()) == json.dumps(rep.to_json_dict())
+
+    def test_log_fixture_counts_rule_pairings(self, p_third, hermite):
+        # |x|^1/2 ln(1/|x|) is a closed_form descriptor: its LHS goes through
+        # the quadrature rule, its |x|^1/2 RHS through the closed form
+        rep = check_rez1(p_third, hermite, log_sqrt_abs_fixture())
+        extras = rep.extras
+        assert extras["pairings"] == 8 * 11 + 2 * 8
+        assert extras["closed_form_pairings"] == 2 * 8
+        assert extras["integrand_evaluations"] > 1000 * 8 * 11
+        assert 0.0 < extras["max_rel_error_estimate"] < 1e-12
 
 
 def _per_cell(f, probe_of, n):
@@ -288,8 +319,9 @@ def _delta_prime_fixture():
 class TestBatchedLattices:
     """Each checker pairs its probe x eps lattice in one batch; run again
     with pair_cells replaced by single-cell pairings, it must report the same
-    verdicts, exponents and counters.  Function-type fixtures are paired cell
-    by cell in both runs and must report the same bytes."""
+    verdicts, exponents and counters.  Function-type fixtures must report the
+    same bytes: |x|^1/2 is paired in closed form, which rounds a batch as
+    single cells, and the log fixture cell by cell in both runs."""
 
     FIXTURES = {"delta": delta_fixture, "delta'": _delta_prime_fixture,
                 "sqrt-abs": sqrt_abs_fixture}

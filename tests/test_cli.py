@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import fracspec as fs
+from fracspec import cli
 from fracspec.cli import ingest_signal, main, read_signal_csv, run, write_signal_csv
+from scipy.integrate import IntegrationWarning
 
 
 def file_bytes(path):
@@ -221,12 +223,26 @@ class TestCommands:
                     "--output", str(out)])
         assert code == 0
 
-    def test_verify_te1_sqrt_abs_refuses_a_divergent_pairing(self, tmp_path, capsys):
-        # te1's lattice on |x|^1/2 is paired cell by cell, and the first cell
-        # the quad fallback refuses ends the run (ROADMAP item 3)
+    def test_verify_te1_sqrt_abs_reaches_a_verdict(self, tmp_path, capsys):
+        # every cell of te1's lattice on |x|^1/2 pairs in closed form; the
+        # hypotheses fail (16 cells do not converge, ROADMAP item 3)
+        out = tmp_path / "te1"
         assert exit_code(["verify", "te1", "--alpha", "1.0472", "--window", "hermite1",
                           "--dist", '{"kind":"homogeneous","pattern":"abs","degree":0.5}',
-                          "--output", str(tmp_path / "te1")]) == 2
+                          "--output", str(out)]) == 3
+        assert "te1 hypotheses: fail (converged 64/80" in capsys.readouterr().out
+        rep = json.loads((tmp_path / "te1.report.json").read_text())
+        assert rep["closed_form_pairings"] == rep["pairings"] == 880
+        assert rep["integrand_evaluations"] == 0
+
+    def test_refused_pairing_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # with the closed form's bound at 0 the same run pairs through the
+        # quadrature rule, whose quad fallback refuses a cell: exit 2
+        monkeypatch.setattr(fs.distributions, "HOMOGENEOUS_Z_MAX", 0.0)
+        with pytest.warns(IntegrationWarning):
+            assert exit_code(["verify", "te1", "--alpha", "1.0472", "--window", "hermite1",
+                              "--dist", '{"kind":"homogeneous","pattern":"abs","degree":0.5}',
+                              "--output", str(tmp_path / "te1")]) == 2
         assert "error: pairing error estimate 8.869e-05 exceeds budget" in capsys.readouterr().err
 
     def test_verify_not_applicable_exit_code(self, tmp_path):
@@ -314,3 +330,27 @@ class TestDeterminism:
         assert run(args + ["--output", str(tmp_path / "r2")]) == 0
         assert (file_bytes(tmp_path / "r1.report.json")
                 == file_bytes(tmp_path / "r2.report.json"))
+
+    def test_shared_parser_repeats_fresh_parsers(self, tmp_path, capsys):
+        # a usage error, then valid calls: the parser built once gives the
+        # exit codes, messages and output bytes of a parser built per call
+        calls = [["verify", "rez1", "--alpha", "1"],
+                 ["verify", "rez1", "--alpha", "1.0472", "--window", "hermite1",
+                  "--dist", '{"kind":"delta","terms":[[0,0,1.0]]}'],
+                 ["seminorm", "--window", "gauss", "--k", "1", "--p", "1"]]
+
+        def run_all(name, fresh):
+            seen = []
+            for i, argv in enumerate(calls):
+                if fresh:
+                    cli._parser.cache_clear()
+                out = tmp_path / f"{name}{i}"
+                code = exit_code(argv + ["--output", str(out)])
+                report = out.with_name(out.name + ".report.json")
+                seen.append((code, capsys.readouterr(),
+                             file_bytes(report) if report.exists() else None))
+            return seen
+
+        shared, fresh = run_all("shared", False), run_all("fresh", True)
+        assert [code for code, _, _ in shared] == [1, 0, 0]
+        assert shared == fresh

@@ -163,10 +163,10 @@ class TestTanhSinhEngine:
 
     def test_fallback_is_counted(self, p_third, hermite):
         # the te1 probe at eps = 1/4, x = xi = 1 is the window stretched
-        # fourfold under a chirp: the rule misses its acceptance, and
-        # quad's value comes back as it is
+        # fourfold under a chirp: against sqrt|x| as a closed_form density
+        # the rule misses its acceptance, and quad's value comes back as it is
         from fracspec.frst import _integrand_probe
-        f = DD.homogeneous("abs", 0.5)
+        f = DD.closed_form(lambda t: np.sqrt(np.abs(t)) + 0j, singular_points=(0.0,))
         probe = _integrand_probe(p_third, hermite, 0.25, 0.25, p_third.c2 * 0.25,
                                  0.25 * p_third.c_alpha)
         with tally_pairings() as outer:
@@ -176,7 +176,80 @@ class TestTanhSinhEngine:
         assert val == distributions._quad_pairing(f, probe, *distributions._pairing_interval(f, probe))[0]
         assert inner.pairings == 1 and inner.quad_fallbacks == 1
         assert outer.pairings == 2 and outer.quad_fallbacks == 1
+        assert inner.closed_form_pairings == outer.closed_form_pairings == 0
         assert inner.max_rel_error_estimate < distributions.PAIRING_ERROR_BUDGET
+        # |x|^1/2 itself pairs with the same probe in closed form
+        with tally_pairings() as closed:
+            assert abs(pair(DD.homogeneous("abs", 0.5), probe) - val) <= 1e-9 * abs(val)
+        assert closed.closed_form_pairings == closed.pairings == 1
+        assert closed.integrand_evaluations == 0
+
+
+class TestHomogeneousClosedForm:
+    """The Kummer closed form against 20-digit mpmath and the tanh-sinh rule."""
+
+    WINDOWS = ("hermite1", "mexican-hat", "dog:3", "modulated:hermite1:1.5",
+               "dilated:mexican-hat:0.5", "modulated:dilated:dog:2:2.0:-0.75")
+
+    @settings(derandomize=True, deadline=None, max_examples=50, database=None)
+    @given(pattern=st.sampled_from(["abs", "plus", "minus"]),
+           degree=st.floats(-0.9, 3.0, exclude_max=True),
+           window=st.sampled_from(WINDOWS),
+           alpha=st.floats(1.0, 2.1),
+           x=st.floats(-1.0, 3.0),
+           d=st.floats(0.5, 2.0),
+           sign=st.sampled_from([1.0, -1.0]),
+           modulation=st.floats(-1.0, 3.0))
+    def test_matches_mpmath_and_the_rule(self, mp_pairing, pattern, degree, window,
+                                         alpha, x, d, sign, modulation):
+        # an FRST probe cell (x, xi = sign d) of the window against a
+        # modulated homogeneous density, up to the |z| bound
+        from fracspec.frst import _frst_params, _integrand_probe
+        p = fs.make_frac_param(alpha)
+        g = fs.window_by_name(window)
+        probe = _integrand_probe(p, g, *_frst_params(p, x, sign * d, False))
+        f = DD.homogeneous(pattern, degree).modulated(modulation)
+        val, accepted = distributions._homogeneous_closed_form(f, probe.form())
+        assume(accepted)
+        # the rule is the independent oracle of the identity; its scale, the
+        # integral of |f phi|, is the pairing scale
+        lo, hi = distributions._pairing_interval(f, probe)
+        rule, _, scale, _ = distributions._tanh_sinh_pairing(f, replace(probe, form=None), lo, hi)
+        assert abs(val - rule) <= 1e-12 * scale
+        assert abs(val - mp_pairing(f, probe.form())) <= 1e-12 * scale
+        assert pair(f, probe) == val
+
+    def test_probe_form_is_the_probe(self, p_third):
+        # the form of a probe family, of a single cell, and of their scaled
+        # and modulated versions against the probe's own fn on real t
+        from fracspec.frst import _integrand_probe
+        t = np.linspace(-3.0, 3.0, 61)
+        for name in self.WINDOWS + ("gauss-unit", "gauss:2.0"):
+            g = fs.window_by_name(name)
+            x, d = np.array([-0.7, 0.0, 1.3]), np.array([0.5, 1.0, -2.0])
+            family = _integrand_probe(p_third, g, x, d, p_third.c2 * d, np.array([1.0, 2j, -0.5]))
+            single = _integrand_probe(p_third, g, 1.3, -2.0, p_third.c2 * -2.0, -0.5)
+            for probe, tt in ((family, np.broadcast_to(t, (3, t.size))), (single, t)):
+                for phi in (probe, scaled_probe(probe, 0.25), distributions._modulated_probe(probe, 1.7)):
+                    fm = phi.form()
+                    powers = tt[..., None] ** np.arange(fm.q.shape[-1])
+                    got = np.sum(fm.q[..., None, :] * powers, axis=-1) * np.exp(
+                        -np.asarray(fm.a)[..., None] * tt ** 2 + np.asarray(fm.b)[..., None] * tt
+                        + np.asarray(fm.c)[..., None])
+                    want = phi.fn(tt)
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_beyond_the_bound_takes_the_rule(self, p_third, hermite):
+        # |z| grows with the probe's distance from the origin in widths
+        from fracspec.frst import _integrand_probe
+        f = DD.homogeneous("abs", 0.5)
+        probe = _integrand_probe(p_third, hermite, 6.0, 1.0, p_third.c2, 1.0)
+        form = probe.form()
+        assert abs(form.b ** 2 / (4 * form.a)) > distributions.HOMOGENEOUS_Z_MAX
+        with tally_pairings() as tally:
+            val = pair(f, probe)
+        assert tally.closed_form_pairings == 0 and tally.integrand_evaluations > 0
+        assert val == pair(f, replace(probe, form=None))
 
 
 class TestScaledPair:

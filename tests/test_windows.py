@@ -8,12 +8,27 @@ from fracspec import (
     NotAWavelet,
     ZeroAdmissibility,
 )
+from fracspec.fraccore import trapezoid_weights
 from fracspec.windows import (
+    SQRT_2PI,
     dog_window,
     moment_with_error,
-    numeric_ft,
     window_by_name,
 )
+
+
+def numeric_ft(g, w):
+    """Trapezoid FT of g.eval over its truncation window: the oracle of the
+    closed-form ``Window.ft``."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    r = g.support_radius
+    wmax = float(np.max(np.abs(w))) if w.size else 1.0
+    # resolve both the window itself and the requested oscillation
+    dx = min(g.decay_scale / 16.0, np.pi / (8.0 * max(wmax, 1.0)))
+    n = int(np.ceil(2 * r / dx)) | 1
+    x = np.linspace(-r, r, n + 1)
+    vals = g.eval(x) * trapezoid_weights(x)
+    return np.exp(-1j * np.outer(w, x)) @ vals / SQRT_2PI
 
 
 class TestRegistry:
@@ -51,6 +66,23 @@ class TestRegistry:
                      "modulated:hermite1:1.0", "dilated:gauss:2.0"):
             g = window_by_name(name)
             assert np.max(np.abs(g.ft(probe) - numeric_ft(g, probe))) < 1e-8
+
+
+class TestGaussianPolynomialForm:
+    @pytest.mark.parametrize("name", [
+        "gauss-unit", "gauss", "gauss:2.0", "mexican-hat", "hermite1", "dog:1", "dog:4",
+        "dog:8", "modulated:hermite1:2.5", "dilated:mexican-hat:0.5",
+        "dilated:modulated:dog:3:-1.25:2.0", "modulated:dilated:gauss:0.5:3.0:-0.75",
+    ])
+    def test_form_is_eval(self, name):
+        # eval(u) = P(u) e^{-u^2/(2 w^2)} e^{i carrier u} on real and complex u
+        g = window_by_name(name)
+        u = np.linspace(-4.0, 4.0, 33)
+        for pts in (u, u + 0.7j, u * np.exp(0.4j)):
+            form = (np.polynomial.polynomial.polyval(pts, g.poly)
+                    * np.exp(-pts * pts / (2.0 * g.width ** 2) + 1j * g.carrier * pts))
+            want = g.eval(pts)
+            assert np.max(np.abs(form - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 class TestOperators:
