@@ -7,7 +7,6 @@ checkers for the scaling laws their asymptotic theory predicts.
 
 from .errors import (
     AngleOutsideTheoremRange,
-    DegenerateSequence,
     DerivativeOrderTooHigh,
     DivergentAdmissibility,
     DomainError,
@@ -61,9 +60,7 @@ from .distributions import (
     TestFunction,
     chirp_factor_check,
     pair,
-    quasi_degree_estimate,
     scaled_pair,
-    probe_battery,
 )
 from .frst import (
     ReconstructionReport,

@@ -12,14 +12,15 @@ Descriptors are paired by one of three routes:
 
 * delta combs by contour derivatives of the probe (exact up to rounding);
 * homogeneous kinds, with a probe that carries a ``GaussianForm``
-  Q(t) e^{-a t^2 + b t + c} (every FRST/FRWT probe of a library window), in
+  Q(t) e^{-a t^2 + b t + c} (every FRST/FRWT probe does), in
   closed form: a sum of Kummer functions M(alpha, beta, b^2/4a), one
   vectorised ``hyp1f1`` call over all cells of a family.  The closed form
   is used where |z| = |b^2/4a| <= HOMOGENEOUS_Z_MAX = 10 and its terms
   exceed its value at most HOMOGENEOUS_CANCELLATION_MAX = 1e3-fold;
 * everything else (closed-form descriptors, the cells the closed form
-  leaves out, probes without a form) by a fixed tanh-sinh rule on panels
-  split at their singular points, evaluated on all of its nodes at once.
+  leaves out, probes built from a plain function) by a fixed tanh-sinh
+  rule on panels split at their singular points, evaluated on all of its
+  nodes at once.
   Where the rule's own error estimate misses its budget, adaptive
   quadrature (``quad``) takes over; it is also the rule's test oracle.
 
@@ -49,13 +50,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma, hyp1f1
 
-from .errors import DegenerateSequence, PairingDiverged
+from .errors import PairingDiverged
 from .fraccore import SampledSignal, cmul
 from .windows import (
     CONTOUR_NODES,
     CONTOUR_RADIUS,
     KERNEL_BLOCK_ELEMENTS,
-    Window,
     contour_derivative,
     modulated_length,
 )
@@ -109,23 +109,6 @@ class TestFunction:
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
-
-
-def window_probe(g: Window) -> TestFunction:
-    return TestFunction(fn=lambda t: np.asarray(g.eval(t), dtype=complex),
-                        center=0.0, radius=g.support_radius,
-                        scale=g.length_scale, name=g.name)
-
-
-def probe_battery(c2: float = 2.0 / np.sqrt(3.0)) -> list[TestFunction]:
-    """Fixed probe battery: Gaussians at four widths, the Hermite and
-    Mexican-hat wavelets, and modulated Gaussians at a in {1, c2}."""
-    from .windows import gaussian_window, hermite_wavelet_window, mexican_hat_window, modulate
-
-    wins = [gaussian_window(0.5), gaussian_window(1.0), gaussian_window(2.0),
-            gaussian_window(4.0), hermite_wavelet_window(), mexican_hat_window(),
-            modulate(gaussian_window(1.0), 1.0), modulate(gaussian_window(1.0), c2)]
-    return [window_probe(w) for w in wins]
 
 
 @dataclass(frozen=True)
@@ -565,10 +548,6 @@ class SlowlyVarying:
             return np.log(np.abs(np.log(eps)))
         raise ValueError(f"unknown slowly varying model {self.model!r}")
 
-    def ratio_deviation(self, eps: float, factor: float) -> float:
-        """|L(a*eps)/L(eps) - 1| for the limit test."""
-        return float(abs(self(np.asarray(factor * eps)) / self(np.asarray(eps)) - 1.0))
-
 
 SV_ONE = SlowlyVarying("one")
 
@@ -629,17 +608,6 @@ def log_slope(eps: np.ndarray, mags: np.ndarray) -> tuple[float, float]:
     lv = np.log(mags[usable])[-FIT_POINTS:]
     slope, intercept = np.polyfit(le, lv, 1)
     return float(slope), float(np.max(np.abs(lv - (slope * le + intercept))))
-
-
-def quasi_degree_estimate(f: DistributionDescriptor, phi: TestFunction,
-                          seq: ScaleSequence | None = None) -> tuple[float, float]:
-    """``log_slope`` of |<f(eps x), phi>| along the sequence."""
-    seq = seq or ScaleSequence()
-    eps = np.array(list(seq))
-    slope, residual = log_slope(eps, np.abs([scaled_pair(f, phi, e) for e in eps]))
-    if np.isnan(slope):
-        raise DegenerateSequence("fewer than 3 nonzero pairings along the sequence")
-    return slope, residual
 
 
 # Cauchy criterion for "the sequence converges" at finite precision.

@@ -50,10 +50,6 @@ class PairingDiverged(FracspecError):
     missed it, and so did adaptive quadrature, its fallback."""
 
 
-class DegenerateSequence(FracspecError):
-    """Too few usable points for a slope fit."""
-
-
 class InvalidExponent(FracspecError):
     pass
 

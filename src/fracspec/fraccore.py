@@ -67,26 +67,17 @@ class FracParam:
                 f"{what} needs a regular angle, got alpha={self.alpha!r} ({self.kind.value})"
             )
 
-    def negated(self) -> "FracParam":
-        """Parameters of the inverse kernel K_{-alpha}."""
-        self.require_regular("kernel negation")
-        return FracParam(
-            alpha=(TWO_PI - self.alpha) % TWO_PI,
-            c1=-self.c1,
-            c2=-self.c2,
-            c_alpha=np.conj(self.c_alpha),
-            kind=AngleKind.REGULAR,
-        )
-
 
 def make_frac_param(alpha: float) -> FracParam:
     """Classify an angle and compute c1, c2, C_alpha.
 
     Angles outside [0, 2*pi) are reduced mod 2*pi and flagged via
     ``wrapped``.  Singular angles produce the identity/parity kinds rather
-    than an error.
+    than an error; a non-finite alpha raises ValueError.
     """
     a = float(alpha)
+    if not np.isfinite(a):
+        raise ValueError(f"alpha must be finite, got {a}")
     wrapped = not (0.0 <= a < TWO_PI)
     a = a % TWO_PI
     s = np.sin(a)

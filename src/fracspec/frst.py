@@ -21,11 +21,13 @@ On sampled signals this transform and the FRWT share one windowed
 correlation (``_correlate``) and its adjoint (``_spread``); the bridge
 identity in ``frwt`` is what makes the two transforms the same kernel with
 different dilations and modulations.  Both evaluate each window only within
-its support radius of the cell (in blocks, ``_bands``) and keep a modulated
+its support radius of the cell (in blocks, ``_bands``) and keep the
 window's carrier out of the window matrix.  Distribution descriptors pair f
 with ``_integrand_probe``, the same kernel at given cells: single points
 through ``pair``, grids and lattices of cells through ``pair_cells``, which
-pairs a delta comb at all cells in one evaluation.
+pairs a delta comb at all cells in one evaluation.  Every such probe
+carries the Gaussian form that its window's form gives it
+(``_probe_form``), so homogeneous distributions pair in closed form.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def _integrand_probe(p: FracParam, g: Window, x, d, omega, amp) -> TestFunction:
     osc = 1.0 + abs(omega) + abs(p.c1) * (abs(x) + radius)
     return TestFunction(fn=fn, center=x, radius=radius,
                         scale=np.minimum(g.length_scale / abs(d), 1.0 / osc),
-                        form=None if g.poly is None else lambda: _probe_form(p, g, x, d, omega, amp))
+                        form=lambda: _probe_form(p, g, x, d, omega, amp))
 
 
 def _probe_form(p: FracParam, g: Window, x, d, omega, amp) -> GaussianForm:
@@ -250,6 +252,12 @@ def _matvec(gm: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (gm @ v.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
+def _carrier_free(g: Window):
+    """The evaluator of b with g(u) = e^{i g.carrier u} b(u): g's own when it
+    has no carrier, so a wrapped ``g.eval`` still sees the kernels' calls."""
+    return g.eval if not g.carrier else Window(g.name, g.poly, g.width).eval
+
+
 def _correlate(g: Window, t, x, d, omega, h) -> np.ndarray:
     """C[i, j] = sum_k conj(g(d_j (t_k - x_i))) e^{-i omega_j t_k} h_k.
 
@@ -257,18 +265,18 @@ def _correlate(g: Window, t, x, d, omega, h) -> np.ndarray:
     the FRST takes d = xi, omega = c2 xi; the FRWT takes d = 1/xi,
     omega = 0.  t and x must be ascending.  Column j sums only over t
     within g.support_radius/|d_j| of each x_i, the radius at which
-    ``_integrand_probe`` truncates the same integral.  A window
-    g = e^{i a u} b(u) leaves its carrier out of the window matrix:
+    ``_integrand_probe`` truncates the same integral.  The carrier
+    a = g.carrier stays out of the window matrix: with g = e^{i a u} b(u),
     conj(g(d (t - x))) = e^{-i a d t} e^{i a d x} conj(b(d (t - x))), so
     a d joins omega_j and e^{i a d_j x_i} multiplies the row.
     """
-    a, b = g.carrier_split()
+    a, b = g.carrier, _carrier_free(g)
     out = np.zeros((x.size, d.size), dtype=complex)
     for j in range(d.size):
         col = out[:, j]
         v = h * np.exp(-1j * (omega[j] + a * d[j]) * t)
         for rows, band in _bands(x, t, g.support_radius / abs(d[j])):
-            gm = b.eval((t[band] - x[rows, None]) * d[j])
+            gm = b((t[band] - x[rows, None]) * d[j])
             col[rows] = _matvec(np.conj(gm) if np.iscomplexobj(gm) else gm, v[band])
         col *= np.exp(1j * a * d[j] * x)
     return out
@@ -315,7 +323,7 @@ def _spread(g: Window, t, x, d, omega, H) -> np.ndarray:
     """
     if x.size < 2 or d.size < 2:
         raise GridTooCoarse("synthesis needs at least 2 points per axis")
-    a, b = g.carrier_split()
+    a, b = g.carrier, _carrier_free(g)
     order = np.argsort(t, kind="stable")
     ts = t[order]
     acc = np.zeros(t.shape, dtype=complex)
@@ -324,7 +332,7 @@ def _spread(g: Window, t, x, d, omega, H) -> np.ndarray:
         hj = H[:, j] * np.exp(-1j * a * d[j] * x)
         col[:] = 0.0
         for rows, band in _bands(ts, x, g.support_radius / abs(d[j])):
-            col[rows] = _matvec(b.eval((ts[rows, None] - x[band]) * d[j]), hj[band])
+            col[rows] = _matvec(b((ts[rows, None] - x[band]) * d[j]), hj[band])
         acc += np.exp(1j * (omega[j] + a * d[j]) * ts) * col
     out = np.empty(t.shape, dtype=complex)
     out[order] = acc

@@ -88,7 +88,7 @@ def _frwt_signal_grid(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis
     """FRWT values of a signal: the correlation at d = 1/xi, omega = 0."""
     if enforce_sampling:
         # the window bandwidth and carrier at the finest scale
-        check_sampling(p, f, (4.0 / g.decay_scale + abs(g.carrier)) / float(xi_axis.min()))
+        check_sampling(p, f, (4.0 / g.width + abs(g.carrier)) / float(xi_axis.min()))
     vals = _correlate(g, f.t_grid, x_axis, 1.0 / xi_axis, np.zeros_like(xi_axis),
                       _chirped(p, f))
     vals *= xi_axis ** -0.5

@@ -1,22 +1,27 @@
 """Window/wavelet descriptors and the numerics built on them.
 
-A Window bundles a pointwise evaluation closure, its closed-form Fourier
-transform (unitary convention, f_hat(w) = (2*pi)^{-1/2} * integral
-f(x) exp(-i*w*x) dx), and an effective decay scale used to truncate
-quadratures.  The built-in library covers the unit-mass Gaussian, the
+Every window is a Gaussian polynomial
+
+    g(u) = P(u) e^{-u^2/(2 w^2)} e^{i kappa u},
+
+and a Window holds only that form: P's coefficients, the width w and the
+carrier kappa.  Its evaluation, its closed-form Fourier transform (unitary
+convention, f_hat(w) = (2*pi)^{-1/2} * integral f(x) exp(-i*w*x) dx), its
+moments, and its pairings with homogeneous distributions are all derived
+from the form.  The built-in library covers the unit-mass Gaussian, the
 Mexican hat, the Hermite wavelet d/dt exp(-t^2/2), the derivatives of the
-Gaussian, and modulated/dilated variants of any of them.  Each of them is a
-Gaussian polynomial P(u) e^{-u^2/(2 w^2)} e^{i carrier u}, and records P and
-w, so that pairings with homogeneous distributions have a closed form.
+Gaussian, and modulated/dilated variants of any of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from .errors import (
@@ -28,7 +33,6 @@ from .errors import (
     NotAWavelet,
     ZeroAdmissibility,
 )
-from .fraccore import trapezoid_weights
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -37,7 +41,7 @@ MAX_DERIVATIVE_ORDER = 4
 MAX_SIGMA_DERIVATIVE = 2
 WAVELET_MOMENT_TOL = 1e-8
 
-# Truncation radius for window quadratures, in units of decay_scale.
+# Truncation radius for window quadratures, in widths.
 SUPPORT_RADII = 10.0
 
 # Window values evaluated in one block: the signal kernels' window matrices
@@ -47,47 +51,107 @@ SUPPORT_RADII = 10.0
 KERNEL_BLOCK_ELEMENTS = 16384
 
 
+def _parity(coef) -> tuple[int, tuple]:
+    """(q, c) with p(u) = u^q C(u^2) for the even (q = 0) or odd (q = 1)
+    polynomial p of ascending coefficients ``coef``; c lists C's
+    coefficients highest first."""
+    q = int(not any(coef[0::2]))
+    return q, tuple(coef[q::2][::-1])
+
+
+def _horner(q: int, c: tuple, x, x2):
+    """x^q C(x^2) by Horner in x2 = x * x; see ``_parity``."""
+    h = c[0]
+    for ck in c[1:]:
+        h = h * x2 + ck
+    return h * x if q else h
+
+
+def _dnu(s, w2: float) -> np.ndarray:
+    """S' - w2 nu S: d/dnu [S(nu) e^{-w2 nu^2/2}] is (S' - w2 nu S)(nu) e^{-w2 nu^2/2}."""
+    return npoly.polysub(npoly.polyder(s), w2 * npoly.polymulx(s))
+
+
+def _form_eval(poly: tuple, width: float, carrier: float) -> Callable:
+    """u -> P(u) e^{-u^2/(2 width^2)} e^{i carrier u} on real or complex arrays."""
+    q, c = _parity(poly)
+    den = 2.0 * width * width
+    ia = 1j * carrier
+
+    def ev(x):
+        x = np.asarray(x)
+        x2 = x * x
+        v = _horner(q, c, x, x2) * np.exp(-x2 / den)
+        return np.exp(ia * x) * v if carrier else v
+
+    return ev
+
+
 @dataclass(frozen=True)
 class Window:
-    """Analytic window descriptor.
+    """Gaussian-polynomial window g(u) = P(u) e^{-u^2/(2 width^2)} e^{i carrier u}.
 
-    ``eval`` must accept complex ndarray input and be entire (derivatives
-    are Cauchy integrals, see ``contour_derivative``), and must decay
-    faster than any polynomial within ``SUPPORT_RADII * decay_scale``.
-    ``ft`` is the required closed-form Fourier transform on real
-    frequencies.
-    ``length_scale`` (default ``decay_scale``), the shortest length on which
-    ``eval`` varies, sizes derivative contours; ``modulate`` shortens it.
-    A modulated window records its split eval(x) = e^{i carrier x} b(x):
-    ``envelope`` is the unmodulated window b (None when the window is its
-    own envelope), so the signal kernels can move the carrier out of their
-    window matrices.  ``eval`` stays the full window.
-    A library window is eval(u) = P(u) e^{-u^2/(2 width^2)} e^{i carrier u}:
-    ``poly`` holds P's coefficients in ascending order.  A window built
-    otherwise leaves ``poly`` None, and is paired by quadrature.
+    ``poly`` holds P's real coefficients in ascending order; P is even or
+    odd.  ``eval`` evaluates g on real or complex arrays; g is entire, so
+    derivatives are Cauchy integrals (see ``contour_derivative``).  It is
+    built from the form when not given; a given one must compute the same
+    function.  Quadratures truncate g at ``support_radius``, SUPPORT_RADII
+    widths.  ``length_scale`` (default ``width``), the shortest length on
+    which g varies, sizes derivative contours; ``modulate`` shortens it.
+    A parameter that is not finite raises ValueError, a width that is not
+    positive NonPositiveScale.
     """
 
     name: str
-    eval: Callable[[np.ndarray], np.ndarray]
-    ft: Callable[[np.ndarray], np.ndarray]
-    decay_scale: float
-    length_scale: Optional[float] = None
+    poly: tuple
+    width: float
     carrier: float = 0.0
-    envelope: Optional["Window"] = None
-    poly: Optional[tuple] = None
-    width: Optional[float] = None
+    length_scale: Optional[float] = None
+    eval: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False,
+                                                               repr=False)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.width, self.carrier, *self.poly)):
+            raise ValueError(f"window {self.name!r} has non-finite parameters")
+        if self.width <= 0:
+            raise NonPositiveScale(f"window {self.name!r} needs a positive width")
+        if any(self.poly[0::2]) == any(self.poly[1::2]):
+            raise ValueError(f"window {self.name!r} needs a nonzero even or odd polynomial")
         if self.length_scale is None:
-            object.__setattr__(self, "length_scale", self.decay_scale)
+            object.__setattr__(self, "length_scale", self.width)
+        if self.eval is None:
+            object.__setattr__(self, "eval", _form_eval(self.poly, self.width, self.carrier))
 
     @property
     def support_radius(self) -> float:
-        return SUPPORT_RADII * self.decay_scale
+        return SUPPORT_RADII * self.width
 
-    def carrier_split(self) -> tuple[float, "Window"]:
-        """(a, b) with eval(x) = e^{i a x} b.eval(x)."""
-        return self.carrier, (self if self.envelope is None else self.envelope)
+    @cached_property
+    def _spectrum(self) -> tuple:
+        """S with g_hat(carrier + nu) = i^q S(nu) e^{-width^2 nu^2/2}, q the
+        parity of P and of S (see ``_parity``).
+
+        FT[u^k e^{-u^2/(2 w^2)}](nu) = i^k S_k(nu) e^{-w^2 nu^2/2} with
+        S_0 = w and S_{k+1} = S_k' - w^2 nu S_k (that is w (-i w)^k
+        He_k(w nu) e^{-w^2 nu^2/2}), and i^k = i^q (-1)^(k // 2) for the
+        terms of P, so S = sum_k p_k (-1)^(k // 2) S_k is real.
+        """
+        w2 = self.width * self.width
+        s_k, s = np.array([self.width]), np.zeros(1)
+        for k, pk in enumerate(self.poly):
+            s = npoly.polyadd(s, pk * (-1.0) ** (k // 2) * s_k)
+            s_k = _dnu(s_k, w2)
+        return tuple(s.tolist())
+
+    def ft(self, w) -> np.ndarray:
+        """Closed-form Fourier transform at the real frequencies w."""
+        q, c = _parity(self._spectrum)
+        nu = np.asarray(w, dtype=float) - self.carrier
+        nu2 = nu * nu
+        v = _horner(q, c, nu, nu2)
+        if q:
+            v = 1j * v
+        return v * np.exp(-(self.width * self.width) * nu2 / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,46 +159,23 @@ class Window:
 
 
 def gaussian_window(width: float = 1.0, unit_mass: bool = False) -> Window:
-    if width <= 0:
-        raise NonPositiveScale("gaussian width must be positive")
     norm = 1.0 / (width * SQRT_2PI) if unit_mass else 1.0
     name = "gauss-unit" if unit_mass else (f"gauss:{float(width)!r}" if width != 1.0 else "gauss")
-
-    def ev(x, _n=norm, _w=width):
-        return _n * np.exp(-(x * x) / (2.0 * _w * _w))
-
-    def ft(w, _n=norm, _w=width):
-        return _n * _w * np.exp(-(_w * _w) * (w * w) / 2.0)
-
-    return Window(name=name, eval=ev, ft=ft, decay_scale=width, poly=(norm,), width=width)
+    return Window(name=name, poly=(norm,), width=width)
 
 
 def mexican_hat_window() -> Window:
-    def ev(x):
-        return (1.0 - x * x) * np.exp(-(x * x) / 2.0)
-
-    def ft(w):
-        return (w * w) * np.exp(-(w * w) / 2.0)
-
-    return Window(name="mexican-hat", eval=ev, ft=ft, decay_scale=1.0,
-                  poly=(1.0, 0.0, -1.0), width=1.0)
+    """g(t) = (1 - t^2) exp(-t^2/2); g_hat(w) = w^2 exp(-w^2/2)."""
+    return Window(name="mexican-hat", poly=(1.0, 0.0, -1.0), width=1.0)
 
 
 def hermite_wavelet_window() -> Window:
     """g(t) = d/dt exp(-t^2/2) = -t exp(-t^2/2); g_hat(w) = i*w*exp(-w^2/2)."""
-
-    def ev(x):
-        return -x * np.exp(-(x * x) / 2.0)
-
-    def ft(w):
-        return 1j * w * np.exp(-(w * w) / 2.0)
-
-    return Window(name="hermite1", eval=ev, ft=ft, decay_scale=1.0,
-                  poly=(0.0, -1.0), width=1.0)
+    return Window(name="hermite1", poly=(0.0, -1.0), width=1.0)
 
 
 def dog_window(m: int) -> Window:
-    """Derivative-of-Gaussian wavelet d^m/dt^m exp(-t^2/2).
+    """Derivative-of-Gaussian wavelet d^m/dt^m exp(-t^2/2) = (-1)^m He_m(t) exp(-t^2/2).
 
     Its spectrum (i*w)^m exp(-w^2/2) has an order-m zero at w = 0, so
     modulated copies provide reconstruction windows whose admissibility
@@ -142,27 +183,8 @@ def dog_window(m: int) -> Window:
     """
     if not 1 <= m <= 8:
         raise ValueError("derivative-of-Gaussian order must be in 1..8")
-    # (-1)^m He_m(x), ascending; it is x^(m mod 2) P(x^2), which ev evaluates
-    # by Horner in x^2 from P's coefficients, highest first
     poly = (-1.0) ** m * np.polynomial.hermite_e.herme2poly([0] * m + [1])
-    coef = poly[m % 2::2][::-1]
-
-    def ev(x, _c=tuple(coef), _odd=m % 2):
-        x = np.asarray(x)
-        x2 = x * x
-        h = _c[0]
-        for c in _c[1:]:   # Horner in x^2
-            h = h * x2 + c
-        if _odd:
-            h = h * x
-        return h * np.exp(-x2 / 2.0)
-
-    def ft(w, _m=m):
-        w = np.asarray(w, dtype=float)
-        return (1j * w) ** _m * np.exp(-(w * w) / 2.0)
-
-    return Window(name=f"dog:{m}", eval=ev, ft=ft, decay_scale=1.0,
-                  poly=tuple(poly.tolist()), width=1.0)
+    return Window(name=f"dog:{m}", poly=tuple(poly.tolist()), width=1.0)
 
 
 def modulated_length(length, a: float):
@@ -174,48 +196,29 @@ def modulated_length(length, a: float):
 def modulate(g: Window, a: float) -> Window:
     """M_a g(x) = exp(i*a*x) g(x); shifts the spectrum by a."""
     a = float(a)
-
-    def ft(w, _g=g, _a=a):
-        return _g.ft(np.asarray(w, dtype=float) - _a)
-
-    def ev(x, _g=g, _a=a):
-        x = np.asarray(x)
-        return np.exp(1j * _a * x) * _g.eval(x)
-
-    return Window(name=f"modulated:{g.name}:{a!r}", eval=ev, ft=ft,
-                  decay_scale=g.decay_scale,
-                  length_scale=float(modulated_length(g.length_scale, a)),
-                  carrier=g.carrier + a, envelope=g.carrier_split()[1],
-                  poly=g.poly, width=g.width)
+    return Window(name=f"modulated:{g.name}:{a!r}", poly=g.poly, width=g.width,
+                  carrier=g.carrier + a,
+                  length_scale=float(modulated_length(g.length_scale, a)))
 
 
 def dilate(g: Window, eps: float) -> Window:
-    """g_eps(x) = g(eps*x); the decay scale stretches by 1/eps, and a
-    carrier a over the envelope b becomes a*eps over b_eps, and P(u) over
-    the width w becomes P(eps u) over w/eps."""
+    """g_eps(x) = g(eps*x): P(u) over the width w becomes P(eps u) over w/eps,
+    and the carrier a becomes a*eps."""
     eps = float(eps)
     if eps <= 0:
         raise NonPositiveScale("dilation factor must be positive")
-
-    def ft(w, _g=g, _e=eps):
-        return _g.ft(np.asarray(w, dtype=float) / _e) / _e
-
-    def ev(x, _g=g, _e=eps):
-        return _g.eval(np.asarray(x) * _e)
-
-    return Window(name=f"dilated:{g.name}:{eps!r}", eval=ev, ft=ft,
-                  decay_scale=g.decay_scale / eps, length_scale=g.length_scale / eps,
-                  carrier=g.carrier * eps,
-                  envelope=None if g.envelope is None else dilate(g.envelope, eps),
-                  poly=None if g.poly is None else tuple(c * eps ** k for k, c in enumerate(g.poly)),
-                  width=None if g.poly is None else g.width / eps)
+    # an infinite eps leaves the carrier 0 * inf = nan, which Window rejects
+    return Window(name=f"dilated:{g.name}:{eps!r}",
+                  poly=tuple(c * eps ** k for k, c in enumerate(g.poly)),
+                  width=g.width / eps, carrier=g.carrier * eps,
+                  length_scale=g.length_scale / eps)
 
 
 def window_by_name(name: str) -> Window:
     """Resolve a window name, including modulated:/dilated: prefixes.
 
     Grammar: "gauss-unit" | "gauss" | "gauss:<w>" | "mexican-hat" |
-    "hermite1" | "modulated:<name>:<a>" | "dilated:<name>:<eps>".
+    "hermite1" | "dog:<m>" | "modulated:<name>:<a>" | "dilated:<name>:<eps>".
     """
     if name.startswith("modulated:"):
         base, a = name[len("modulated:"):].rsplit(":", 1)
@@ -242,22 +245,22 @@ def window_by_name(name: str) -> Window:
 # moments
 
 
-def moment_with_error(g: Window, k: int) -> tuple[complex, float]:
+def moment(g: Window, k: int) -> complex:
+    """k-th moment, integral x^k g(x) dx = sqrt(2 pi) i^k g_hat^(k)(0).
+
+    With g_hat(carrier + nu) = i^q S(nu) e^{-w^2 nu^2/2} (``Window._spectrum``),
+    the k-th derivative is i^q S_k(nu) e^{-w^2 nu^2/2}, where S_0 = S and
+    S_{j+1} = S_j' - w^2 nu S_j; it is read at nu = -carrier.
+    """
     if not 0 <= k <= MAX_MOMENT_ORDER:
         raise MomentOrderTooHigh(f"moment order {k} exceeds {MAX_MOMENT_ORDER}")
-    r = g.support_radius
-    n = 16384
-    x = np.linspace(-r, r, n + 1)
-    integrand = (x ** k) * g.eval(x)
-    fine = complex(np.sum(integrand * trapezoid_weights(x)))
-    coarse = complex(np.sum(integrand[::2] * trapezoid_weights(x[::2])))
-    # trapezoid is O(h^2): Richardson difference estimates the error
-    return fine, abs(fine - coarse) / 3.0
-
-
-def moment(g: Window, k: int) -> complex:
-    """k-th moment integral x^k g(x) dx over the truncation window."""
-    return moment_with_error(g, k)[0]
+    s = g._spectrum
+    q = _parity(s)[0]
+    w2 = g.width * g.width
+    for _ in range(k):
+        s = _dnu(s, w2)
+    nu = -g.carrier
+    return complex(SQRT_2PI * 1j ** (k + q) * npoly.polyval(nu, s) * math.exp(-w2 * nu * nu / 2.0))
 
 
 def require_wavelet(g: Window) -> None:
@@ -325,7 +328,7 @@ def admissibility_cg(g: Window) -> AdmissibilityConstant:
         return (v * np.conj(v)).real
 
     _check_small_freq_convergence(numerator, f"C_g[{g.name}]")
-    r = _decay_radius(numerator, 6.0 / max(g.decay_scale, 1e-3))
+    r = _decay_radius(numerator, 6.0 / max(g.width, 1e-3))
 
     def integrand(w):
         return numerator(np.asarray([w]))[0] / abs(w)

@@ -3,6 +3,23 @@ import numpy as np
 import pytest
 
 import fracspec as fs
+from fracspec.distributions import TestFunction
+
+
+def window_probe(g):
+    """The window g as a probe centred at 0."""
+    return TestFunction(fn=lambda t: np.asarray(g.eval(t), dtype=complex),
+                        center=0.0, radius=g.support_radius,
+                        scale=g.length_scale, name=g.name)
+
+
+def probe_battery(c2=2.0 / np.sqrt(3.0)):
+    """Fixed probe battery: Gaussians at four widths, the Hermite and
+    Mexican-hat wavelets, and modulated Gaussians at a in {1, c2}."""
+    wins = [fs.gaussian_window(0.5), fs.gaussian_window(1.0), fs.gaussian_window(2.0),
+            fs.gaussian_window(4.0), fs.hermite_wavelet_window(), fs.mexican_hat_window(),
+            fs.modulate(fs.gaussian_window(1.0), 1.0), fs.modulate(fs.gaussian_window(1.0), c2)]
+    return [window_probe(w) for w in wins]
 
 
 @pytest.fixture(scope="session")

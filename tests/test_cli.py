@@ -136,6 +136,30 @@ class TestUsageErrors:
                           f"--degree={degree}", "--output", str(tmp_path / "v")]) == 1
         assert not (tmp_path / "v.report.json").exists()
 
+    @pytest.mark.parametrize("window, code", [
+        ("gauss:inf", 1), ("gauss:nan", 1), ("modulated:hermite1:nan", 1),
+        ("modulated:hermite1:inf", 1), ("dilated:hermite1:nan", 1),
+        ("dilated:hermite1:inf", 1), ("dilated:gauss:inf", 1), ("gauss:0", 2),
+    ])
+    def test_bad_window_parameter(self, tmp_path, window, code):
+        # non-finite widths, carriers and dilation factors are usage errors;
+        # a zero width stays NonPositiveScale, a numerical error
+        assert exit_code(["verify", "rez1", "--alpha", "1.0", "--window", window,
+                          "--dist", '{"kind":"delta","terms":[[0,0,1.0]]}',
+                          "--output", str(tmp_path / "v")]) == code
+        assert not (tmp_path / "v.report.json").exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ["frft", "--input", SYNTH],
+        ["frst", "--window", "hermite1", "--input", SYNTH],
+        ["verify", "rez1", "--window", "hermite1", "--dist", '{"kind":"delta","terms":[[0,0,1.0]]}'],
+    ])
+    def test_non_finite_alpha(self, tmp_path, argv, alpha):
+        out = tmp_path / "o"
+        assert exit_code(argv + [f"--alpha={alpha}", "--output", str(out)]) == 1
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         [],                                                       # no command
         ["verify", "rez1", "--alpha", "1"],                       # missing --window, --dist

@@ -16,14 +16,12 @@ from fracspec.distributions import (
     is_cauchy,
     pair,
     pair_with_error,
-    quasi_degree_estimate,
     scaled_pair,
-    probe_battery,
     scaled_probe,
     tally_pairings,
-    window_probe,
 )
 from fracspec import distributions
+from conftest import probe_battery, window_probe
 
 GAUSS = window_probe(fs.gaussian_window())
 
@@ -271,45 +269,24 @@ class TestScaledPair:
         assert_allclose(vals, PAIR_SQRT_ABS_GAUSS, rtol=1e-8)
 
 
-class TestDegreeEstimate:
-    def test_delta_slope(self):
-        slope, resid = quasi_degree_estimate(DD.delta(), GAUSS)
-        assert_allclose(slope, -1.0, atol=1e-10)
-        assert resid < 1e-10
-
-    def test_sqrt_abs_slope(self):
-        slope, _ = quasi_degree_estimate(DD.homogeneous("abs", 0.5), GAUSS)
-        assert_allclose(slope, 0.5, atol=1e-10)
-
-    def test_delta_prime_slope(self):
-        probe = window_probe(fs.hermite_wavelet_window())
-        slope, _ = quasi_degree_estimate(DD.delta(order=1), probe)
-        assert_allclose(slope, -2.0, atol=1e-10)
-
-    def test_scale_invariance(self):
-        d = DD.delta_comb([(0.0, 0, 37.5)])
-        slope, _ = quasi_degree_estimate(d, GAUSS)
-        assert_allclose(slope, -1.0, atol=1e-10)
-
-    def test_degenerate_sequence(self):
-        probe = window_probe(fs.hermite_wavelet_window())  # phi(0) = 0
-        with pytest.raises(fs.DegenerateSequence):
-            quasi_degree_estimate(DD.delta(), probe)
-
-
 class TestSlowlyVarying:
+    @staticmethod
+    def ratio_deviation(L, eps, factor):
+        """|L(a eps)/L(eps) - 1|, which tends to 0 for a slowly varying L."""
+        return float(abs(L(np.asarray(factor * eps)) / L(np.asarray(eps)) - 1.0))
+
     def test_ratio_limit_models(self):
         # |L(a eps)/L(eps) - 1| < 0.01 once eps is small enough per model
-        assert SV_ONE.ratio_deviation(2.0 ** -30, 2.0) == 0.0
+        assert self.ratio_deviation(SV_ONE, 2.0 ** -30, 2.0) == 0.0
         lp = SlowlyVarying("logpow", 1.0)
-        assert lp.ratio_deviation(2.0 ** -120, 2.0) < 0.01
-        assert lp.ratio_deviation(2.0 ** -120, 0.5) < 0.01
+        assert self.ratio_deviation(lp, 2.0 ** -120, 2.0) < 0.01
+        assert self.ratio_deviation(lp, 2.0 ** -120, 0.5) < 0.01
         il = SlowlyVarying("iterlog")
-        assert il.ratio_deviation(2.0 ** -40, 2.0) < 0.01
+        assert self.ratio_deviation(il, 2.0 ** -40, 2.0) < 0.01
 
     def test_ratio_deviation_decreases(self):
         lp = SlowlyVarying("logpow", 1.0)
-        devs = [lp.ratio_deviation(2.0 ** -k, 2.0) for k in (10, 20, 40)]
+        devs = [self.ratio_deviation(lp, 2.0 ** -k, 2.0) for k in (10, 20, 40)]
         assert devs[0] > devs[1] > devs[2]
 
     def test_domain_enforced(self):

@@ -304,6 +304,13 @@ def x_trapezoid_weights(x_axis):
     return w
 
 
+def negated(p):
+    """Parameters of the inverse kernel K_{-alpha}."""
+    p.require_regular("kernel negation")
+    return fs.FracParam(alpha=(2.0 * np.pi - p.alpha) % (2.0 * np.pi), c1=-p.c1, c2=-p.c2,
+                        c_alpha=np.conj(p.c_alpha), kind=fs.AngleKind.REGULAR)
+
+
 def frst_synthesis_oracle(p, g, F, t):
     """|sin a| * sum_ij F(x_i, xi_j) g(xi_j (t - x_i)) K_{-a}(t, xi_j) w_i w_j,
     the module docstring's synthesis written as a plain double loop."""
@@ -313,7 +320,7 @@ def frst_synthesis_oracle(p, g, F, t):
     for i, x in enumerate(F.x_axis):
         for j, xi in enumerate(F.xi_axis):
             out += (F.values[i, j] * g.eval(xi * (t - x))
-                    * fs.kernel_eval(p.negated(), t, xi) * wx[i] * wxi[j])
+                    * fs.kernel_eval(negated(p), t, xi) * wx[i] * wxi[j])
     return abs(np.sin(p.alpha)) * out
 
 

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fracspec as fs
-from fracspec.distributions import DistributionDescriptor as DD, pair, probe_battery
+from conftest import probe_battery
+from fracspec.distributions import DistributionDescriptor as DD, pair
 from fracspec.frst import positive_log_xi_axis, symmetric_log_xi_axis
 from fracspec.frwt import (
     frst_frwt_bridge,

@@ -69,3 +69,30 @@ def test_batched_paths_under_tracing():
     assert tracer.calls["frst.frst_forward"] == 1
     assert tracer.calls["asymptotics.check"] == 1
     assert tracer.counters["windows.eval.points"] > 0
+
+
+def test_derived_windows_evaluate_like_untraced_ones():
+    # modulate and dilate build each window from its form, so a window
+    # derived from a traced one never runs its parent's (traced) evaluator
+    spans = load_spans()
+    x = np.linspace(-6.0, 6.0, 97)
+    derive = [lambda g: fs.windows.modulate(g, 1.5), lambda g: fs.windows.dilate(g, 0.3),
+              lambda g: fs.windows.dilate(fs.windows.modulate(g, -0.7), 2.5)]
+    bases = [lambda: fs.windows.dog_window(3), lambda: fs.windows.window_by_name("mexican-hat"),
+             lambda: fs.windows.gaussian_window(2.0)]
+    want = [d(b()).eval(x) for b in bases for d in derive]
+    tracer = spans.Tracer()
+    inst = spans.Instrumentation(fs, tracer)
+    try:
+        inst.install()
+        tracer.enabled = True
+        derived = [d(b()) for b in bases for d in derive]
+        got = [w.eval(x) for w in derived]
+    finally:
+        tracer.enabled = False
+        inst.uninstall()
+    # the same values untraced, and from a window built afresh on each form
+    fresh = [fs.Window(w.name, w.poly, w.width, w.carrier).eval(x) for w in derived]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
+    assert tracer.counters["windows.eval.points"] == len(want) * x.size
