@@ -52,13 +52,11 @@ from .windows import (
     window_by_name,
 )
 from .distributions import (
-    ChirpEquivalenceReport,
     DistributionDescriptor,
     ScaleSequence,
     SlowlyVarying,
     SV_ONE,
     TestFunction,
-    chirp_factor_check,
     pair,
     scaled_pair,
 )

@@ -28,7 +28,7 @@ from .asymptotics import (
     AsymptoticFixture,
     check_te1_hypotheses,
 )
-from .distributions import DistributionDescriptor, SlowlyVarying, SV_ONE
+from .distributions import DistributionDescriptor, SlowlyVarying, SV_ONE, tally_pairings
 from .errors import FracspecError, MalformedCSV, NonUniformGrid
 from .fraccore import SampledSignal, frft, gaussian_signal, make_frac_param
 from .frst import (
@@ -295,16 +295,19 @@ def run(argv=None) -> int:
                 print("--c2 required with --psi", file=sys.stderr)
                 return EXIT_USAGE
             psi = window_by_name(args.psi)
-            adm = admissibility_cgpsi(g, psi, args.c2)
+            with tally_pairings() as tally:
+                adm = admissibility_cgpsi(g, psi, args.c2)
             out["c_gpsi"] = [adm.value.real, adm.value.imag]
             print(f"C_gpsi = {adm.value:.10g} (err {adm.quadrature_error_estimate:.2e})")
         else:
-            adm = admissibility_cg(g)
-            out["c_g"] = adm.value.real if np.isrealobj(adm.value) else adm.value
+            with tally_pairings() as tally:
+                adm = admissibility_cg(g)
+            out["c_g"] = adm.value
             out["c_g_half_line"] = adm.half_line
             print(f"C_g = {adm.value:.10g} (half-line {adm.half_line:.10g}, "
                   f"err {adm.quadrature_error_estimate:.2e})")
         out["quadrature_error_estimate"] = adm.quadrature_error_estimate
+        out.update(tally.as_dict())
         write_json(f"{args.output}.report.json", out)
         return EXIT_OK
 

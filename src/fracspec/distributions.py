@@ -20,9 +20,11 @@ Descriptors are paired by one of three routes:
 * everything else (closed-form descriptors, the cells the closed form
   leaves out, probes built from a plain function) by a fixed tanh-sinh
   rule on panels split at their singular points, evaluated on all of its
-  nodes at once.
+  nodes at once.  The windows' admissibility constants are pairings of
+  this kind: the density 1/|w| with a spectral numerator as probe.
   Where the rule's own error estimate misses its budget, adaptive
-  quadrature (``quad``) takes over; it is also the rule's test oracle.
+  quadrature (``quad``) takes over; it is also the rule's test oracle, and
+  no other module calls it.
 
 ``pair`` also takes a ``SampledSignal``, which it pairs by the trapezoid
 rule on the signal's own grid; that is the one way a sampled signal is
@@ -621,38 +623,3 @@ def is_cauchy(values: np.ndarray, rel_tol: float = CAUCHY_REL_TOL) -> bool:
     gaps = np.abs(np.diff(v))[-3:]
     ref = rel_tol * (1.0 + np.abs(v[-1]))
     return bool(np.all(gaps < ref))
-
-
-@dataclass(frozen=True)
-class ChirpEquivalenceReport:
-    plain: tuple
-    chirped: tuple
-    plain_converges: bool
-    chirped_converges: bool
-    limit_gap: float
-
-
-def chirp_factor_check(f: DistributionDescriptor, phi: TestFunction, c: float,
-                       m: float, L: SlowlyVarying = SV_ONE,
-                       seq: ScaleSequence | None = None) -> ChirpEquivalenceReport:
-    """Compare scaled pairings with and without the chirp exp(i*c*(eps*x)^2/2).
-
-    In the substituted variable t = eps*x the chirp is exp(i*c*t^2/2), so the
-    chirped pairing is (1/(eps^{m+1} L)) <f(t), exp(i*c*t^2/2) phi(t/eps)>.
-    """
-    seq = seq or ScaleSequence()
-    plain, chirped = [], []
-    for e in seq:
-        denom = e * e ** m * float(L(np.asarray(e)))
-        base = scaled_probe(phi, e)
-        chirp_fn = (lambda t, _f=base.fn, _c=c:
-                    np.exp(1j * _c * np.asarray(t) ** 2 / 2.0) * np.asarray(_f(t)))
-        plain.append(pair(f, base) / denom)
-        chirped.append(pair(f, replace(base, fn=chirp_fn, form=None)) / denom)
-    plain = np.array(plain)
-    chirped = np.array(chirped)
-    return ChirpEquivalenceReport(
-        plain=tuple(plain), chirped=tuple(chirped),
-        plain_converges=is_cauchy(plain), chirped_converges=is_cauchy(chirped),
-        limit_gap=float(abs(plain[-1] - chirped[-1])),
-    )

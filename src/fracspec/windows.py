@@ -7,10 +7,12 @@ Every window is a Gaussian polynomial
 and a Window holds only that form: P's coefficients, the width w and the
 carrier kappa.  Its evaluation, its closed-form Fourier transform (unitary
 convention, f_hat(w) = (2*pi)^{-1/2} * integral f(x) exp(-i*w*x) dx), its
-moments, and its pairings with homogeneous distributions are all derived
-from the form.  The built-in library covers the unit-mass Gaussian, the
-Mexican hat, the Hermite wavelet d/dt exp(-t^2/2), the derivatives of the
-Gaussian, and modulated/dilated variants of any of them.
+moments, its length scale, and its pairings with homogeneous distributions
+are all derived from the form.  The admissibility constants are integrals
+of the spectra against 1/|w|, paired by the engine in ``distributions``.
+The built-in library covers the unit-mass Gaussian, the Mexican hat, the
+Hermite wavelet d/dt exp(-t^2/2), the derivatives of the Gaussian, and
+modulated/dilated variants of any of them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
 
 from .errors import (
     DerivativeOrderTooHigh,
@@ -41,7 +42,8 @@ MAX_DERIVATIVE_ORDER = 4
 MAX_SIGMA_DERIVATIVE = 2
 WAVELET_MOMENT_TOL = 1e-8
 
-# Truncation radius for window quadratures, in widths.
+# Truncation radius for window quadratures, in widths (and for spectra, in
+# spectral widths 1/width).
 SUPPORT_RADII = 10.0
 
 # Window values evaluated in one block: the signal kernels' window matrices
@@ -87,6 +89,12 @@ def _form_eval(poly: tuple, width: float, carrier: float) -> Callable:
     return ev
 
 
+def modulated_length(length, a: float):
+    """Length scale of e^{iax} f(x): e^{iaz} grows like e^{|a| r} at radius r.
+    ``length`` may be an array (one probe per cell)."""
+    return np.minimum(length, 1.0 / abs(a)) if a else length
+
+
 @dataclass(frozen=True)
 class Window:
     """Gaussian-polynomial window g(u) = P(u) e^{-u^2/(2 width^2)} e^{i carrier u}.
@@ -96,17 +104,16 @@ class Window:
     derivatives are Cauchy integrals (see ``contour_derivative``).  It is
     built from the form when not given; a given one must compute the same
     function.  Quadratures truncate g at ``support_radius``, SUPPORT_RADII
-    widths.  ``length_scale`` (default ``width``), the shortest length on
-    which g varies, sizes derivative contours; ``modulate`` shortens it.
-    A parameter that is not finite raises ValueError, a width that is not
-    positive NonPositiveScale.
+    widths, and g_hat at SUPPORT_RADII spectral widths 1/width around the
+    carrier.  ``length_scale``, the shortest length on which g varies, sizes
+    derivative contours.  A parameter that is not finite raises ValueError,
+    a width that is not positive NonPositiveScale.
     """
 
     name: str
     poly: tuple
     width: float
     carrier: float = 0.0
-    length_scale: Optional[float] = None
     eval: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False,
                                                                repr=False)
 
@@ -117,14 +124,18 @@ class Window:
             raise NonPositiveScale(f"window {self.name!r} needs a positive width")
         if any(self.poly[0::2]) == any(self.poly[1::2]):
             raise ValueError(f"window {self.name!r} needs a nonzero even or odd polynomial")
-        if self.length_scale is None:
-            object.__setattr__(self, "length_scale", self.width)
         if self.eval is None:
             object.__setattr__(self, "eval", _form_eval(self.poly, self.width, self.carrier))
 
     @property
     def support_radius(self) -> float:
         return SUPPORT_RADII * self.width
+
+    @property
+    def length_scale(self) -> float:
+        """min(width, 1/|carrier|): the envelope's width, or the carrier's
+        period over 2 pi where that is shorter."""
+        return float(modulated_length(self.width, self.carrier))
 
     @cached_property
     def _spectrum(self) -> tuple:
@@ -187,18 +198,11 @@ def dog_window(m: int) -> Window:
     return Window(name=f"dog:{m}", poly=tuple(poly.tolist()), width=1.0)
 
 
-def modulated_length(length, a: float):
-    """Length scale of e^{iax} f(x): e^{iaz} grows like e^{|a| r} at radius r.
-    ``length`` may be an array (one probe per cell)."""
-    return np.minimum(length, 1.0 / abs(a)) if a else length
-
-
 def modulate(g: Window, a: float) -> Window:
     """M_a g(x) = exp(i*a*x) g(x); shifts the spectrum by a."""
     a = float(a)
     return Window(name=f"modulated:{g.name}:{a!r}", poly=g.poly, width=g.width,
-                  carrier=g.carrier + a,
-                  length_scale=float(modulated_length(g.length_scale, a)))
+                  carrier=g.carrier + a)
 
 
 def dilate(g: Window, eps: float) -> Window:
@@ -210,8 +214,7 @@ def dilate(g: Window, eps: float) -> Window:
     # an infinite eps leaves the carrier 0 * inf = nan, which Window rejects
     return Window(name=f"dilated:{g.name}:{eps!r}",
                   poly=tuple(c * eps ** k for k, c in enumerate(g.poly)),
-                  width=g.width / eps, carrier=g.carrier * eps,
-                  length_scale=g.length_scale / eps)
+                  width=g.width / eps, carrier=g.carrier * eps)
 
 
 def window_by_name(name: str) -> Window:
@@ -275,11 +278,14 @@ def require_wavelet(g: Window) -> None:
 
 @dataclass(frozen=True)
 class AdmissibilityConstant:
-    """Admissibility value with its quadrature error estimate.
+    """Admissibility value with the error estimate of its pairing.
 
-    For the single-window wavelet constant, ``value`` is the full-line
-    integral of |g_hat|^2/|w| and ``half_line`` its w>0 part, which is what
-    normalizes a synthesis over positive scales only.
+    Both constants are pairings of numerator(w) with the density 1/|w|,
+    made by ``distributions.pair_with_error`` over the frequency band where
+    the windows' spectra lie within SUPPORT_RADII spectral widths of their
+    carriers.  For the single-window wavelet constant, ``value`` is the
+    full-line integral of |g_hat|^2/|w| and ``half_line`` its w>0 part,
+    which is what normalizes a synthesis over positive scales only.
     """
 
     value: complex
@@ -305,66 +311,74 @@ def _check_small_freq_convergence(numerator, what: str) -> None:
         )
 
 
-def _decay_radius(numerator, start: float) -> float:
-    r = max(start, 4.0)
-    for _ in range(40):
-        edge = np.max(np.abs(numerator(np.array([-r, r]))))
-        if edge < 1e-18:
-            return r
-        r *= 1.5
-    return r
+def _spectral_band(g: Window) -> tuple[float, float]:
+    """Frequencies within SUPPORT_RADII spectral widths 1/width of g's carrier."""
+    r = SUPPORT_RADII / g.width
+    return g.carrier - r, g.carrier + r
+
+
+def _pair_inverse_abs(numerator, lo: float, hi: float) -> tuple[complex, float]:
+    """(integral of numerator(w)/|w| over [lo, hi], its error estimate): the
+    pairing of the density 1/|w|, singular at 0, with numerator as probe."""
+    # imported here: distributions imports this module
+    from .distributions import DistributionDescriptor, TestFunction, pair_with_error
+    # the density is 0 at w = 0, where one infinite sample would poison the
+    # fallback's tolerance (see DistributionDescriptor.density)
+    inverse_abs = DistributionDescriptor.closed_form(
+        lambda w: 1.0 / np.where(w != 0, np.abs(w), np.inf), singular_points=(0.0,))
+    return pair_with_error(inverse_abs, TestFunction(numerator, center=(lo + hi) / 2.0,
+                                                     radius=(hi - lo) / 2.0))
 
 
 def admissibility_cg(g: Window) -> AdmissibilityConstant:
     """Wavelet constant C_g = integral |g_hat(w)|^2 / |w| dw.
 
     Requires the vanishing-zeroth-moment gate (so |g_hat|^2 ~ w^2 near 0 and
-    the weight is integrable).  ``half_line`` is the w>0 share.
+    the weight is integrable).  ``half_line`` is the w>0 share; the two
+    half-lines of g's spectral band are paired separately.
     """
     require_wavelet(g)
 
     def numerator(w):
-        v = g.ft(np.asarray(w, dtype=float))
+        v = g.ft(w)
         return (v * np.conj(v)).real
 
     _check_small_freq_convergence(numerator, f"C_g[{g.name}]")
-    r = _decay_radius(numerator, 6.0 / max(g.width, 1e-3))
-
-    def integrand(w):
-        return numerator(np.asarray([w]))[0] / abs(w)
-
-    pos = quad(integrand, 0.0, r, limit=400)
-    neg = quad(integrand, -r, 0.0, limit=400)
-    value = pos[0] + neg[0]
-    err = pos[1] + neg[1]
+    lo, hi = _spectral_band(g)
+    pos, pos_err = _pair_inverse_abs(numerator, max(lo, 0.0), hi)
+    neg, neg_err = _pair_inverse_abs(numerator, lo, min(hi, 0.0))
+    value = pos.real + neg.real
     if value <= 0 or not np.isfinite(value):
         raise DivergentAdmissibility(f"C_g[{g.name}] evaluated to {value}")
-    return AdmissibilityConstant(value=value, quadrature_error_estimate=err,
-                                 half_line=pos[0])
+    return AdmissibilityConstant(value=value, quadrature_error_estimate=pos_err + neg_err,
+                                 half_line=pos.real)
 
 
 def admissibility_cgpsi(g: Window, psi: Window, c2: float) -> AdmissibilityConstant:
     """Reconstruction-pair constant
     C_{g,psi,c2} = integral psi_hat(c2*(w-1)) * conj(g_hat(c2*(w-1))) dw/|w|.
 
-    Finite only when the numerator vanishes at w=0, i.e. when
-    psi_hat(-c2)*conj(g_hat(-c2)) = 0; otherwise DivergentAdmissibility.
+    c2 must be finite and nonzero (ValueError).  Finite only when the
+    numerator vanishes at w=0, i.e. when psi_hat(-c2)*conj(g_hat(-c2)) = 0;
+    otherwise DivergentAdmissibility.  Paired over the w where both spectra
+    lie in their bands, so disjoint spectra give ZeroAdmissibility.
     """
     c2 = float(c2)
+    if c2 == 0 or not math.isfinite(c2):
+        raise ValueError(f"C_gpsi needs a finite nonzero c2; got {c2}")
 
     def numerator(w):
-        arg = c2 * (np.asarray(w, dtype=float) - 1.0)
+        arg = c2 * (w - 1.0)
         return psi.ft(arg) * np.conj(g.ft(arg))
 
     _check_small_freq_convergence(numerator, f"C_gpsi[{g.name},{psi.name}]")
-    # numerator support: |c2*(w-1)| up to the windows' spectral decay
-    r = 1.0 + _decay_radius(lambda w: numerator(w), 1.0 + 12.0 / abs(c2))
 
-    def integrand(w):
-        return numerator(np.asarray([w]))[0] / abs(w)
+    def w_band(h: Window) -> list:
+        """The w with c2 (w - 1) in h's spectral band."""
+        return sorted(1.0 + s / c2 for s in _spectral_band(h))
 
-    value, err = quad(integrand, -r, r, complex_func=True, limit=400, points=[0.0, 1.0])
-    err = err.real + err.imag
+    (g_lo, g_hi), (psi_lo, psi_hi) = w_band(g), w_band(psi)
+    value, err = _pair_inverse_abs(numerator, max(g_lo, psi_lo), min(g_hi, psi_hi))
     if not np.isfinite(value):
         raise DivergentAdmissibility(f"C_gpsi[{g.name},{psi.name}] is not finite")
     if abs(value) < 1e-10:

@@ -177,6 +177,13 @@ class TestUsageErrors:
         assert exit_code(argv) == 0
         assert "usage:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("c2", ["0", "nan", "inf", "-inf"])
+    def test_degenerate_c2(self, tmp_path, c2):
+        assert exit_code(["admissibility", "--window", "mexican-hat", "--psi",
+                          "modulated:dog:6:-1.0", f"--c2={c2}",
+                          "--output", str(tmp_path / "adm")]) == 1
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("k, p, code", [("-1", "0", 1), ("0", "-1", 1), ("0", "5", 2)])
     def test_bad_seminorm_index(self, tmp_path, k, p, code):
         assert exit_code(["seminorm", "--window", "gauss", "--k", k, "--p", p,
@@ -293,6 +300,10 @@ class TestCommands:
         assert code == 0
         rep = json.loads((tmp_path / "adm.report.json").read_text())
         assert abs(rep["c_g"] - 1.0) < 1e-6
+        # how the value was computed: one pairing per half-line
+        assert rep["pairings"] == 2 and rep["quad_fallbacks"] == 0
+        assert rep["integrand_evaluations"] > 0
+        assert rep["max_rel_error_estimate"] < 1e-10
 
     def test_admissibility_divergent_maps_to_numerical_error(self, tmp_path, capsys):
         with pytest.raises(fs.DivergentAdmissibility):

@@ -12,7 +12,6 @@ from fracspec.distributions import (
     ScaleSequence,
     SlowlyVarying,
     SV_ONE,
-    chirp_factor_check,
     is_cauchy,
     pair,
     pair_with_error,
@@ -305,23 +304,6 @@ class TestScaleSequence:
             ScaleSequence((0.25, 0.25))
         with pytest.raises(ValueError):
             ScaleSequence((0.25, 2.0 ** -21))
-
-
-class TestChirpFactor:
-    def test_delta_exact(self):
-        rep = chirp_factor_check(DD.delta(), GAUSS, c=1.0, m=-1.0)
-        assert rep.plain_converges and rep.chirped_converges
-        assert rep.limit_gap < 1e-12
-
-    def test_sqrt_abs_gap_shrinks(self):
-        rep = chirp_factor_check(DD.homogeneous("abs", 0.5), GAUSS, c=1.0, m=0.5)
-        assert rep.plain_converges and rep.chirped_converges
-        assert rep.limit_gap < 1e-4
-
-    def test_zero_distribution(self):
-        zero = DD.delta_comb([(0.0, 0, 0.0)])
-        rep = chirp_factor_check(zero, GAUSS, c=1.0, m=-1.0)
-        assert rep.limit_gap == 0.0
 
 
 class TestBattery:

@@ -1,8 +1,12 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import fracspec as fs
+from fracspec.distributions import DistributionDescriptor as DD, pair
 from fracspec import (
     DivergentAdmissibility,
     NotAWavelet,
@@ -14,6 +18,7 @@ from fracspec.windows import (
     dog_window,
     window_by_name,
 )
+from conftest import window_probe
 
 
 def numeric_ft(g, w):
@@ -41,6 +46,14 @@ def numeric_moment(g, k):
     fine = complex(np.sum(integrand * trapezoid_weights(x)))
     coarse = complex(np.sum(integrand[::2] * trapezoid_weights(x[::2])))
     return fine, abs(fine - coarse) / 3.0
+
+
+def mp_inverse_abs_integral(numerator, breaks):
+    """integral of numerator(w)/|w| over [breaks[0], breaks[-1]] by 30-digit
+    mpmath, split at the breaks: the oracle of the admissibility pairings
+    (0 must not lie inside)."""
+    with mpmath.workdps(30):
+        return float(mpmath.quad(lambda w: numerator(w) / abs(w), breaks))
 
 
 class TestRegistry:
@@ -156,6 +169,23 @@ class TestOperators:
         x = np.linspace(-12, 12, 241)
         assert_allclose(g.eval(x), np.exp(1j * carrier * x) * b.eval(x), rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("name, length", [
+        ("hermite1", 1.0),
+        ("modulated:hermite1:4.0", 0.25),
+        ("dilated:modulated:hermite1:2.5:0.25", 1.6),
+        ("modulated:modulated:hermite1:40.0:-40.0", 1.0),
+    ])
+    def test_length_scale_follows_the_form(self, name, length):
+        # min(width, 1/|carrier|): carriers that cancel leave the width
+        assert_allclose(window_by_name(name).length_scale, length, rtol=1e-15)
+
+    def test_cancelled_carriers_pair_like_the_plain_window(self, hermite):
+        # a fourth-derivative contour is sized by the length scale, so the
+        # round trip through +-40 pairs exactly as hermite1 does
+        g = window_by_name("modulated:modulated:hermite1:40.0:-40.0")
+        d4 = DD.delta(location=0.3, order=4)
+        assert pair(d4, window_probe(g)) == pair(d4, window_probe(hermite))
+
 
 class TestDerivativeOfGaussian:
     @pytest.mark.parametrize("m", range(1, 9))
@@ -234,10 +264,35 @@ class TestAdmissibility:
         with pytest.raises(NotAWavelet):
             fs.admissibility_cg(gauss)
 
-    def test_scale_covariance_finite(self, hermite):
-        for a in (0.5, 2.0):
-            adm = fs.admissibility_cg(fs.dilate(hermite, a))
-            assert np.isfinite(adm.value) and adm.value > 0
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_dog_cg_is_factorial(self, m):
+        # |g_hat|^2 = w^{2m} e^{-w^2}: C_g = Gamma(m) = (m-1)!
+        adm = fs.admissibility_cg(dog_window(m))
+        assert_allclose(adm.value, math.factorial(m - 1), rtol=1e-13)
+        assert_allclose(adm.half_line, adm.value / 2, rtol=1e-13)
+
+    @pytest.mark.parametrize("name", ["hermite1", "mexican-hat", "dog:6"])
+    def test_scale_covariance_finite(self, name):
+        # g_eps_hat(w) = g_hat(w/eps)/eps, so C_g[g_eps] = C_g[g]/eps^2
+        g = window_by_name(name)
+        cg = fs.admissibility_cg(g)
+        for eps in (0.01, 0.5, 2.0, 100.0):
+            adm = fs.admissibility_cg(fs.dilate(g, eps))
+            assert_allclose(adm.value, cg.value / eps ** 2, rtol=1e-13)
+            assert_allclose(adm.half_line, cg.half_line / eps ** 2, rtol=1e-13)
+
+    @pytest.mark.parametrize("kappa, value", [
+        (12.0, 0.0746352289665317), (20.0, 0.0444785615592873), (30.0, 0.0295902696422316),
+    ])
+    def test_cg_of_a_spectrum_far_from_zero(self, kappa, value):
+        # |g_hat(w)|^2 = (w-kappa)^2 e^{-(w-kappa)^2} lies on w > 0
+        adm = fs.admissibility_cg(window_by_name(f"modulated:hermite1:{kappa}"))
+        oracle = mp_inverse_abs_integral(
+            lambda w: (w - kappa) ** 2 * mpmath.exp(-(w - kappa) ** 2),
+            [1, kappa - 4, kappa, kappa + 4, kappa + 40])
+        assert_allclose(oracle, value, rtol=1e-14)
+        assert_allclose(adm.value, oracle, rtol=1e-12)
+        assert_allclose(adm.half_line, oracle, rtol=1e-12)
 
     def test_pair_divergent_for_hermite_pair(self, hermite):
         # g_hat(-c2) != 0 makes the 1/|omega| integral log-divergent
@@ -257,6 +312,20 @@ class TestAdmissibility:
         assert adm.value.real > 0
         assert abs(adm.value.imag) < 1e-9
         assert adm.quadrature_error_estimate < 1e-8
+
+    def test_pair_of_spectra_far_from_zero(self):
+        # psi_hat(w-1) conj(g_hat(w-1)) = (w-21)^2 e^{-(w-21)^2}
+        g = window_by_name("modulated:hermite1:20")
+        adm = fs.admissibility_cgpsi(g, g, 1.0)
+        oracle = mp_inverse_abs_integral(lambda w: (w - 21) ** 2 * mpmath.exp(-(w - 21) ** 2),
+                                         [1, 17, 21, 25, 61])
+        assert_allclose(oracle, 0.0423456441942754, rtol=1e-14)
+        assert_allclose(adm.value, oracle, rtol=1e-12)
+
+    @pytest.mark.parametrize("c2", [0.0, np.nan, np.inf, -np.inf])
+    def test_pair_rejects_degenerate_c2(self, mexican, c2):
+        with pytest.raises(ValueError):
+            fs.admissibility_cgpsi(mexican, mexican, c2)
 
     def test_pair_zero_for_disjoint_spectra(self, mexican):
         # psi spectrum pushed far away: integrand identically ~0
