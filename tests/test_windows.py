@@ -271,8 +271,13 @@ class TestAdmissibility:
         assert_allclose(adm.value, math.factorial(m - 1), rtol=1e-13)
         assert_allclose(adm.half_line, adm.value / 2, rtol=1e-13)
 
+    def test_scale_covariance_finite(self, hermite):
+        for a in (0.5, 2.0):
+            adm = fs.admissibility_cg(fs.dilate(hermite, a))
+            assert np.isfinite(adm.value) and adm.value > 0
+
     @pytest.mark.parametrize("name", ["hermite1", "mexican-hat", "dog:6"])
-    def test_scale_covariance_finite(self, name):
+    def test_scale_covariance_exact(self, name):
         # g_eps_hat(w) = g_hat(w/eps)/eps, so C_g[g_eps] = C_g[g]/eps^2
         g = window_by_name(name)
         cg = fs.admissibility_cg(g)
