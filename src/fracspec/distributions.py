@@ -331,8 +331,9 @@ def _tanh_sinh_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: flo
                        hi: float) -> tuple[complex, float, float, int]:
     """(value, error estimate, scale, evaluations) of int_lo^hi density x probe.
 
-    The estimate is |S(h) - S(h/2)| plus the outermost terms, which bound
-    the tails the node set leaves out; scale is the h/2 sum of |terms|.
+    The estimate is |S(h) - S(h/2)|, plus the outermost terms, which bound
+    the tails the node set leaves out, plus the rounding of the sum,
+    eps * scale; scale is the h/2 sum of |terms|.
     """
     edges = np.linspace(lo, hi, PAIRING_PANELS + 1)
     edges = np.unique(np.concatenate([edges, [p for p in f.singular_points if lo < p < hi]]))
@@ -342,8 +343,10 @@ def _tanh_sinh_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: flo
     terms = c * _TS_WEIGHT * f.density(nodes) * np.asarray(probe(nodes), dtype=complex)
     fine = complex(np.sum(terms))
     coarse = 2.0 * complex(np.sum(terms[:, _TS_COARSE]))
-    err = abs(fine - coarse) + float(np.sum(np.abs(terms[:, [0, -1]])))
-    return fine, err, float(np.sum(np.abs(terms))), nodes.size
+    scale = float(np.sum(np.abs(terms)))
+    tails = float(np.sum(np.abs(terms[:, [0, -1]])))
+    err = abs(fine - coarse) + tails + np.finfo(float).eps * scale
+    return fine, err, scale, nodes.size
 
 
 def _quad_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: float,

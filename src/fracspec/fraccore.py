@@ -238,15 +238,28 @@ def _uniform_step(xi: np.ndarray):
     return step
 
 
+def _chirp_conv(pre: np.ndarray, chirp: np.ndarray, m: int) -> np.ndarray:
+    """sum_k pre[..., k] chirp[|j - k|] for j < m, by one FFT product along
+    the last axis: the convolution of Bluestein's chirp-z (Rabiner, Schafer
+    and Rader 1969), with chirp[n] = e^{i beta n^2/2} for n < max(N, m)."""
+    n = pre.shape[-1]
+    size = 1 << (n + m - 2).bit_length()   # a power of two >= N + m - 1
+    kern = np.zeros(size, dtype=complex)
+    kern[:m] = chirp[:m]
+    kern[size - n + 1:] = chirp[n - 1:0:-1]   # j - k = -(N-1) .. -1
+    spec = np.fft.fft(pre, size)
+    spec *= np.fft.fft(kern)
+    return np.fft.ifft(spec)[..., :m]
+
+
 def _chirp_z(p: FracParam, fw: np.ndarray, t0: float, dt: float, xi0: float,
              dxi: float, m: int) -> np.ndarray:
     """sum_k fw_k e^{i (c1 (t_k^2 + xi_j^2)/2 - c2 t_k xi_j)} at
-    t_k = t0 + k dt, xi_j = xi0 + j dxi, j < m, by Bluestein's chirp-z
-    (Rabiner, Schafer and Rader 1969).
+    t_k = t0 + k dt, xi_j = xi0 + j dxi, j < m, by Bluestein's chirp-z.
 
     k j = (k^2 + j^2 - (j - k)^2)/2 makes the cross term a convolution with
-    the chirp e^{i beta n^2/2}, beta = c2 dt dxi, evaluated by one FFT
-    product.  Phases are formed in long double from exact integer squares.
+    the chirp e^{i beta n^2/2}, beta = c2 dt dxi (``_chirp_conv``).  Phases
+    are formed in long double from exact integer squares.
     """
     ld = np.longdouble
     c1, c2, t0, dt, xi0, dxi = (ld(v) for v in (p.c1, p.c2, t0, dt, xi0, dxi))
@@ -257,14 +270,8 @@ def _chirp_z(p: FracParam, fw: np.ndarray, t0: float, dt: float, xi0: float,
     xi = xi0 + j * dxi
     pre = fw * _unit_phase(c1 * t * t / 2 - c2 * dt * xi0 * k - beta * k * k / 2)
     post = _unit_phase(c1 * xi * xi / 2 - c2 * t0 * xi - beta * j * j / 2)
-    size = 1 << (fw.size + m - 2).bit_length()   # a power of two >= N + m - 1
     n = np.arange(max(fw.size, m), dtype=ld)
-    chirp = _unit_phase(beta * n * n / 2)
-    kern = np.zeros(size, dtype=complex)
-    kern[:m] = chirp[:m]
-    kern[size - fw.size + 1:] = chirp[fw.size - 1:0:-1]   # n = -(N-1) .. -1
-    conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(kern))
-    return post * conv[:m]
+    return post * _chirp_conv(pre, _unit_phase(beta * n * n / 2), m)
 
 
 def frft(p: FracParam, f: SampledSignal, xi_grid, *, enforce_sampling: bool = True) -> np.ndarray:

@@ -20,9 +20,10 @@ finite.
 On sampled signals this transform and the FRWT share one windowed
 correlation (``_correlate``) and its adjoint (``_spread``); the bridge
 identity in ``frwt`` is what makes the two transforms the same kernel with
-different dilations and modulations.  Both evaluate each window only within
-its support radius of the cell (in blocks, ``_bands``) and keep the
-window's carrier out of the window matrix.  Distribution descriptors pair f
+different dilations and modulations.  Both are spectral: the signal's FFT
+times the window's closed-form spectrum on the FFT bins of each column's
+band, summed over the x axis by Bluestein's chirp-z (see "The spectral
+kernel of sampled signals" below).  Distribution descriptors pair f
 with ``_integrand_probe``, the same kernel at given cells: single points
 through ``pair``, grids and lattices of cells through ``pair_cells``, which
 pairs a delta comb at all cells in one evaluation.  Every such probe
@@ -40,16 +41,26 @@ import numpy as np
 from .distributions import GaussianForm, SignalOrDistribution, TestFunction, pair, pair_cells
 from .errors import GridTooCoarse, MalformedCSV, SingularAngle
 from .fraccore import (
+    TWO_PI_LD,
     AngleKind,
     FracParam,
     CLASSICAL_FT_PARAM,
     SampledSignal,
+    _chirp_conv,
+    _uniform_step,
+    _unit_phase,
     check_sampling,
     cmul,
     rel_l2,
     trapezoid_weights,
 )
-from .windows import KERNEL_BLOCK_ELEMENTS, Window, admissibility_cgpsi
+from .windows import (
+    KERNEL_BLOCK_ELEMENTS,
+    SQRT_2PI,
+    SUPPORT_RADII,
+    Window,
+    admissibility_cgpsi,
+)
 
 XI_FLOOR = 2.0 ** -6
 
@@ -218,44 +229,174 @@ def _chirped(p: FracParam, f: SampledSignal) -> np.ndarray:
     return f.samples * f.trapezoid_weights() * np.exp(1j * 0.5 * p.c1 * t * t)
 
 
-# Band blocks of the signal kernels: a block spans at most two band radii of
-# the blocked axis, or KERNEL_MIN_BLOCK points if that is more, and its window
-# matrix holds at most KERNEL_BLOCK_ELEMENTS values.
-KERNEL_MIN_BLOCK = 32
+# The spectral kernel of sampled signals.  With H(mu) = sum_k h_k e^{-i mu t_k},
+#
+#   C_j(x) = 1/(sqrt(2 pi) |d|) integral conj(g_hat((mu - omega)/d)) H(mu) e^{i (mu - omega) x} dmu,
+#
+# the FFT form of the S-transform (Stockwell, Mansinha and Lowe 1996) at any
+# dilation d and modulation omega.  Its rectangle rule at mu_m = m delta,
+# delta = 2 pi / P, adds to C copies of the window shifted by multiples of P,
+# which P > max|t - x| + g.support_radius/|d| keeps beyond the window's
+# support; m runs over the bins where g_hat lies within SUPPORT_RADII
+# spectral widths of its carrier.  On a uniform t, t_k = t0 + k step, P is
+# L step and H(mu_m) = e^{-i mu_m t0} FFT_L(h)[m mod L], exact also for bands
+# wider than L bins.  An axis that is uniform to rounding is a progression
+# plus its rounding eps, and e^{i mu eps} = 1 + i mu eps to first order: a
+# second FFT (of h eps) or chirp-z (of mu-weighted terms) makes the sums
+# those at the given t and x, not at the nearest progression points.
 
 
-def _bands(a: np.ndarray, b: np.ndarray, r: float):
-    """Blocks of the ascending axis a, each with the slice of the ascending
-    axis b within r of it; blocks with an empty band are skipped."""
-    b_lo = np.searchsorted(b, a - r)
-    b_hi = np.searchsorted(b, a + r, side="right")
-    a_end = np.searchsorted(a, a + 2.0 * r, side="right").tolist()
-    rows = np.arange(1, a.size + 1)
+def _kernel_plan(g: Window, t, x, d):
+    """(t step, L): the step of t (None if t is not uniform,
+    ``_uniform_step``) and each column's lattice length L_j, the smallest
+    power of two with L_j step > max|t - x| + g.support_radius/|d_j|, and
+    L_j >= t.size on a uniform t (step 1 on other t)."""
+    t_step = _uniform_step(t)
+    unit = t_step or 1.0
+    reach = max(t[-1] - x[0], x[-1] - t[0]) + g.support_radius / np.abs(d)
+    lengths = np.exp2(np.floor(np.log2(reach / unit)) + 1).astype(np.int64)
+    if t_step:
+        lengths = np.maximum(lengths, 1 << (t.size - 1).bit_length())
+    return t_step, lengths
+
+
+def _kernel_meta(g: Window, t, x, d) -> dict:
+    """How the spectral kernel computes a grid: its x-sum and FFT lengths."""
+    t_step, lengths = _kernel_plan(g, t, x, d)
+    return {"route": "spectral", "x_sum": "chirp-z" if _uniform_step(x) else "dense",
+            "fft_lengths": sorted(set(lengths.tolist())) if t_step else []}
+
+
+def _rounding(a: np.ndarray, step: float) -> np.ndarray:
+    """How far the long-double points a, with a[0] = 0, lie off k step."""
+    return (a - np.arange(a.size, dtype=np.longdouble) * step).astype(float)
+
+
+def _chirp(beta, j) -> np.ndarray:
+    """e^{i beta j/2} at the integers j, reduced in turns before any
+    rounding that grows with j: beta/(4 pi) = hi + lo with a 24-bit hi, so
+    hi j is exact in long double and only the small lo j rounds."""
+    ld = np.longdouble
+    turns = beta / (2 * TWO_PI_LD)
+    hi = ld(np.float32(turns))
+    j = np.asarray(j, dtype=ld)
+    whole = hi * j
+    return _unit_phase(TWO_PI_LD * (whole - np.round(whole) + (turns - hi) * j))
+
+
+class _LatticeSum:
+    """v -> sum_{k < n} v[..., k] e^{i k delta xs_q} at every q, and its
+    adjoint v -> sum_q v[..., q] e^{-i k delta xs_q} at every k < n; delta
+    and xs are long doubles.
+
+    With dx, the step of an xs uniform to rounding, by Bluestein's chirp-z
+    about the middle points k = r, q = s:
+
+        k delta xs_q = k delta xs_s + r delta (xs_q - xs_s)
+                       + beta (k - r)(q - s) + (k - r) delta eps_q,
+
+    beta = delta dx and eps_q = xs_q - xs_s - (q - s) dx; beta k q, that is
+    beta (k^2 + q^2 - (q - k)^2)/2, is the convolution of
+    ``fraccore._chirp_conv``, and e^{i (k - r) delta eps_q} is kept to first
+    order by a second convolution.  The phases depend on n, not on v, and
+    are formed once.  Without dx, by the matrix of e^{i k delta xs_q} in
+    blocks of at most KERNEL_BLOCK_ELEMENTS values; it is also the
+    chirp-z's test oracle.
+    """
+
+    def __init__(self, delta, n: int, xs: np.ndarray, dx):
+        self.delta, self.n, self.xs, self.dx = delta, n, xs, dx
+        if dx is None:
+            return
+        ld = np.longdouble
+        r, s = n // 2, xs.size // 2
+        k, q, j = np.arange(n), np.arange(xs.size), np.arange(max(n, xs.size))
+        off = xs - xs[s]
+        beta = delta * ld(dx)
+        self.eps = (off - (q - s) * ld(dx)).astype(float)
+        self.kr = ((k - r) * delta).astype(float)
+        # beta (k - r)(q - s) = beta (k q - s k - r q + r s)
+        self.pre = _unit_phase(k * delta * xs[s]) * _chirp(beta, k * (k - 2 * s))
+        self.post = _unit_phase(r * delta * off) * _chirp(beta, q * (q - 2 * r) + 2 * r * s)
+        self.chirp = _chirp(beta, j * j)
+
+    def __call__(self, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        if self.dx is None:
+            return self._dense(v, adjoint)
+        if adjoint:
+            w = v * np.conj(self.post)
+            c = _chirp_conv(np.stack((w, w * self.eps)), self.chirp, self.n)
+            return np.conj(self.pre) * (c[0] - 1j * self.kr * c[1])
+        w = v * self.pre
+        c = _chirp_conv(np.stack((w, w * self.kr)), np.conj(self.chirp), self.xs.size)
+        return self.post * (c[0] + 1j * self.eps * c[1])
+
+    def _dense(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
+        xs = self.xs
+        k = np.arange(self.n, dtype=np.longdouble)
+        out = np.zeros(v.shape[:-1] + ((self.n,) if adjoint else xs.shape), dtype=complex)
+        rows = max(1, KERNEL_BLOCK_ELEMENTS // xs.size)
+        for lo in range(0, self.n, rows):
+            e = _unit_phase(np.multiply.outer(k[lo:lo + rows] * self.delta, xs))
+            if adjoint:
+                out[..., lo:lo + rows] = v @ np.conj(e).T
+            else:
+                out += v[..., lo:lo + rows] @ e
+        return out
+
+
+def _padded(count: int, nx: int) -> int:
+    """The bins of a band of count bins padded to fill its chirp-z's FFT."""
+    return (1 << (count + nx - 2).bit_length()) - nx + 1
+
+
+def _lattices(g: Window, t, x, d, omega, lengths, t_step):
+    """The columns' bin lattices, one per lattice length L: yields (delta,
+    base, size, blocks).  A lattice's spectrum is indexed by (m - base) mod
+    size: the FFT's L bins on a uniform t, else every bin a column reaches.
+    blocks yields ``_blocks``' blocks of the lattice's columns."""
+    ld = np.longdouble
+    half = np.abs(d) * (SUPPORT_RADII / g.width)
+    centre = omega + d * g.carrier
+    for length in np.unique(lengths).tolist():
+        cols = np.flatnonzero(lengths == length)
+        delta = TWO_PI_LD / (length * ld(t_step or 1.0))
+        m0 = np.ceil((centre[cols] - half[cols]) / float(delta)).astype(np.int64)
+        count = np.floor((centre[cols] + half[cols]) / float(delta)).astype(np.int64) - m0 + 1
+        if t_step:
+            base, size = 0, length
+        else:
+            base = int(m0.min())
+            size = int(m0.max()) + _padded(int(count.max()), x.size) - base
+        yield delta, base, size, _blocks(g, t, x, d, omega, delta, cols, m0, count)
+
+
+def _blocks(g: Window, t, x, d, omega, delta, cols, m0, count):
+    """Blocks of the columns cols, widest bands first, each band padded
+    (``_padded``) to its block's widest: yields (cols, m, mu, coef, phase,
+    xsum) with the bins m[c] = m0[c] + 0, 1, ..., mu = m delta, the weights
+    coef = g_hat((mu - omega)/d) delta/(sqrt(2 pi) |d|), the phase
+    e^{i (m0 delta (x - t0) - omega x)} and the ``_LatticeSum`` over x of
+    the block's bins.  A block's two chirp-z convolutions hold at most
+    KERNEL_BLOCK_ELEMENTS values, or one column's."""
+    xs = x.astype(np.longdouble) - t[0]
+    x_step = _uniform_step(x)
+    sums = {}
+    order = np.argsort(-count, kind="stable")
     lo = 0
-    while lo < a.size:
-        hi = min(max(a_end[lo], lo + KERNEL_MIN_BLOCK), a.size)
-        # window matrix sizes of the blocks [lo, lo + 1), [lo, lo + 2), ...
-        sizes = rows[:hi - lo] * (b_hi[lo:hi] - b_lo[lo])
-        hi = lo + max(int(sizes.searchsorted(KERNEL_BLOCK_ELEMENTS, side="right")), 1)
-        if b_hi[hi - 1] > b_lo[lo]:
-            yield slice(lo, hi), slice(int(b_lo[lo]), int(b_hi[hi - 1]))
-        lo = hi
-
-
-def _matvec(gm: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """gm @ v for a contiguous complex vector v.  A real gm multiplies the
-    real and imaginary parts of v as two real columns; gm @ v would cast
-    gm to complex first (2.2 against 0.5 ns per element of a 32 x 512
-    block on a 2-vCPU Xeon)."""
-    if np.iscomplexobj(gm):
-        return gm @ v
-    return (gm @ v.view(float).reshape(-1, 2)).view(complex).ravel()
-
-
-def _carrier_free(g: Window):
-    """The evaluator of b with g(u) = e^{i g.carrier u} b(u): g's own when it
-    has no carrier, so a wrapped ``g.eval`` still sees the kernels' calls."""
-    return g.eval if not g.carrier else Window(g.name, g.poly, g.width).eval
+    while lo < order.size:
+        n = _padded(int(count[order[lo]]), x.size)
+        sel = order[lo:lo + max(1, KERNEL_BLOCK_ELEMENTS // (2 * (n + x.size - 1)))]
+        if n not in sums:
+            sums[n] = _LatticeSum(delta, n, xs, x_step)
+        c, first = cols[sel], m0[sel, None]
+        m = first + np.arange(n)
+        mu = m * float(delta)
+        coef = g.ft((mu - omega[c, None]) / d[c, None])
+        coef *= (float(delta) / SQRT_2PI) / np.abs(d[c, None])
+        phase = _unit_phase(first * delta * xs - omega[c, None].astype(np.longdouble) * x)
+        yield c, m, mu, coef, phase, sums[n]
+        lo += sel.size
 
 
 def _correlate(g: Window, t, x, d, omega, h) -> np.ndarray:
@@ -263,22 +404,29 @@ def _correlate(g: Window, t, x, d, omega, h) -> np.ndarray:
 
     Both forward transforms reduce to it (the bridge identity in frwt):
     the FRST takes d = xi, omega = c2 xi; the FRWT takes d = 1/xi,
-    omega = 0.  t and x must be ascending.  Column j sums only over t
-    within g.support_radius/|d_j| of each x_i, the radius at which
-    ``_integrand_probe`` truncates the same integral.  The carrier
-    a = g.carrier stays out of the window matrix: with g = e^{i a u} b(u),
-    conj(g(d (t - x))) = e^{-i a d t} e^{i a d x} conj(b(d (t - x))), so
-    a d joins omega_j and e^{i a d_j x_i} multiplies the row.
+    omega = 0.  t and x must be ascending.  Evaluated by the spectral
+    kernel (above): one FFT of h per lattice length on a uniform t,
+    g's closed-form spectrum on the bins of each column's band, and the
+    sum over x by chirp-z on a uniform x (``_LatticeSum``); the sums over
+    t and x that are not uniform are exponential-matrix products.  Only
+    the window's terms beyond SUPPORT_RADII (spectral) widths are dropped,
+    as ``_integrand_probe`` truncates the same integral.
     """
-    a, b = g.carrier, _carrier_free(g)
-    out = np.zeros((x.size, d.size), dtype=complex)
-    for j in range(d.size):
-        col = out[:, j]
-        v = h * np.exp(-1j * (omega[j] + a * d[j]) * t)
-        for rows, band in _bands(x, t, g.support_radius / abs(d[j])):
-            gm = b((t[band] - x[rows, None]) * d[j])
-            col[rows] = _matvec(np.conj(gm) if np.iscomplexobj(gm) else gm, v[band])
-        col *= np.exp(1j * a * d[j] * x)
+    t_step, lengths = _kernel_plan(g, t, x, d)
+    ts = t.astype(np.longdouble) - t[0]
+    out = np.empty((x.size, d.size), dtype=complex)
+    for delta, base, size, blocks in _lattices(g, t, x, d, omega, lengths, t_step):
+        if t_step:
+            # H and its first-order rounding term, the FFT of h eps
+            spec, dspec = np.fft.fft(np.stack((h, h * _rounding(ts, t_step))), size)
+        else:
+            shifted = h * _unit_phase(-base * delta * ts)
+            spec = _LatticeSum(delta, size, ts, None)(shifted, adjoint=True)
+        for cols, m, mu, coef, phase, xsum in blocks:
+            i = (m - base) % size
+            a = spec[i] - 1j * mu * dspec[i] if t_step else spec[i]
+            a *= np.conj(coef)
+            out[:, cols] = (xsum(a) * phase).T
     return out
 
 
@@ -306,6 +454,7 @@ def frst_forward(p: FracParam, g: Window, f: SignalOrDistribution,
             check_sampling(p, f, (abs(p.c2) + abs(g.carrier)) * float(np.max(np.abs(xi_axis))))
         vals = _correlate(g, f.t_grid, x_axis, xi_axis, p.c2 * xi_axis, _chirped(p, f))
         vals *= np.abs(xi_axis) * p.c_alpha * np.exp(1j * 0.5 * p.c1 * xi_axis * xi_axis)
+        meta["kernel"] = _kernel_meta(g, f.t_grid, x_axis, xi_axis)
     else:
         vals = frst_cells(p, g, f, x_axis[:, None], xi_axis[None, :])
     return TFGrid(x_axis, xi_axis, vals, meta)
@@ -318,22 +467,34 @@ def frst_forward(p: FracParam, g: Window, f: SignalOrDistribution,
 def _spread(g: Window, t, x, d, omega, H) -> np.ndarray:
     """Adjoint of _correlate: s(t_k) = sum_j e^{i omega_j t_k} sum_i g(d_j (t_k - x_i)) H[i, j].
 
-    Banded, and with the carrier moved out, as in ``_correlate``; x must be
+    The spectral kernel's exact adjoint: the adjoint sum over x
+    (``_LatticeSum``), times g_hat on each column's bins, folded mod L,
+    and one inverse FFT per lattice length onto the sorted t (an
+    exponential-matrix product if t is not uniform).  x must be
     ascending, t may come in any order.
     """
     if x.size < 2 or d.size < 2:
         raise GridTooCoarse("synthesis needs at least 2 points per axis")
-    a, b = g.carrier, _carrier_free(g)
     order = np.argsort(t, kind="stable")
-    ts = t[order]
+    t_sorted = t[order]
+    t_step, lengths = _kernel_plan(g, t_sorted, x, d)
+    ts = t_sorted.astype(np.longdouble) - t_sorted[0]
     acc = np.zeros(t.shape, dtype=complex)
-    col = np.empty(t.shape, dtype=complex)
-    for j in range(d.size):
-        hj = H[:, j] * np.exp(-1j * a * d[j] * x)
-        col[:] = 0.0
-        for rows, band in _bands(ts, x, g.support_radius / abs(d[j])):
-            col[rows] = _matvec(b((ts[rows, None] - x[band]) * d[j]), hj[band])
-        acc += np.exp(1j * (omega[j] + a * d[j]) * ts) * col
+    for delta, base, size, blocks in _lattices(g, t_sorted, x, d, omega, lengths, t_step):
+        fold = np.zeros((2, size), dtype=complex)
+        for cols, m, mu, coef, phase, xsum in blocks:
+            b = xsum(H[:, cols].T * np.conj(phase), adjoint=True)
+            b *= coef
+            i = (m - base) % size
+            np.add.at(fold[0], i, b)
+            if t_step:
+                np.add.at(fold[1], i, mu * b)
+        if t_step:
+            # the adjoint of the first-order rounding term of _correlate
+            s0, s1 = size * np.fft.ifft(fold)[:, :t.size]
+            acc += s0 + 1j * _rounding(ts, t_step) * s1
+        else:
+            acc += _unit_phase(base * delta * ts) * _LatticeSum(delta, size, ts, None)(fold[0])
     out = np.empty(t.shape, dtype=complex)
     out[order] = acc
     return out
@@ -423,13 +584,17 @@ def read_csv_rows(path, header: str) -> np.ndarray:
             raise MalformedCSV(str(exc)) from None
 
 
+# the one number format of every CSV: 17 significant digits round-trip a double
+NUMBER = "{:.17g}"
+
+
 def write_csv_rows(path, header: str, *columns) -> None:
     """Write ``header``, then row k of the columns as comma-separated
-    17-significant-digit numbers (exact round trip)."""
+    NUMBER fields."""
     # 1024-row blocks as lists: iterating numpy arrays yields slow numpy
     # scalars, and a whole grid of Python floats raised the peak RSS by 2 MB
     columns = [np.asarray(c, dtype=float) for c in columns]
-    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    row = ",".join([NUMBER] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for lo in range(0, columns[0].size, 1024):
@@ -437,11 +602,14 @@ def write_csv_rows(path, header: str, *columns) -> None:
 
 
 def grid_to_csv(grid: TFGrid, csv_path, meta_path=None) -> None:
-    """Write `x,xi,re,im` rows (row-major over x then xi) and a meta record."""
-    nx, nxi = grid.values.shape
-    write_csv_rows(csv_path, "x,xi,re,im", np.repeat(grid.x_axis, nxi),
-                   np.tile(grid.xi_axis, nx), grid.values.real.ravel(),
-                   grid.values.imag.ravel())
+    """Write `x,xi,re,im` rows (row-major over x then xi) and a meta record.
+    Each axis value is formatted once, not once per cell."""
+    xi_fields = [NUMBER.format(v) for v in grid.xi_axis.tolist()]
+    with open(csv_path, "w", newline="\n") as fh:
+        fh.write("x,xi,re,im\n")
+        for x, row in zip(grid.x_axis.tolist(), grid.values):
+            cell = NUMBER.format(x) + ",{}," + NUMBER + "," + NUMBER + "\n"
+            fh.writelines(map(cell.format, xi_fields, row.real.tolist(), row.imag.tolist()))
     if meta_path is not None:
         meta = dict(grid.meta)
         meta["axes"] = {"x": [float(v) for v in grid.x_axis],

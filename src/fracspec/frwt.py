@@ -45,6 +45,7 @@ from .frst import (
     _compare,
     _correlate,
     _integrand_probe,
+    _kernel_meta,
     _pair_cells,
     _spread,
     check_axes,
@@ -109,6 +110,7 @@ def frwt_forward(p: FracParam, g: Window, f: SignalOrDistribution,
     meta = {"transform": "FRWT", "alpha": p.alpha, "window": g.name}
     if isinstance(f, SampledSignal):
         vals = _frwt_signal_grid(p, g, f, x_axis, xi_axis, enforce_sampling)
+        meta["kernel"] = _kernel_meta(g, f.t_grid, x_axis, 1.0 / xi_axis)
     else:
         vals = frwt_cells(p, g, f, x_axis[:, None], xi_axis[None, :])
     return TFGrid(x_axis, xi_axis, vals, meta)

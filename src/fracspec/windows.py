@@ -46,10 +46,10 @@ WAVELET_MOMENT_TOL = 1e-8
 # spectral widths 1/width).
 SUPPORT_RADII = 10.0
 
-# Window values evaluated in one block: the signal kernels' window matrices
-# and the contours of batched delta pairings hold at most this many (on a
-# 2-vCPU Xeon, a hermite1 evaluation took ~4.5 ns per point up to 28k points
-# and ~13 ns from 32k, where each numpy temporary reaches 256 kB).
+# Values computed in one block: the signal kernels' chirp-z buffers and the
+# contours of batched delta pairings hold at most this many (on a 2-vCPU
+# Xeon, a hermite1 evaluation took ~4.5 ns per point up to 28k points and
+# ~13 ns from 32k, where each numpy temporary reaches 256 kB).
 KERNEL_BLOCK_ELEMENTS = 16384
 
 

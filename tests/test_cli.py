@@ -214,7 +214,9 @@ class TestCommands:
         assert np.array_equal(grid.x_axis, want.x_axis)
         assert np.array_equal(grid.xi_axis, want.xi_axis)
         assert np.array_equal(grid.values, want.values)
-        assert grid.meta == {"transform": "FRWT", "alpha": 1.2, "window": "mexican-hat"}
+        assert grid.meta == want.meta == {
+            "transform": "FRWT", "alpha": 1.2, "window": "mexican-hat",
+            "kernel": {"route": "spectral", "x_sum": "chirp-z", "fft_lengths": [512, 1024]}}
 
     def test_frst_window_carrier_counts_in_sampling_check(self, tmp_path):
         # the carrier aliases on the 512-sample signal: a numerical error

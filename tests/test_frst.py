@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -6,8 +8,12 @@ from numpy.testing import assert_allclose
 
 import fracspec as fs
 from fracspec.distributions import DistributionDescriptor as DD
+from fracspec.fraccore import TWO_PI_LD, _uniform_step
 from fracspec.frst import (
+    _LatticeSum,
     _correlate,
+    _kernel_meta,
+    _kernel_plan,
     _spread,
     frst_forward,
     frst_point,
@@ -17,7 +23,12 @@ from fracspec.frst import (
     grid_to_csv,
     symmetric_log_xi_axis,
 )
-from fracspec.windows import admissibility_cgpsi, window_by_name
+from fracspec.windows import (
+    KERNEL_BLOCK_ELEMENTS,
+    SUPPORT_RADII,
+    admissibility_cgpsi,
+    window_by_name,
+)
 
 
 def modulated_gaussian(width, n, half_width, om0=4.0):
@@ -363,7 +374,8 @@ KERNEL_WINDOWS = ["hermite1", "mexican-hat", "gauss", "dog:6", "modulated:dog:6:
 
 
 class TestBandedKernels:
-    """The banded, carrier-split kernels against full window matrices."""
+    """The spectral kernels against full window matrices (the name is that of
+    the banded kernels they replaced)."""
 
     @settings(derandomize=True, deadline=None, max_examples=80, database=None)
     @given(window=st.sampled_from(KERNEL_WINDOWS),
@@ -397,6 +409,100 @@ class TestBandedKernels:
         got = _spread(g, ts, x, d, omega, H)
         want = spread_oracle(g, ts, x, d, omega, H)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestSpectralKernel:
+    """The spectral kernel's parts against their dense forms, at the geometry
+    of test_round_trip_admissible_pair: N = 320 on [-9, 9], x on [-20, 20]."""
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("n_x, n", [(3, 31), (4, 2941), (127, 40), (704, 2941)])
+    def test_chirp_z_matches_dense_sum(self, adjoint, n_x, n):
+        ld = np.longdouble
+        rng = np.random.default_rng(n_x + n)
+        delta = TWO_PI_LD / (ld(1024) * ld(18.0 / 319.0))
+        x = np.linspace(-20.0, 20.0, n_x)   # rounded off its progression
+        xs = x.astype(ld) + 9.0
+        size = (3, n_x if adjoint else n)
+        v = rng.normal(size=size) + 1j * rng.normal(size=size)
+        want = _LatticeSum(delta, n, xs, None)(v, adjoint)
+        got = _LatticeSum(delta, n, xs, _uniform_step(x))(v, adjoint)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("window, c, case", [
+        ("mexican-hat", 1.1547005383792517, "wide band"),
+        ("modulated:mexican-hat:4.0", 12.0, "long phases")])
+    def test_kernels_match_dense(self, window, c, case):
+        g = window_by_name(window)
+        rng = np.random.default_rng(7)
+        t = np.linspace(-9.0, 9.0, 320)
+        x = np.linspace(-20.0, 20.0, 704)
+        d = np.array([-16.0, -3.0, 0.25, 16.0])
+        omega = c * d
+        t_step, lengths = _kernel_plan(g, t, x, d)
+        bins = np.abs(d) * SUPPORT_RADII / g.width * lengths * t_step / np.pi
+        top = np.abs(omega) + np.abs(d) * (abs(g.carrier) + SUPPORT_RADII / g.width)
+        if case == "wide band":
+            assert np.any(bins > 2 * lengths)   # a band spans the DTFT period twice
+        else:
+            assert np.max(top) * np.max(np.abs(x)) > 8000.0   # phases in radians
+        h = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+        got = _correlate(g, t, x, d, omega, h)
+        want = correlate_oracle(g, t, x, d, omega, h)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        H = rng.normal(size=(x.size, d.size)) + 1j * rng.normal(size=(x.size, d.size))
+        got = _spread(g, t, x, d, omega, H)
+        want = spread_oracle(g, t, x, d, omega, H)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_uneven_t_sums_densely(self):
+        g = window_by_name("modulated:dog:6:-1.3")
+        rng = np.random.default_rng(8)
+        t = np.sort(rng.uniform(-9.0, 9.0, 200))
+        x = np.linspace(-12.0, 12.0, 40)
+        d = np.array([-4.0, 0.5, 2.0])
+        omega = 1.2 * d
+        assert _kernel_meta(g, t, x, d)["fft_lengths"] == []
+        h = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+        got = _correlate(g, t, x, d, omega, h)
+        want = correlate_oracle(g, t, x, d, omega, h)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        H = rng.normal(size=(x.size, d.size)) + 1j * rng.normal(size=(x.size, d.size))
+        ts = rng.permutation(t)
+        got = _spread(g, ts, x, d, omega, H)
+        want = spread_oracle(g, ts, x, d, omega, H)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_signal_grid_meta_records_the_kernel(self, p_third, hermite):
+        sig = fs.gaussian_signal(1.0, 256, 8.0)
+        xi = symmetric_log_xi_axis(0.5, 2.0, 4)
+        uneven = frst_forward(p_third, hermite, sig, np.array([-1.0, 0.0, 2.5]), xi)
+        even = frst_forward(p_third, hermite, sig, np.linspace(-2.0, 2.0, 5), xi)
+        assert uneven.meta["kernel"]["x_sum"] == "dense"
+        assert even.meta["kernel"] == {"route": "spectral", "x_sum": "chirp-z",
+                                       "fft_lengths": [256, 512]}
+
+    def test_peak_memory(self, p_third, mexican):
+        # invert-frst's geometry: the working set beyond the output stays
+        # within a few KERNEL_BLOCK_ELEMENTS buffers, whatever the grid size
+        psi = window_by_name(f"modulated:dog:6:{-float(p_third.c2)!r}")
+        t = np.linspace(-9.0, 9.0, 320)
+        x = np.linspace(-20.0, 20.0, 704)
+        xi = symmetric_log_xi_axis(2.0 ** -4, 2.0 ** 4, 72)
+        h = np.exp(4j * t - t * t / 2.0)
+        bound = 8 * KERNEL_BLOCK_ELEMENTS * 16
+        _correlate(mexican, t, x, xi, p_third.c2 * xi, h)   # warm numpy's FFT caches
+        tracemalloc.start()
+        try:
+            C = _correlate(mexican, t, x, xi, p_third.c2 * xi, h)
+            correlate_peak = tracemalloc.get_traced_memory()[1] - C.nbytes
+            tracemalloc.reset_peak()
+            _spread(psi, t, x, xi, p_third.c2 * xi, C)
+            spread_peak = tracemalloc.get_traced_memory()[1] - C.nbytes
+        finally:
+            tracemalloc.stop()
+        assert correlate_peak <= bound, correlate_peak
+        assert spread_peak <= bound, spread_peak
 
 
 class TestReconstruction:
