@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -237,33 +238,46 @@ def _chirped(p: FracParam, f: SampledSignal) -> np.ndarray:
 # dilation d and modulation omega.  Its rectangle rule at mu_m = m delta,
 # delta = 2 pi / P, adds to C copies of the window shifted by multiples of P,
 # which P > max|t - x| + g.support_radius/|d| keeps beyond the window's
-# support; m runs over the bins where g_hat lies within SUPPORT_RADII
-# spectral widths of its carrier.  On a uniform t, t_k = t0 + k step, P is
-# L step and H(mu_m) = e^{-i mu_m t0} FFT_L(h)[m mod L], exact also for bands
-# wider than L bins.  An axis that is uniform to rounding is a progression
+# support, over the points of t and x within reach of each other (the
+# others meet only the truncated tails): P is bounded by the signal's span
+# and the window's, however far x reaches; m runs over the bins where
+# g_hat lies within SUPPORT_RADII spectral widths of its carrier.  On a
+# uniform t, t_k = t0 + k step, P is L step and
+# H(mu_m) = e^{-i mu_m t0} FFT_L(h)[m mod L], exact also for bands wider
+# than L bins.  An axis that is uniform to rounding is a progression
 # plus its rounding eps, and e^{i mu eps} = 1 + i mu eps to first order: a
 # second FFT (of h eps) or chirp-z (of mu-weighted terms) makes the sums
 # those at the given t and x, not at the nearest progression points.
 
 
 def _kernel_plan(g: Window, t, x, d):
-    """(t step, L): the step of t (None if t is not uniform,
-    ``_uniform_step``) and each column's lattice length L_j, the smallest
-    power of two with L_j step > max|t - x| + g.support_radius/|d_j|, and
-    L_j >= t.size on a uniform t (step 1 on other t)."""
+    """(tk, xk, t step, lengths) on ascending t and x: the slices of t and
+    x within r = g.support_radius/min|d| of the other axis's span (a point
+    beyond meets only the window's truncated tails, so its row is zero);
+    the step of t[tk] (None if it is not uniform, ``_uniform_step``); and
+    each column's period P_j > max|t - x| + g.support_radius/|d_j| over
+    the slices, as a power of two.  On a uniform t, lengths holds L_j =
+    P_j/step, at least t[tk].size; on other t, P_j itself (possibly below
+    1).  Empty slices give (tk, xk, None, None)."""
+    r = g.support_radius / np.min(np.abs(d))
+    tk = slice(int(np.searchsorted(t, x[0] - r)), int(np.searchsorted(t, x[-1] + r, "right")))
+    xk = slice(int(np.searchsorted(x, t[0] - r)), int(np.searchsorted(x, t[-1] + r, "right")))
+    t, x = t[tk], x[xk]
+    if not (t.size and x.size):
+        return tk, xk, None, None
     t_step = _uniform_step(t)
-    unit = t_step or 1.0
     reach = max(t[-1] - x[0], x[-1] - t[0]) + g.support_radius / np.abs(d)
-    lengths = np.exp2(np.floor(np.log2(reach / unit)) + 1).astype(np.int64)
-    if t_step:
-        lengths = np.maximum(lengths, 1 << (t.size - 1).bit_length())
-    return t_step, lengths
+    if not t_step:
+        # the exponential-matrix sums take any period
+        return tk, xk, None, np.exp2(np.floor(np.log2(reach)) + 1)
+    lengths = np.exp2(np.floor(np.log2(reach / t_step)) + 1).astype(np.int64)
+    return tk, xk, t_step, np.maximum(lengths, 1 << (t.size - 1).bit_length())
 
 
 def _kernel_meta(g: Window, t, x, d) -> dict:
     """How the spectral kernel computes a grid: its x-sum and FFT lengths."""
-    t_step, lengths = _kernel_plan(g, t, x, d)
-    return {"route": "spectral", "x_sum": "chirp-z" if _uniform_step(x) else "dense",
+    tk, xk, t_step, lengths = _kernel_plan(g, t, x, d)
+    return {"route": "spectral", "x_sum": "chirp-z" if _uniform_step(x[xk]) else "dense",
             "fft_lengths": sorted(set(lengths.tolist())) if t_step else []}
 
 
@@ -412,9 +426,12 @@ def _correlate(g: Window, t, x, d, omega, h) -> np.ndarray:
     the window's terms beyond SUPPORT_RADII (spectral) widths are dropped,
     as ``_integrand_probe`` truncates the same integral.
     """
-    t_step, lengths = _kernel_plan(g, t, x, d)
+    out = np.zeros((x.size, d.size), dtype=complex)
+    tk, xk, t_step, lengths = _kernel_plan(g, t, x, d)
+    if lengths is None:
+        return out
+    t, x, h, rows = t[tk], x[xk], h[tk], out[xk]
     ts = t.astype(np.longdouble) - t[0]
-    out = np.empty((x.size, d.size), dtype=complex)
     for delta, base, size, blocks in _lattices(g, t, x, d, omega, lengths, t_step):
         if t_step:
             # H and its first-order rounding term, the FFT of h eps
@@ -426,7 +443,7 @@ def _correlate(g: Window, t, x, d, omega, h) -> np.ndarray:
             i = (m - base) % size
             a = spec[i] - 1j * mu * dspec[i] if t_step else spec[i]
             a *= np.conj(coef)
-            out[:, cols] = (xsum(a) * phase).T
+            rows[:, cols] = (xsum(a) * phase).T
     return out
 
 
@@ -475,11 +492,15 @@ def _spread(g: Window, t, x, d, omega, H) -> np.ndarray:
     """
     if x.size < 2 or d.size < 2:
         raise GridTooCoarse("synthesis needs at least 2 points per axis")
+    out = np.zeros(t.shape, dtype=complex)
     order = np.argsort(t, kind="stable")
+    tk, xk, t_step, lengths = _kernel_plan(g, t[order], x, d)
+    if lengths is None:
+        return out
+    order, x, H = order[tk], x[xk], H[xk]
     t_sorted = t[order]
-    t_step, lengths = _kernel_plan(g, t_sorted, x, d)
     ts = t_sorted.astype(np.longdouble) - t_sorted[0]
-    acc = np.zeros(t.shape, dtype=complex)
+    acc = np.zeros(t_sorted.shape, dtype=complex)
     for delta, base, size, blocks in _lattices(g, t_sorted, x, d, omega, lengths, t_step):
         fold = np.zeros((2, size), dtype=complex)
         for cols, m, mu, coef, phase, xsum in blocks:
@@ -491,11 +512,10 @@ def _spread(g: Window, t, x, d, omega, H) -> np.ndarray:
                 np.add.at(fold[1], i, mu * b)
         if t_step:
             # the adjoint of the first-order rounding term of _correlate
-            s0, s1 = size * np.fft.ifft(fold)[:, :t.size]
+            s0, s1 = size * np.fft.ifft(fold)[:, :t_sorted.size]
             acc += s0 + 1j * _rounding(ts, t_step) * s1
         else:
             acc += _unit_phase(base * delta * ts) * _LatticeSum(delta, size, ts, None)(fold[0])
-    out = np.empty(t.shape, dtype=complex)
     out[order] = acc
     return out
 
@@ -590,26 +610,30 @@ NUMBER = "{:.17g}"
 
 def write_csv_rows(path, header: str, *columns) -> None:
     """Write ``header``, then row k of the columns as comma-separated
-    NUMBER fields."""
+    fields: a numeric array's values as NUMBER, an iterator's strings
+    (fields formatted beforehand) as they come."""
     # 1024-row blocks as lists: iterating numpy arrays yields slow numpy
     # scalars, and a whole grid of Python floats raised the peak RSS by 2 MB
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    row = ",".join([NUMBER] * len(columns)) + "\n"
+    numeric = [isinstance(c, np.ndarray) for c in columns]
+    row = ",".join(NUMBER if num else "{}" for num in numeric) + "\n"
+    size = next(c.size for c, num in zip(columns, numeric) if num)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for lo in range(0, columns[0].size, 1024):
-            fh.writelines(map(row.format, *(c[lo:lo + 1024].tolist() for c in columns)))
+        for lo in range(0, size, 1024):
+            block = (c[lo:lo + 1024].tolist() if num else islice(c, 1024)
+                     for c, num in zip(columns, numeric))
+            fh.writelines(map(row.format, *block))
 
 
 def grid_to_csv(grid: TFGrid, csv_path, meta_path=None) -> None:
     """Write `x,xi,re,im` rows (row-major over x then xi) and a meta record.
     Each axis value is formatted once, not once per cell."""
+    nx, nxi = grid.values.shape
+    x_fields = map(NUMBER.format, grid.x_axis.tolist())
     xi_fields = [NUMBER.format(v) for v in grid.xi_axis.tolist()]
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write("x,xi,re,im\n")
-        for x, row in zip(grid.x_axis.tolist(), grid.values):
-            cell = NUMBER.format(x) + ",{}," + NUMBER + "," + NUMBER + "\n"
-            fh.writelines(map(cell.format, xi_fields, row.real.tolist(), row.imag.tolist()))
+    vals = grid.values.reshape(-1)
+    write_csv_rows(csv_path, "x,xi,re,im", chain.from_iterable(map(repeat, x_fields, repeat(nxi))),
+                   chain.from_iterable(repeat(xi_fields, nx)), vals.real, vals.imag)
     if meta_path is not None:
         meta = dict(grid.meta)
         meta["axes"] = {"x": [float(v) for v in grid.x_axis],

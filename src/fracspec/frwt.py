@@ -85,16 +85,17 @@ def wt_point(g: Window, f: SignalOrDistribution, x: float, xi: float) -> complex
 
 
 def _frwt_signal_grid(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
-                      enforce_sampling: bool) -> np.ndarray:
-    """FRWT values of a signal: the correlation at d = 1/xi, omega = 0."""
+                      enforce_sampling: bool):
+    """FRWT values of a signal, the correlation at d = 1/xi, omega = 0,
+    and the record of how the kernel computed them."""
     if enforce_sampling:
         # the window bandwidth and carrier at the finest scale
         check_sampling(p, f, (4.0 / g.width + abs(g.carrier)) / float(xi_axis.min()))
-    vals = _correlate(g, f.t_grid, x_axis, 1.0 / xi_axis, np.zeros_like(xi_axis),
-                      _chirped(p, f))
+    d = 1.0 / xi_axis
+    vals = _correlate(g, f.t_grid, x_axis, d, np.zeros_like(xi_axis), _chirped(p, f))
     vals *= xi_axis ** -0.5
     vals *= np.exp(-1j * 0.5 * p.c1 * x_axis * x_axis)[:, None]
-    return vals
+    return vals, _kernel_meta(g, f.t_grid, x_axis, d)
 
 
 def frwt_forward(p: FracParam, g: Window, f: SignalOrDistribution,
@@ -109,8 +110,7 @@ def frwt_forward(p: FracParam, g: Window, f: SignalOrDistribution,
     require_wavelet(g)
     meta = {"transform": "FRWT", "alpha": p.alpha, "window": g.name}
     if isinstance(f, SampledSignal):
-        vals = _frwt_signal_grid(p, g, f, x_axis, xi_axis, enforce_sampling)
-        meta["kernel"] = _kernel_meta(g, f.t_grid, x_axis, 1.0 / xi_axis)
+        vals, meta["kernel"] = _frwt_signal_grid(p, g, f, x_axis, xi_axis, enforce_sampling)
     else:
         vals = frwt_cells(p, g, f, x_axis[:, None], xi_axis[None, :])
     return TFGrid(x_axis, xi_axis, vals, meta)
@@ -162,7 +162,7 @@ def frwt_via_frft(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
     grid = TFGrid(x_axis, xi_axis, vals,
                   {"transform": "FRWT", "alpha": p.alpha, "window": g.name,
                    "route": f"frft-{freq_constant}"})
-    direct = _frwt_signal_grid(p, g, f, x_axis, xi_axis, enforce_sampling)
+    direct, _ = _frwt_signal_grid(p, g, f, x_axis, xi_axis, enforce_sampling)
     return ViaFrftReport(grid=grid, freq_constant=freq_constant,
                          rel_l2_deviation=rel_l2(grid.values, direct))
 

@@ -439,7 +439,7 @@ class TestSpectralKernel:
         x = np.linspace(-20.0, 20.0, 704)
         d = np.array([-16.0, -3.0, 0.25, 16.0])
         omega = c * d
-        t_step, lengths = _kernel_plan(g, t, x, d)
+        _, _, t_step, lengths = _kernel_plan(g, t, x, d)
         bins = np.abs(d) * SUPPORT_RADII / g.width * lengths * t_step / np.pi
         top = np.abs(omega) + np.abs(d) * (abs(g.carrier) + SUPPORT_RADII / g.width)
         if case == "wide band":
@@ -472,6 +472,64 @@ class TestSpectralKernel:
         got = _spread(g, ts, x, d, omega, H)
         want = spread_oracle(g, ts, x, d, omega, H)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("window, t", [
+        ("gauss:0.01", np.array([0.0, 0.05])),
+        ("modulated:gauss:0.02:40.0", np.array([-0.1, -0.07, 0.0, 0.04, 0.13, 0.2]))])
+    def test_short_t_spans(self, window, t):
+        # t that is not uniform and spans well below 1: the period P of
+        # the dense sums falls below 1 too
+        g = window_by_name(window)
+        rng = np.random.default_rng(9)
+        x = np.linspace(-0.05, 0.05, 5)
+        d = np.array([-3.0, 1.0, 2.0])
+        omega = 0.7 * d
+        assert np.max(_kernel_plan(g, t, x, d)[3]) < 1.0
+        h = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+        got = _correlate(g, t, x, d, omega, h)
+        want = correlate_oracle(g, t, x, d, omega, h)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        H = rng.normal(size=(x.size, d.size)) + 1j * rng.normal(size=(x.size, d.size))
+        got = _spread(g, t, x, d, omega, H)
+        want = spread_oracle(g, t, x, d, omega, H)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_two_sample_signal_grid(self):
+        sig = fs.SampledSignal(0.0, 0.05, np.array([1.0, 2.0]))
+        xi = symmetric_log_xi_axis(1.0, 2.0, 2)
+        grid = frst_forward(fs.make_frac_param(1.0), window_by_name("gauss:0.01"), sig,
+                            np.linspace(-0.05, 0.05, 5), xi, enforce_sampling=False)
+        assert np.all(np.isfinite(grid.values))
+        assert grid.meta["kernel"]["fft_lengths"] == []
+
+    @pytest.mark.parametrize("x", [np.linspace(-1e5, 1e5, 129), np.linspace(-1e3, 1e3, 2001)])
+    def test_x_axis_mostly_outside_the_signal(self, hermite, x):
+        # only the x within reach of the signal enter the sums, so the
+        # periods stay at the signal's span and the window's
+        rng = np.random.default_rng(10)
+        t = np.linspace(-8.0, 8.0, 256)
+        d = np.array([-8.0, -1.0, 0.5, 8.0])
+        omega = 1.3 * d
+        r = hermite.support_radius / 0.5
+        tk, xk, t_step, lengths = _kernel_plan(hermite, t, x, d)
+        assert np.all(np.abs(x[xk]) <= 8.0 + r) and x[xk].size < 60
+        assert np.max(lengths) * t_step <= 2.0 * (16.0 + 3.0 * r)
+        h = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+        got = _correlate(hermite, t, x, d, omega, h)
+        want = correlate_oracle(hermite, t, x, d, omega, h)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        H = rng.normal(size=(x.size, d.size)) + 1j * rng.normal(size=(x.size, d.size))
+        got = _spread(hermite, t, x, d, omega, H)
+        want = spread_oracle(hermite, t, x, d, omega, H)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_axes_out_of_reach(self, hermite):
+        t = np.linspace(-8.0, 8.0, 256)
+        x = np.array([-1e5, 1e5])
+        d = np.array([0.5, 2.0])
+        assert _kernel_meta(hermite, t, x, d)["fft_lengths"] == []
+        assert not np.any(_correlate(hermite, t, x, d, d, np.ones(t.size, complex)))
+        assert not np.any(_spread(hermite, t, x, d, d, np.ones((2, 2), complex)))
 
     def test_signal_grid_meta_records_the_kernel(self, p_third, hermite):
         sig = fs.gaussian_signal(1.0, 256, 8.0)
