@@ -1,8 +1,12 @@
 """Fractional-angle parameter algebra and the fractional Fourier transform.
 
-The transform of a sampled signal is the trapezoid sum of its integral,
-evaluated as a chirp-z transform on uniform frequency grids and by the
-dense kernel matrix elsewhere (``frft``).
+The transform of a sampled signal is the trapezoid sum of its integral
+(``frft``).  That sum, like every sampled-signal transform in the package
+(the FRST/FRWT spectral kernel in ``frst`` and the inverse step of
+``frwt.frwt_via_frft``), is one lattice sum sum_k v_k e^{i k delta x_q}
+(``_LatticeSum``): Bluestein's chirp-z on a uniform output axis, with one
+rule for reducing chirp phases (``_chirp``), and the dense exponential sum
+on any other axis.
 
 The transform family is parametrized by an angle ``alpha``.  Away from
 multiples of pi the kernel is a chirp::
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SingularAngle, UndersampledChirp
+from .windows import KERNEL_BLOCK_ELEMENTS
 
 TWO_PI = 2.0 * np.pi
 
@@ -238,40 +243,105 @@ def _uniform_step(xi: np.ndarray):
     return step
 
 
-def _chirp_conv(pre: np.ndarray, chirp: np.ndarray, m: int) -> np.ndarray:
-    """sum_k pre[..., k] chirp[|j - k|] for j < m, by one FFT product along
-    the last axis: the convolution of Bluestein's chirp-z (Rabiner, Schafer
-    and Rader 1969), with chirp[n] = e^{i beta n^2/2} for n < max(N, m)."""
-    n = pre.shape[-1]
-    size = 1 << (n + m - 2).bit_length()   # a power of two >= N + m - 1
-    kern = np.zeros(size, dtype=complex)
-    kern[:m] = chirp[:m]
-    kern[size - n + 1:] = chirp[n - 1:0:-1]   # j - k = -(N-1) .. -1
-    spec = np.fft.fft(pre, size)
-    spec *= np.fft.fft(kern)
-    return np.fft.ifft(spec)[..., :m]
-
-
-def _chirp_z(p: FracParam, fw: np.ndarray, t0: float, dt: float, xi0: float,
-             dxi: float, m: int) -> np.ndarray:
-    """sum_k fw_k e^{i (c1 (t_k^2 + xi_j^2)/2 - c2 t_k xi_j)} at
-    t_k = t0 + k dt, xi_j = xi0 + j dxi, j < m, by Bluestein's chirp-z.
-
-    k j = (k^2 + j^2 - (j - k)^2)/2 makes the cross term a convolution with
-    the chirp e^{i beta n^2/2}, beta = c2 dt dxi (``_chirp_conv``).  Phases
-    are formed in long double from exact integer squares.
-    """
+def _chirp(beta, j) -> np.ndarray:
+    """e^{i beta j/2} at the integers j, reduced in turns before any
+    rounding that grows with j: beta/(4 pi) = hi + lo with a 24-bit hi, so
+    hi j is exact in long double and only the small lo j rounds."""
     ld = np.longdouble
-    c1, c2, t0, dt, xi0, dxi = (ld(v) for v in (p.c1, p.c2, t0, dt, xi0, dxi))
-    k = np.arange(fw.size, dtype=ld)
-    j = np.arange(m, dtype=ld)
-    beta = c2 * dt * dxi
-    t = t0 + k * dt
-    xi = xi0 + j * dxi
-    pre = fw * _unit_phase(c1 * t * t / 2 - c2 * dt * xi0 * k - beta * k * k / 2)
-    post = _unit_phase(c1 * xi * xi / 2 - c2 * t0 * xi - beta * j * j / 2)
-    n = np.arange(max(fw.size, m), dtype=ld)
-    return post * _chirp_conv(pre, _unit_phase(beta * n * n / 2), m)
+    turns = beta / (2 * TWO_PI_LD)
+    hi = ld(np.float32(turns))
+    j = np.asarray(j, dtype=ld)
+    whole = hi * j
+    return _unit_phase(TWO_PI_LD * (whole - np.round(whole) + (turns - hi) * j))
+
+
+class _LatticeSum:
+    """v -> sum_{k < n} v[..., k] e^{i k delta xs_q} at every q, and its
+    adjoint v -> sum_q v[..., q] e^{-i k delta xs_q} at every k < n; delta
+    and xs are long doubles.  Every transform of a sampled signal is this
+    sum: ``frft`` and the inverse step of ``frwt.frwt_via_frft`` over the
+    output axis (``_frft_sum``), and the FRST/FRWT spectral kernel
+    (``frst._correlate``, ``frst._spread``) over x and over uneven t.
+
+    With dx, the step of an xs uniform to rounding, by Bluestein's chirp-z
+    (Rabiner, Schafer and Rader 1969) about the middle points k = r, q = s:
+
+        k delta xs_q = k delta xs_s + r delta (xs_q - xs_s)
+                       + beta (k - r)(q - s) + (k - r) delta eps_q,
+
+    beta = delta dx and eps_q = xs_q - xs_s - (q - s) dx; beta k q, that is
+    beta (k^2 + q^2 - (q - k)^2)/2, is the convolution ``_conv``, and
+    e^{i (k - r) delta eps_q} is kept to first order by a second
+    convolution.  The phases depend on n, not on v, and are formed once.
+    Without dx, by the matrix of e^{i k delta xs_q} in blocks of at most
+    KERNEL_BLOCK_ELEMENTS values; it is also the chirp-z's test oracle.
+    """
+
+    def __init__(self, delta, n: int, xs: np.ndarray, dx):
+        self.delta, self.n, self.xs, self.dx = delta, n, xs, dx
+        if dx is None:
+            return
+        ld = np.longdouble
+        r, s = n // 2, xs.size // 2
+        k, q, j = np.arange(n), np.arange(xs.size), np.arange(max(n, xs.size))
+        off = xs - xs[s]
+        beta = delta * ld(dx)
+        self.eps = (off - (q - s) * ld(dx)).astype(float)
+        self.kr = ((k - r) * delta).astype(float)
+        # beta (k - r)(q - s) = beta (k q - s k - r q + r s)
+        self.pre = _unit_phase(k * delta * xs[s]) * _chirp(beta, k * (k - 2 * s))
+        self.post = _unit_phase(r * delta * off) * _chirp(beta, q * (q - 2 * r) + 2 * r * s)
+        self.chirp = _chirp(beta, j * j)
+
+    def __call__(self, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        if self.dx is None:
+            return self._dense(v, adjoint)
+        if adjoint:
+            w = v * np.conj(self.post)
+            c = self._conv(np.stack((w, w * self.eps)), self.chirp, self.n)
+            return np.conj(self.pre) * (c[0] - 1j * self.kr * c[1])
+        w = v * self.pre
+        c = self._conv(np.stack((w, w * self.kr)), np.conj(self.chirp), self.xs.size)
+        return self.post * (c[0] + 1j * self.eps * c[1])
+
+    @staticmethod
+    def _conv(pre: np.ndarray, chirp: np.ndarray, m: int) -> np.ndarray:
+        """sum_k pre[..., k] chirp[|j - k|] for j < m, by one FFT product
+        along the last axis, with chirp[n] = e^{i beta n^2/2} for n < max(N, m)."""
+        n = pre.shape[-1]
+        size = 1 << (n + m - 2).bit_length()   # a power of two >= N + m - 1
+        kern = np.zeros(size, dtype=complex)
+        kern[:m] = chirp[:m]
+        kern[size - n + 1:] = chirp[n - 1:0:-1]   # j - k = -(N-1) .. -1
+        spec = np.fft.fft(pre, size)
+        spec *= np.fft.fft(kern)
+        return np.fft.ifft(spec)[..., :m]
+
+    def _dense(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
+        xs = self.xs
+        k = np.arange(self.n, dtype=np.longdouble)
+        out = np.zeros(v.shape[:-1] + ((self.n,) if adjoint else xs.shape), dtype=complex)
+        rows = max(1, KERNEL_BLOCK_ELEMENTS // max(xs.size, 1))
+        for lo in range(0, self.n, rows):
+            e = _unit_phase(np.multiply.outer(k[lo:lo + rows] * self.delta, xs))
+            if adjoint:
+                out[..., lo:lo + rows] = v @ np.conj(e).T
+            else:
+                out += v[..., lo:lo + rows] @ e
+        return out
+
+
+def _frft_sum(c1, c2, t0, dt, fw: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """sum_k fw[..., k] e^{i (c1 (t_k^2 + xi^2)/2 - c2 t_k xi)} at
+    t_k = t0 + k dt, for every xi: e^{i (c1 xi^2/2 - c2 t0 xi)} times the
+    lattice sum of fw_k e^{i c1 t_k^2/2} at delta = -c2 dt over xi, which
+    is a chirp-z on a uniform xi of at least 3 points and dense elsewhere."""
+    ld = np.longdouble
+    c1, c2, t0, dt = (ld(v) for v in (c1, c2, t0, dt))
+    t = t0 + np.arange(fw.shape[-1], dtype=ld) * dt
+    xs = xi.astype(ld)
+    lattice = _LatticeSum(-c2 * dt, t.size, xs, _uniform_step(xi))
+    return _unit_phase(c1 * xs * xs / 2 - c2 * t0 * xs) * lattice(fw * _unit_phase(c1 * t * t / 2))
 
 
 def frft(p: FracParam, f: SampledSignal, xi_grid, *, enforce_sampling: bool = True) -> np.ndarray:
@@ -279,9 +349,9 @@ def frft(p: FracParam, f: SampledSignal, xi_grid, *, enforce_sampling: bool = Tr
 
     F_alpha f(xi) = integral f(x) K_alpha(x, xi) dx for regular angles;
     the identity/parity branches interpolate f(xi) / f(-xi) on the sample
-    grid.  On a uniform xi grid of at least 3 points the sum is a chirp-z
-    transform (``_chirp_z``, O((N + M) log(N + M))); other grids sum the
-    kernel matrix directly, which is also the chirp-z's test oracle.
+    grid.  The sum is one ``_LatticeSum`` over xi (``_frft_sum``): a
+    chirp-z, O((N + M) log(N + M)), on a uniform xi grid of at least 3
+    points, and the dense exponential sum on other grids.
 
     Parameters
     ----------
@@ -301,24 +371,8 @@ def frft(p: FracParam, f: SampledSignal, xi_grid, *, enforce_sampling: bool = Tr
         return _interp_complex(-xi, f.t_grid, f.samples)
     if enforce_sampling and xi.size:
         check_sampling(p, f, abs(p.c2) * np.max(np.abs(xi)))
-
     fw = f.samples * f.trapezoid_weights()
-    step = _uniform_step(xi)
-    if step is not None:
-        return p.c_alpha * _chirp_z(p, fw, f.t0, f.dt, xi[0], step, xi.size)
-    return p.c_alpha * _frft_dense(p, f.t_grid, fw, xi)
-
-
-def _frft_dense(p: FracParam, t: np.ndarray, fw: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """sum_k fw_k e^{i (c1 (t_k^2 + xi^2)/2 - c2 t_k xi)} by the kernel matrix."""
-    out = np.empty(xi.shape, dtype=complex)
-    # 128-row blocks bound the kernel matrix at 128 x N
-    for lo in range(0, xi.size, 128):
-        xb = xi[lo:lo + 128, None]
-        phase = (t[None, :] ** 2 + xb ** 2) * (0.5 * p.c1) - t[None, :] * xb * p.c2
-        out[lo:lo + 128] = np.exp(1j * phase) @ fw
-        del phase   # a phase kept alive into the next block adds 4 MB at N = 4096
-    return out
+    return p.c_alpha * _frft_sum(p.c1, p.c2, f.t0, f.dt, fw, xi)
 
 
 def rel_l2(got: np.ndarray, ref: np.ndarray) -> float:

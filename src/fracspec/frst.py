@@ -47,7 +47,7 @@ from .fraccore import (
     FracParam,
     CLASSICAL_FT_PARAM,
     SampledSignal,
-    _chirp_conv,
+    _LatticeSum,
     _uniform_step,
     _unit_phase,
     check_sampling,
@@ -94,7 +94,9 @@ class TFGrid:
 
 
 def check_axes(x_axis: np.ndarray, xi_axis: np.ndarray) -> None:
-    """Both axes strictly increasing, and |xi| at least XI_FLOOR."""
+    """Both axes finite and strictly increasing, and |xi| at least XI_FLOOR."""
+    if not (np.all(np.isfinite(x_axis)) and np.all(np.isfinite(xi_axis))):
+        raise ValueError("grid axes must be finite")
     if np.any(np.diff(x_axis) <= 0) or np.any(np.diff(xi_axis) <= 0):
         raise ValueError("grid axes must be strictly increasing")
     if np.any(np.abs(xi_axis) < XI_FLOOR):
@@ -104,6 +106,9 @@ def check_axes(x_axis: np.ndarray, xi_axis: np.ndarray) -> None:
 def positive_log_xi_axis(xi_min: float = 2.0 ** -4, xi_max: float = 2.0 ** 4,
                          n: int = 96) -> np.ndarray:
     """Geometric scale grid on the positive axis (FRWT)."""
+    if not 0 < xi_min < xi_max < np.inf:
+        raise ValueError(f"log xi axis needs 0 < xi_min < xi_max, both finite; "
+                         f"got {xi_min}, {xi_max}")
     return np.exp(np.linspace(np.log(xi_min), np.log(xi_max), n))
 
 
@@ -284,79 +289,6 @@ def _kernel_meta(g: Window, t, x, d) -> dict:
 def _rounding(a: np.ndarray, step: float) -> np.ndarray:
     """How far the long-double points a, with a[0] = 0, lie off k step."""
     return (a - np.arange(a.size, dtype=np.longdouble) * step).astype(float)
-
-
-def _chirp(beta, j) -> np.ndarray:
-    """e^{i beta j/2} at the integers j, reduced in turns before any
-    rounding that grows with j: beta/(4 pi) = hi + lo with a 24-bit hi, so
-    hi j is exact in long double and only the small lo j rounds."""
-    ld = np.longdouble
-    turns = beta / (2 * TWO_PI_LD)
-    hi = ld(np.float32(turns))
-    j = np.asarray(j, dtype=ld)
-    whole = hi * j
-    return _unit_phase(TWO_PI_LD * (whole - np.round(whole) + (turns - hi) * j))
-
-
-class _LatticeSum:
-    """v -> sum_{k < n} v[..., k] e^{i k delta xs_q} at every q, and its
-    adjoint v -> sum_q v[..., q] e^{-i k delta xs_q} at every k < n; delta
-    and xs are long doubles.
-
-    With dx, the step of an xs uniform to rounding, by Bluestein's chirp-z
-    about the middle points k = r, q = s:
-
-        k delta xs_q = k delta xs_s + r delta (xs_q - xs_s)
-                       + beta (k - r)(q - s) + (k - r) delta eps_q,
-
-    beta = delta dx and eps_q = xs_q - xs_s - (q - s) dx; beta k q, that is
-    beta (k^2 + q^2 - (q - k)^2)/2, is the convolution of
-    ``fraccore._chirp_conv``, and e^{i (k - r) delta eps_q} is kept to first
-    order by a second convolution.  The phases depend on n, not on v, and
-    are formed once.  Without dx, by the matrix of e^{i k delta xs_q} in
-    blocks of at most KERNEL_BLOCK_ELEMENTS values; it is also the
-    chirp-z's test oracle.
-    """
-
-    def __init__(self, delta, n: int, xs: np.ndarray, dx):
-        self.delta, self.n, self.xs, self.dx = delta, n, xs, dx
-        if dx is None:
-            return
-        ld = np.longdouble
-        r, s = n // 2, xs.size // 2
-        k, q, j = np.arange(n), np.arange(xs.size), np.arange(max(n, xs.size))
-        off = xs - xs[s]
-        beta = delta * ld(dx)
-        self.eps = (off - (q - s) * ld(dx)).astype(float)
-        self.kr = ((k - r) * delta).astype(float)
-        # beta (k - r)(q - s) = beta (k q - s k - r q + r s)
-        self.pre = _unit_phase(k * delta * xs[s]) * _chirp(beta, k * (k - 2 * s))
-        self.post = _unit_phase(r * delta * off) * _chirp(beta, q * (q - 2 * r) + 2 * r * s)
-        self.chirp = _chirp(beta, j * j)
-
-    def __call__(self, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        if self.dx is None:
-            return self._dense(v, adjoint)
-        if adjoint:
-            w = v * np.conj(self.post)
-            c = _chirp_conv(np.stack((w, w * self.eps)), self.chirp, self.n)
-            return np.conj(self.pre) * (c[0] - 1j * self.kr * c[1])
-        w = v * self.pre
-        c = _chirp_conv(np.stack((w, w * self.kr)), np.conj(self.chirp), self.xs.size)
-        return self.post * (c[0] + 1j * self.eps * c[1])
-
-    def _dense(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
-        xs = self.xs
-        k = np.arange(self.n, dtype=np.longdouble)
-        out = np.zeros(v.shape[:-1] + ((self.n,) if adjoint else xs.shape), dtype=complex)
-        rows = max(1, KERNEL_BLOCK_ELEMENTS // xs.size)
-        for lo in range(0, self.n, rows):
-            e = _unit_phase(np.multiply.outer(k[lo:lo + rows] * self.delta, xs))
-            if adjoint:
-                out[..., lo:lo + rows] = v @ np.conj(e).T
-            else:
-                out += v[..., lo:lo + rows] @ e
-        return out
 
 
 def _padded(count: int, nx: int) -> int:

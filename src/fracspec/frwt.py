@@ -33,6 +33,7 @@ from .fraccore import (
     CLASSICAL_FT_PARAM,
     FracParam,
     SampledSignal,
+    _frft_sum,
     check_sampling,
     frft,
     rel_l2,
@@ -155,9 +156,9 @@ def frwt_via_frft(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
     else:
         spec = np.conj(g.ft(p.c2 * u[:, None] * xi_axis))
     core = Fa[:, None] * spec * wu[:, None]
-    kern = np.conj(p.c_alpha) * np.exp(1j * (-0.5 * p.c1 * (u[None, :] ** 2 + x_axis[:, None] ** 2)
-                                             + p.c2 * u[None, :] * x_axis[:, None]))
-    vals = np.sqrt(2.0 * np.pi * xi_axis) * (kern @ core)
+    # the FRFT at -alpha of each xi column, at x: C_{-alpha} = conj(C_alpha)
+    inv = _frft_sum(-p.c1, -p.c2, f.t0, f.dt, core.T, x_axis)
+    vals = np.sqrt(2.0 * np.pi * xi_axis) * (np.conj(p.c_alpha) * inv.T)
 
     grid = TFGrid(x_axis, xi_axis, vals,
                   {"transform": "FRWT", "alpha": p.alpha, "window": g.name,

@@ -91,6 +91,22 @@ class TestUsageErrors:
                           "--x=2:-2:4", "--output", str(tmp_path / "g")]) == 1
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("cmd", [["frst", "--window", "hermite1"],
+                                     ["frwt", "--window", "mexican-hat"],
+                                     ["invert", "--transform", "frwt", "--window", "mexican-hat"]])
+    @pytest.mark.parametrize("spec", ["0:4:8", "-1:4:8"])
+    def test_non_positive_log_xi_bound(self, tmp_path, monkeypatch, cmd, spec):
+        # refused before any log or kernel runs (the suite makes
+        # RuntimeWarnings errors, so a log of a non-positive bound fails here)
+        def kernel(*args):
+            raise AssertionError("the grid kernel ran on a bad axis")
+
+        monkeypatch.setattr(fs.frst, "_correlate", kernel)
+        monkeypatch.setattr(fs.frwt, "_correlate", kernel)
+        assert exit_code(cmd + ["--alpha", "1.0", "--input", SYNTH, f"--xi={spec}",
+                                "--output", str(tmp_path / "g")]) == 1
+        assert not (tmp_path / "g.csv").exists()
+
     def test_non_finite_axis_bound(self, tmp_path):
         assert exit_code(["frft", "--alpha", "1.0", "--input", SYNTH, "--xi=nan:1:5",
                           "--output", str(tmp_path / "f")]) == 1

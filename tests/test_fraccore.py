@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 import fracspec as fs
 from fracspec import AngleKind, SingularAngle, UndersampledChirp
-from fracspec.fraccore import SINGULAR_THRESHOLD, _frft_dense, _uniform_step, cmul
+from fracspec import fraccore
+from fracspec.fraccore import SINGULAR_THRESHOLD, TWO_PI_LD, _uniform_step, cmul
 
 
 def unitary_ft_oracle(sig: fs.SampledSignal, xi):
@@ -122,10 +123,41 @@ class TestFrft:
             fs.frft(fs.make_frac_param(alpha), sig, np.array([0.5, bad]))
 
 
+def _frft_dense(p, t: np.ndarray, fw: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """sum_k fw_k e^{i (c1 (t_k^2 + xi^2)/2 - c2 t_k xi)} by the kernel matrix."""
+    out = np.empty(xi.shape, dtype=complex)
+    # 128-row blocks bound the kernel matrix at 128 x N
+    for lo in range(0, xi.size, 128):
+        xb = xi[lo:lo + 128, None]
+        phase = (t[None, :] ** 2 + xb ** 2) * (0.5 * p.c1) - t[None, :] * xb * p.c2
+        out[lo:lo + 128] = np.exp(1j * phase) @ fw
+        del phase   # a phase kept alive into the next block adds 4 MB at N = 4096
+    return out
+
+
+def frft_long_double_oracle(p, sig: fs.SampledSignal, xi: np.ndarray) -> np.ndarray:
+    """c_alpha sum_k fw_k e^{i (c1 (t_k^2 + xi^2)/2 - c2 t_k xi)} with
+    t_k = t0 + k dt, the phases, exponentials and sum all in long double."""
+    ld = np.longdouble
+    t = ld(sig.t0) + np.arange(sig.n, dtype=ld) * ld(sig.dt)
+    fw = (sig.samples * sig.trapezoid_weights()).astype(np.clongdouble)
+    out = np.empty(xi.size, dtype=complex)
+    for lo in range(0, xi.size, 64):
+        xb = xi[lo:lo + 64, None].astype(ld)
+        theta = (t * t + xb * xb) * (ld(p.c1) / 2) - t * xb * ld(p.c2)
+        theta -= TWO_PI_LD * np.round(theta / TWO_PI_LD)
+        out[lo:lo + 64] = (np.exp(1j * theta) @ fw).astype(complex)
+    return p.c_alpha * out
+
+
 def chirped_signal(n: int) -> fs.SampledSignal:
     t = np.linspace(-12.0, 12.0, n)
     return fs.SampledSignal(t[0], t[1] - t[0],
                             np.exp(1j * (1.3 * t + 0.2 * t * t)) * np.exp(-t * t / 2.0))
+
+
+UNIFORM_XI = (lambda sig: sig.t_grid, lambda sig: np.linspace(12.0, -12.0, sig.n),
+              lambda sig: np.linspace(-0.5, 1.5, 3), lambda sig: np.linspace(-5.0, 7.0, 301))
 
 
 class TestChirpZ:
@@ -139,14 +171,26 @@ class TestChirpZ:
         fw = sig.samples * sig.trapezoid_weights()
         # the dense oracle on every stride-th point keeps N = 8192 cheap
         stride = max(1, n // 512)
-        for xi in (sig.t_grid, np.linspace(12.0, -12.0, n), np.linspace(-0.5, 1.5, 3),
-                   np.linspace(-5.0, 7.0, 301)):
+        for grid in UNIFORM_XI:
+            xi = grid(sig)
             assert _uniform_step(xi) is not None
             got = fs.frft(p, sig, xi, enforce_sampling=False)[::stride]
             want = p.c_alpha * _frft_dense(p, sig.t_grid, fw, xi[::stride])
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_non_uniform_grid_takes_dense_path(self):
+    @pytest.mark.parametrize("n", [320, 1024, 4096])
+    @pytest.mark.parametrize("alpha", [0.35, 0.9, np.pi / 3, 4.0])
+    def test_matches_long_double_oracle(self, n, alpha):
+        p = fs.make_frac_param(alpha)
+        sig = chirped_signal(n)
+        stride = max(1, n // 128)   # the long-double sums are slow
+        uneven = np.sort(np.random.default_rng(n).uniform(-5.0, 7.0, 301))
+        for xi in [grid(sig) for grid in UNIFORM_XI] + [uneven]:
+            got = fs.frft(p, sig, xi, enforce_sampling=False)[::stride]
+            want = frft_long_double_oracle(p, sig, xi[::stride])
+            assert np.max(np.abs(got - want)) <= 5e-15 * np.max(np.abs(want))
+
+    def test_non_uniform_grid_takes_dense_path(self, monkeypatch):
         p = fs.make_frac_param(np.pi / 3)
         sig = chirped_signal(512)
         xi = np.linspace(-6.0, 6.0, 121)
@@ -154,7 +198,12 @@ class TestChirpZ:
         assert _uniform_step(xi) is None
         fw = sig.samples * sig.trapezoid_weights()
         got = fs.frft(p, sig, xi)
-        assert np.array_equal(got, p.c_alpha * _frft_dense(p, sig.t_grid, fw, xi))
+        want = p.c_alpha * _frft_dense(p, sig.t_grid, fw, xi)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # the lattice sum's dense branch, with the chirp-z shut off
+        monkeypatch.setattr(fraccore, "_uniform_step", lambda xi: None)
+        assert np.array_equal(got, fs.frft(p, sig, xi))
+        assert fs.frft(p, sig, np.empty(0)).shape == (0,)
 
     def test_uniform_step_detection(self):
         sig = chirped_signal(4096)

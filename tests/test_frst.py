@@ -8,9 +8,8 @@ from numpy.testing import assert_allclose
 
 import fracspec as fs
 from fracspec.distributions import DistributionDescriptor as DD
-from fracspec.fraccore import TWO_PI_LD, _uniform_step
+from fracspec.fraccore import TWO_PI_LD, _LatticeSum, _uniform_step
 from fracspec.frst import (
-    _LatticeSum,
     _correlate,
     _kernel_meta,
     _kernel_plan,
@@ -63,6 +62,25 @@ class TestTFGrid:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             fs.TFGrid(x, xi, bad, {})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_axis_entries(self, bad):
+        # NaN compares False both ways, so no ordering test catches it
+        x = np.linspace(-1.0, 1.0, 5)
+        xi = np.array([0.5, 1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            fs.TFGrid([0.0, bad, 1.0], xi, np.zeros((3, 3), complex), {})
+        with pytest.raises(ValueError, match="finite"):
+            fs.TFGrid(x, [0.5, 1.0, bad], np.zeros((5, 3), complex), {})
+        sig = fs.gaussian_signal(1.0, 256, 8.0)
+        p = fs.make_frac_param(1.0)
+        x_bad = np.append(x[:-1], bad)
+        with pytest.raises(ValueError, match="finite"):
+            frst_forward(p, window_by_name("hermite1"), sig, x_bad, xi)
+        with pytest.raises(ValueError, match="finite"):
+            fs.frwt_forward(p, window_by_name("mexican-hat"), sig, x_bad, xi)
+        with pytest.raises(ValueError, match="finite"):
+            fs.frwt_forward(p, window_by_name("mexican-hat"), sig, x, np.append(xi, bad))
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
