@@ -10,9 +10,11 @@ A descriptor represents a tempered/Lizorkin distribution through the action
 
 Descriptors are paired by one of three routes:
 
-* delta combs by contour derivatives of the probe (exact up to rounding);
-* homogeneous kinds, with a probe that carries a ``GaussianForm``
-  Q(t) e^{-a t^2 + b t + c} (every FRST/FRWT probe does), in
+* delta combs, sum_j w_j (-1)^k_j phi^(k_j)(a_j): the terms of order 0 by
+  the probe's own values, the others by ``GaussianForm.derivative``, exact
+  polynomial algebra on the probe's Gaussian form
+  Q(t) e^{-a t^2 + b t + c} (every FRST/FRWT probe carries one);
+* homogeneous kinds, with a probe that carries a ``GaussianForm``, in
   closed form: a sum of Kummer functions M(alpha, beta, b^2/4a), one
   vectorised ``hyp1f1`` call over all cells of a family.  The closed form
   is used where |z| = |b^2/4a| <= HOMOGENEOUS_Z_MAX = 10 and its terms
@@ -54,13 +56,7 @@ from scipy.special import gamma, hyp1f1
 
 from .errors import PairingDiverged
 from .fraccore import SampledSignal, cmul
-from .windows import (
-    CONTOUR_NODES,
-    CONTOUR_RADIUS,
-    KERNEL_BLOCK_ELEMENTS,
-    contour_derivative,
-    modulated_length,
-)
+from .windows import KERNEL_BLOCK_ELEMENTS, GaussianForm
 
 # relative; a pairing whose error estimate exceeds it even through the
 # adaptive-quadrature fallback raises PairingDiverged
@@ -68,44 +64,20 @@ PAIRING_ERROR_BUDGET = 1e-8
 
 
 @dataclass(frozen=True)
-class GaussianForm:
-    """phi(t) = sum_k q[..., k] t^k e^{-a t^2 + b t + c} with Re a > 0.
-
-    The leading axes of q, and the shapes of a, b and c, are the cells' of
-    a probe family (none for a single probe).
-    """
-
-    q: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def scaled(self, eps: float) -> "GaussianForm":
-        """The form of phi(t/eps)."""
-        k = np.arange(self.q.shape[-1])
-        return GaussianForm(self.q / eps ** k, self.a / eps ** 2, self.b / eps, self.c)
-
-    def modulated(self, a: float) -> "GaussianForm":
-        """The form of e^{iat} phi(t)."""
-        return replace(self, b=self.b + 1j * a)
-
-
-@dataclass(frozen=True)
 class TestFunction:
     """Smooth rapidly decaying probe with an effective support interval.
 
-    A probe family (see ``pair_cells``) holds arrays of center, radius and
-    scale, one entry per cell, and its fn maps t whose leading axes are the
-    cells' to each cell's probe values.  ``form``, when known, builds fn's
-    ``GaussianForm`` (on demand: only homogeneous pairings read it, in
-    closed form).  A transform of fn must transform the form too, or drop
-    it.
+    A probe family (see ``pair_cells``) holds arrays of center and radius,
+    one entry per cell, and its fn maps t whose leading axes are the cells'
+    to each cell's probe values.  ``form``, when known, builds fn's
+    ``GaussianForm`` (on demand: only homogeneous pairings, in closed form,
+    and delta derivatives read it).  A transform of fn must transform the
+    form too, or drop it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     center: float = 0.0
     radius: float = 10.0
-    scale: float = 1.0      # characteristic length, sets the derivative contour
     name: str = ""
     form: Optional[Callable[[], GaussianForm]] = field(default=None, repr=False)
 
@@ -227,7 +199,7 @@ def _json_weight(w):
 def _modulated_probe(phi: TestFunction, a: float) -> TestFunction:
     if a == 0.0:
         return phi
-    return replace(phi, scale=modulated_length(phi.scale, a),
+    return replace(phi,
                    fn=lambda t, _f=phi.fn, _a=a: np.exp(1j * _a * np.asarray(t)) * np.asarray(_f(t), dtype=complex),
                    form=None if phi.form is None else lambda _f=phi.form, _a=a: _f().modulated(_a))
 
@@ -482,16 +454,22 @@ def pair(f: SignalOrDistribution, phi: TestFunction) -> complex:
 
 def _delta_pairing(f: DistributionDescriptor, phi: TestFunction, n: int) -> np.ndarray:
     """sum_j w_j (-1)^k_j phi^(k_j)(a_j) at each of phi's n cells (n = 1 for
-    a single probe), by ``contour_derivative`` at radius CONTOUR_RADIUS *
-    scale per cell."""
+    a single probe): phi(a_j) by phi's fn, the derivatives by its
+    ``GaussianForm``, which a probe paired with delta^(k >= 1) must have."""
     # modulation goes onto the test function; density() handles it for the
     # function-type kinds
     probe = _modulated_probe(phi, f.modulation)
-    radius = CONTOUR_RADIUS * probe.scale
+    form = None
+    if any(term.order for term in f.terms):
+        if probe.form is None:
+            raise ValueError(f"a delta derivative needs the probe's GaussianForm; "
+                             f"probe {probe.name!r} has no form")
+        form = probe.form()
     val = np.zeros(n, dtype=complex)
     for term in f.terms:
-        val += cmul(term.weight * (-1.0) ** term.order, contour_derivative(
-            probe.fn, np.full(n, term.location), term.order, radius))
+        deriv = (probe.fn(np.full(n, term.location)) if term.order == 0
+                 else form.derivative(term.location, term.order))
+        val += cmul(term.weight * (-1.0) ** term.order, deriv)
     return val
 
 
@@ -500,13 +478,13 @@ def pair_cells(f: SignalOrDistribution, probe_of: Callable[[object], TestFunctio
     """<f, phi_c> for the cells c = 0 .. n-1 of a probe family.
 
     ``probe_of(cells)`` is the probe family of the cells selected by a slice
-    (arrays of center, radius and scale), or the single probe of an integer
-    cell.  A delta comb is paired at the cells of one block at once; a
-    block's contours hold at most KERNEL_BLOCK_ELEMENTS values.  A
-    homogeneous descriptor is paired in closed form at every cell of a
-    family with a ``GaussianForm`` in one evaluation.  Signals, other
-    function-type descriptors and the cells the closed form leaves out are
-    paired cell by cell through ``pair``.  Every cell counts as one pairing.
+    (arrays of center and radius), or the single probe of an integer cell.
+    A delta comb is paired at the cells of one block at once, at most
+    KERNEL_BLOCK_ELEMENTS cells.  A homogeneous descriptor is paired in
+    closed form at every cell of a family with a ``GaussianForm`` in one
+    evaluation.  Signals, other function-type descriptors and the cells the
+    closed form leaves out are paired cell by cell through ``pair``.  Every
+    cell counts as one pairing.
     """
     vals = np.empty(n, dtype=complex)
     rest = range(n)
@@ -520,10 +498,8 @@ def pair_cells(f: SignalOrDistribution, probe_of: Callable[[object], TestFunctio
         for c in rest:
             vals[c] = pair(f, probe_of(int(c)))
         return vals
-    nodes = CONTOUR_NODES if any(term.order for term in f.terms) else 1
-    block = KERNEL_BLOCK_ELEMENTS // nodes
-    for lo in range(0, n, block):
-        cells = slice(lo, min(lo + block, n))
+    for lo in range(0, n, KERNEL_BLOCK_ELEMENTS):
+        cells = slice(lo, min(lo + KERNEL_BLOCK_ELEMENTS, n))
         vals[cells] = _delta_pairing(f, probe_of(cells), cells.stop - lo)
     _record(0, 0.0, pairings=n)
     return vals
@@ -579,13 +555,12 @@ class ScaleSequence:
 
 
 def scaled_probe(phi: TestFunction, eps: float) -> TestFunction:
-    """phi(./eps): support and scale stretch by eps."""
+    """phi(./eps): its support stretches by eps."""
     return replace(
         phi,
         fn=lambda t, _f=phi.fn, _e=eps: np.asarray(_f(np.asarray(t) / _e)),
         center=phi.center * eps,
         radius=phi.radius * eps,
-        scale=phi.scale * eps,
         form=None if phi.form is None else lambda _f=phi.form, _e=eps: _f().scaled(_e),
     )
 

@@ -39,7 +39,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .distributions import GaussianForm, SignalOrDistribution, TestFunction, pair, pair_cells
+from .distributions import SignalOrDistribution, TestFunction, pair, pair_cells
 from .errors import GridTooCoarse, MalformedCSV, SingularAngle
 from .fraccore import (
     TWO_PI_LD,
@@ -59,6 +59,7 @@ from .windows import (
     KERNEL_BLOCK_ELEMENTS,
     SQRT_2PI,
     SUPPORT_RADII,
+    GaussianForm,
     Window,
     admissibility_cgpsi,
 )
@@ -145,8 +146,8 @@ def _integrand_probe(p: FracParam, g: Window, x, d, omega, amp) -> TestFunction:
     The point form of ``_correlate``: the FRST takes d = xi, omega = c2 xi,
     the FRWT d = 1/xi, omega = 0; amp carries each transform's constant.
     x, d, omega and amp are scalars for one cell, or 1-D arrays over a
-    family of cells; then center, radius and scale are arrays too, and fn
-    takes t whose first axis is the cells' (a contour adds a second).
+    family of cells; then center and radius are arrays too, and fn takes t
+    whose first axis is the cells'.
     """
     family = getattr(x, "ndim", 0) > 0
 
@@ -158,10 +159,7 @@ def _integrand_probe(p: FracParam, g: Window, x, d, omega, amp) -> TestFunction:
         # conj(g(conj u)) is analytic in t and equals conj(g(u)) for real t
         return am * np.conj(g.eval(np.conj(t - xs) * ds)) * np.exp(1j * (0.5 * p.c1 * t * t - om * t))
 
-    radius = g.support_radius / abs(d)
-    osc = 1.0 + abs(omega) + abs(p.c1) * (abs(x) + radius)
-    return TestFunction(fn=fn, center=x, radius=radius,
-                        scale=np.minimum(g.length_scale / abs(d), 1.0 / osc),
+    return TestFunction(fn=fn, center=x, radius=g.support_radius / abs(d),
                         form=lambda: _probe_form(p, g, x, d, omega, amp))
 
 

@@ -99,14 +99,20 @@ def _frwt_signal_grid(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis
     return vals, _kernel_meta(g, f.t_grid, x_axis, d)
 
 
+def _scale_axis(xi_axis) -> np.ndarray:
+    """xi_axis as floats; a scale that is not positive raises ValueError."""
+    xi_axis = np.asarray(xi_axis, dtype=float)
+    if np.any(xi_axis <= 0):
+        raise ValueError("FRWT scale axis must be positive")
+    return xi_axis
+
+
 def frwt_forward(p: FracParam, g: Window, f: SignalOrDistribution,
                  x_axis, xi_axis, *, enforce_sampling: bool = True) -> TFGrid:
     """FRWT on a time-scale grid (xi_axis strictly positive)."""
     p.require_regular("frwt_forward")
     x_axis = np.asarray(x_axis, dtype=float)
-    xi_axis = np.asarray(xi_axis, dtype=float)
-    if np.any(xi_axis <= 0):
-        raise ValueError("FRWT scale axis must be positive")
+    xi_axis = _scale_axis(xi_axis)
     check_axes(x_axis, xi_axis)
     require_wavelet(g)
     meta = {"transform": "FRWT", "alpha": p.alpha, "window": g.name}
@@ -146,7 +152,7 @@ def frwt_via_frft(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
     if freq_constant not in ("c1", "c2"):
         raise ValueError("freq_constant must be 'c1' or 'c2'")
     x_axis = np.asarray(x_axis, dtype=float)
-    xi_axis = np.asarray(xi_axis, dtype=float)
+    xi_axis = _scale_axis(xi_axis)
 
     u = f.t_grid
     Fa = frft(p, f, u, enforce_sampling=enforce_sampling)

@@ -7,9 +7,11 @@ Every window is a Gaussian polynomial
 and a Window holds only that form: P's coefficients, the width w and the
 carrier kappa.  Its evaluation, its closed-form Fourier transform (unitary
 convention, f_hat(w) = (2*pi)^{-1/2} * integral f(x) exp(-i*w*x) dx), its
-moments, its length scale, and its pairings with homogeneous distributions
-are all derived from the form.  The admissibility constants are integrals
-of the spectra against 1/|w|, paired by the engine in ``distributions``.
+moments, its ``GaussianForm`` (which gives the derivatives that delta
+pairings and seminorms need), and its pairings with homogeneous
+distributions are all derived from the form.  The admissibility constants
+are integrals of the spectra against 1/|w|, paired by the engine in
+``distributions``.
 The built-in library covers the unit-mass Gaussian, the Mexican hat, the
 Hermite wavelet d/dt exp(-t^2/2), the derivatives of the Gaussian, and
 modulated/dilated variants of any of them.
@@ -18,7 +20,7 @@ modulated/dilated variants of any of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -47,7 +49,7 @@ WAVELET_MOMENT_TOL = 1e-8
 SUPPORT_RADII = 10.0
 
 # Values computed in one block: the signal kernels' chirp-z buffers and the
-# contours of batched delta pairings hold at most this many (on a 2-vCPU
+# cells of batched delta pairings number at most this many (on a 2-vCPU
 # Xeon, a hermite1 evaluation took ~4.5 ns per point up to 28k points and
 # ~13 ns from 32k, where each numpy temporary reaches 256 kB).
 KERNEL_BLOCK_ELEMENTS = 16384
@@ -89,10 +91,60 @@ def _form_eval(poly: tuple, width: float, carrier: float) -> Callable:
     return ev
 
 
-def modulated_length(length, a: float):
-    """Length scale of e^{iax} f(x): e^{iaz} grows like e^{|a| r} at radius r.
-    ``length`` may be an array (one probe per cell)."""
-    return np.minimum(length, 1.0 / abs(a)) if a else length
+@dataclass(frozen=True)
+class GaussianForm:
+    """phi(t) = sum_k q[..., k] t^k e^{-a t^2 + b t + c} with Re a > 0.
+
+    The leading axes of q, and the shapes of a, b and c, are the cells' of
+    a probe family (none for a single probe).
+    """
+
+    q: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    def scaled(self, eps: float) -> "GaussianForm":
+        """The form of phi(t/eps)."""
+        k = np.arange(self.q.shape[-1])
+        return GaussianForm(self.q / eps ** k, self.a / eps ** 2, self.b / eps, self.c)
+
+    def modulated(self, a: float) -> "GaussianForm":
+        """The form of e^{iat} phi(t)."""
+        return replace(self, b=self.b + 1j * a)
+
+    def derivative(self, t0, order: int) -> np.ndarray:
+        """phi^(order)(t0) at each cell; t0 broadcasts against the cells.
+
+        Re-centred at t0, phi(t0 + u) = e^{phi_0} R(u) E(u) with
+        phi_0 = -a t0^2 + b t0 + c, R(u) = Q(t0 + u) = sum_j r_j u^j and
+        E(u) = e^{b_0 u - a u^2} = sum_m e_m u^m, b_0 = b - 2 a t0, where
+        e_0 = 1, e_1 = b_0 and (m+1) e_{m+1} = b_0 e_m - 2 a e_{m-1}.  So
+        phi^(n)(t0) = n! e^{phi_0} sum_{j<=n} r_j e_{n-j}, in long double.
+        Differentiated about the origin instead, a probe far from it
+        cancels to ~1e-12 of its derivative's size.
+        """
+        if order < 0:
+            raise ValueError(f"derivative order {order} is negative")
+        if order > MAX_DERIVATIVE_ORDER:
+            raise DerivativeOrderTooHigh(
+                f"derivative order {order} exceeds {MAX_DERIVATIVE_ORDER}")
+        t0 = np.asarray(t0, dtype=np.longdouble)
+        q = np.asarray(self.q, dtype=np.clongdouble)
+        a, b, c = (np.asarray(v, dtype=np.clongdouble) for v in (self.a, self.b, self.c))
+        b0 = b - 2.0 * a * t0
+        e = [np.ones_like(b0), b0]
+        for m in range(1, order):
+            e.append((b0 * e[m] - 2.0 * a * e[m - 1]) / (m + 1))
+        total = 0.0
+        for j in range(min(order, q.shape[-1] - 1) + 1):
+            # r_j = sum_{k>=j} binom(k, j) q_k t0^(k-j), by Horner in t0
+            r = 0.0
+            for k in range(q.shape[-1] - 1, j - 1, -1):
+                r = r * t0 + math.comb(k, j) * q[..., k]
+            total = total + r * e[order - j]
+        total = math.factorial(order) * np.exp(c + t0 * (b - a * t0)) * total
+        return total.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -100,14 +152,13 @@ class Window:
     """Gaussian-polynomial window g(u) = P(u) e^{-u^2/(2 width^2)} e^{i carrier u}.
 
     ``poly`` holds P's real coefficients in ascending order; P is even or
-    odd.  ``eval`` evaluates g on real or complex arrays; g is entire, so
-    derivatives are Cauchy integrals (see ``contour_derivative``).  It is
-    built from the form when not given; a given one must compute the same
-    function.  Quadratures truncate g at ``support_radius``, SUPPORT_RADII
-    widths, and g_hat at SUPPORT_RADII spectral widths 1/width around the
-    carrier.  ``length_scale``, the shortest length on which g varies, sizes
-    derivative contours.  A parameter that is not finite raises ValueError,
-    a width that is not positive NonPositiveScale.
+    odd.  ``eval`` evaluates g on real or complex arrays.  It is built from
+    the form when not given; a given one must compute the same function.
+    ``form`` is g as a ``GaussianForm``, which gives its derivatives.
+    Quadratures truncate g at ``support_radius``, SUPPORT_RADII widths, and
+    g_hat at SUPPORT_RADII spectral widths 1/width around the carrier.  A
+    parameter that is not finite raises ValueError, a width that is not
+    positive NonPositiveScale.
     """
 
     name: str
@@ -131,11 +182,12 @@ class Window:
     def support_radius(self) -> float:
         return SUPPORT_RADII * self.width
 
-    @property
-    def length_scale(self) -> float:
-        """min(width, 1/|carrier|): the envelope's width, or the carrier's
-        period over 2 pi where that is shorter."""
-        return float(modulated_length(self.width, self.carrier))
+    @cached_property
+    def form(self) -> GaussianForm:
+        """q = P, a = 1/(2 width^2), b = i carrier, c = 0."""
+        return GaussianForm(q=np.array(self.poly, dtype=float),
+                            a=np.array(0.5 / (self.width * self.width)),
+                            b=np.array(1j * self.carrier), c=np.array(0.0))
 
     @cached_property
     def _spectrum(self) -> tuple:
@@ -389,42 +441,6 @@ def admissibility_cgpsi(g: Window, psi: Window, c2: float) -> AdmissibilityConst
 
 
 # ---------------------------------------------------------------------------
-# derivatives
-
-# Trapezoid rule on |z - t0| = r for f^(n)(t0) = n!/(2 pi i) \oint f(z) (z - t0)^(-n-1) dz
-# (Lyness and Moler, SIAM J. Numer. Anal. 4, 1967; Fornberg, ACM TOMS 7(4), 1981).
-# For an entire f its error is rounding, ~1e-16 max|f| n!/r^n, large for r below ~1.5
-# length scales of f, plus aliasing of the z^(n+64) term, large above ~3 (Gaussian: r^64/2^32/32!).
-CONTOUR_NODES = 64
-CONTOUR_RADIUS = 2.0   # in length scales of f
-_CONTOUR_CIRCLE = np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
-# n!/M e^{-i n theta_m}, the phase -n*m reduced modulo M in integers
-_CONTOUR_WEIGHTS = np.array([math.factorial(n) / CONTOUR_NODES
-                             * _CONTOUR_CIRCLE[-n * np.arange(CONTOUR_NODES) % CONTOUR_NODES]
-                             for n in range(MAX_DERIVATIVE_ORDER + 1)])
-
-
-def contour_derivative(fn: Callable[[np.ndarray], np.ndarray], t0, order: int, r):
-    """order-th derivative of the entire function fn (which must accept
-    complex arrays) at each point of t0, on circles of radius r (a scalar,
-    or one radius per point); order 0 returns fn(t0).  fn is evaluated on
-    t0's shape plus a trailing axis of CONTOUR_NODES."""
-    if order < 0:
-        raise ValueError(f"derivative order {order} is negative")
-    if order > MAX_DERIVATIVE_ORDER:
-        raise DerivativeOrderTooHigh(
-            f"derivative order {order} exceeds {MAX_DERIVATIVE_ORDER}")
-    if order == 0:
-        return fn(t0)
-    r = np.asarray(r)
-    vals = fn(np.asarray(t0)[..., None] + r[..., None] * _CONTOUR_CIRCLE)
-    # one 1 x CONTOUR_NODES product per point (a stacked matmul), so each
-    # point rounds as it does alone; a 2-D product's blocked kernel sums in
-    # another order, which moves a cancelling derivative by ~1e-16 max|fn|
-    return (vals[..., None, :] @ _CONTOUR_WEIGHTS[order])[..., 0] / r ** order
-
-
-# ---------------------------------------------------------------------------
 # seminorms
 
 
@@ -441,12 +457,9 @@ def seminorm_rho(g: Window, k: int, p: int, n_probe: int = 16385) -> SeminormEst
         raise ValueError(f"seminorm weight power k = {k} is negative")
     r = g.support_radius
     x = np.linspace(-r, r, n_probe)
-    rc = CONTOUR_RADIUS * g.length_scale
-    # 128-point blocks keep the (points x CONTOUR_NODES) evaluation in cache
-    value = max(float(np.max(np.abs(xb ** k * contour_derivative(g.eval, xb, p, rc))))
-                for xb in np.split(x, range(128, x.size, 128)))
+    value = float(np.max(np.abs(x ** k * g.form.derivative(x, p))))
     return SeminormEstimate(indices=(k, p), value=value,
-                            grid_spec=f"[-{r:g},{r:g}] n={n_probe} contour r={rc:g} M={CONTOUR_NODES}")
+                            grid_spec=f"[-{r:g},{r:g}] n={n_probe} gaussian form")
 
 
 def seminorm_sigma(grid, l: int, m: int, s: int, r: int) -> SeminormEstimate:

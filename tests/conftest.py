@@ -7,10 +7,10 @@ from fracspec.distributions import TestFunction
 
 
 def window_probe(g):
-    """The window g as a probe centred at 0."""
+    """The window g as a probe centred at 0, with g's Gaussian form."""
     return TestFunction(fn=lambda t: np.asarray(g.eval(t), dtype=complex),
-                        center=0.0, radius=g.support_radius,
-                        scale=g.length_scale, name=g.name)
+                        center=0.0, radius=g.support_radius, name=g.name,
+                        form=lambda: g.form)
 
 
 def probe_battery(c2=2.0 / np.sqrt(3.0)):

@@ -58,7 +58,7 @@ class TestDeltaFixtures:
     @pytest.mark.parametrize("window", ["hermite1", "mexican-hat"])
     def test_te3_delta_prime_at_small_angle(self, alpha, window):
         # TE3 probes through M_{c2} g with c2 = csc(alpha) of 10 to 20: the
-        # window's modulation, not its envelope, sets the derivative contour
+        # window's modulation, not its envelope, dominates the derivative
         d1 = DD.delta(order=1)
         fx = AsymptoticFixture(f=d1, m=-2.0, L=SV_ONE, u=d1, label="delta'")
         rep = check_te3(fs.make_frac_param(alpha), fs.window_by_name(window), fx)

@@ -165,6 +165,13 @@ class TestUsageErrors:
                           "--output", str(tmp_path / "v")]) == code
         assert not (tmp_path / "v.report.json").exists()
 
+    def test_delta_order_above_cap(self, tmp_path):
+        # delta^(5) exceeds MAX_DERIVATIVE_ORDER: a numerical error, no report
+        assert exit_code(["verify", "rez1", "--alpha", "1.0", "--window", "hermite1",
+                          "--dist", '{"kind":"delta","terms":[[0,5,1]]}',
+                          "--output", str(tmp_path / "v")]) == 2
+        assert not (tmp_path / "v.report.json").exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("argv", [
         ["frft", "--input", SYNTH],

@@ -57,6 +57,21 @@ class TestPair:
                 assert_allclose(pair(DD.delta(location=loc, order=1), phi), expected,
                                 rtol=1e-12, err_msg=f"a = {a}, location = {loc}")
 
+    def test_delta_order_cap(self):
+        # MAX_DERIVATIVE_ORDER = 4 caps delta derivatives, in pair and pair_cells
+        with pytest.raises(fs.DerivativeOrderTooHigh):
+            pair(DD.delta(order=5), GAUSS)
+        with pytest.raises(fs.DerivativeOrderTooHigh):
+            distributions.pair_cells(DD.delta_comb([(0.0, 0, 1.0), (0.5, 5, 1.0)]),
+                                     lambda cells: GAUSS, 3)
+
+    def test_delta_derivative_needs_a_form(self):
+        # a probe without a Gaussian form pairs with delta but not delta'
+        plain = replace(GAUSS, form=None)
+        assert pair(DD.delta(location=0.5), plain) == pair(DD.delta(location=0.5), GAUSS)
+        with pytest.raises(ValueError, match="GaussianForm"):
+            pair(DD.delta(order=1), plain)
+
     def test_sqrt_abs_oracle(self):
         val = pair(DD.homogeneous("abs", 0.5), GAUSS)
         assert_allclose(val, PAIR_SQRT_ABS_GAUSS, rtol=1e-9)
@@ -102,7 +117,8 @@ class TestPair:
     def test_linearity_in_probe(self):
         h = DD.homogeneous("abs", 0.5)
         mex = window_probe(fs.mexican_hat_window())
-        combo = replace(GAUSS, fn=lambda t: 2.0 * GAUSS.fn(t) - 1j * mex.fn(t))
+        # without a form, so the combination goes through the quadrature rule
+        combo = replace(GAUSS, fn=lambda t: 2.0 * GAUSS.fn(t) - 1j * mex.fn(t), form=None)
         lhs = pair(h, combo)
         rhs = 2.0 * pair(h, GAUSS) - 1j * pair(h, mex)
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
@@ -156,7 +172,9 @@ class TestTanhSinhEngine:
         tol = (1e-10 * abs(ref) + 1e-13 * ref_scale
                + distributions.TANH_SINH_ACCEPT * distributions.PAIRING_ERROR_BUDGET * scale)
         assert abs(val - ref) <= tol
-        assert pair(f, probe) == val
+        # the moved probe keeps the battery window's form; without it, pair
+        # takes this rule rather than the closed form
+        assert pair(f, replace(probe, form=None)) == val
 
     def test_fallback_is_counted(self, p_third, hermite):
         # the te1 probe at eps = 1/4, x = xi = 1 is the window stretched

@@ -163,9 +163,8 @@ class TestForward:
                 for a, _, w in terms)
             assert_allclose(grid.values, expected, rtol=1e-12, atol=0)
 
-        # the batched grid against per-cell points, combs of order 0..4; 24 x
-        # 12 cells take two contour blocks, and the modulated window's carrier
-        # caps the contour radius
+        # the batched grid against per-cell points, combs of order 0..4, also
+        # for a window whose carrier varies 20 times faster than its envelope
         x = np.linspace(-2.0, 2.0, 24)
         xi = symmetric_log_xi_axis(0.3, 4.0, 6)
         for alpha in (np.pi / 3, 4.0):
@@ -232,8 +231,9 @@ class TestCombDerivatives:
     The probes are t -> amp conj(g((t - x) d)) e^{i (c1 t^2/2 - omega t)};
     WINDOWS holds u -> conj(g(u)) as an analytic function of u, so
     <delta^(k)(. - a), phi> = (-1)^k phi^(k)(a) is differentiated in 40-digit
-    arithmetic, independent of the contour rule.  The modulated window
-    varies 20 times faster than its envelope.
+    arithmetic from the probe itself, not from its Gaussian form, and is the
+    oracle of ``GaussianForm.derivative``.  The modulated window varies 20
+    times faster than its envelope.
     """
 
     WINDOWS = {"hermite1": lambda u: -u * mp.exp(-u * u / 2),
@@ -275,7 +275,7 @@ class TestCombDerivatives:
                 with mp.workdps(40):
                     want = self._oracle(p, self.WINDOWS[window], order, xi, frst)
                 err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-                assert err <= 1e-12, (order, forward.__name__, err)
+                assert err <= 1e-14, (order, forward.__name__, err)
 
 
 class TestSynthesis:

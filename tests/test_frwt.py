@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -72,9 +74,8 @@ class TestForward:
                 for a, _, w in terms)
             assert_allclose(grid.values, expected, rtol=1e-12, atol=0)
 
-        # the batched grid against per-cell points, combs of order 0..4; 24 x
-        # 12 cells take two contour blocks, and the modulated window's carrier
-        # caps the contour radius
+        # the batched grid against per-cell points, combs of order 0..4, also
+        # for a window whose carrier varies 20 times faster than its envelope
         x = np.linspace(-2.0, 2.0, 24)
         scales = positive_log_xi_axis(0.3, 4.0, 12)
         for alpha in (np.pi / 3, 4.0):
@@ -177,6 +178,14 @@ class TestViaFrft:
         # does not: the report makes the misprint observable
         assert rep_c2.rel_l2_deviation < 1e-6
         assert rep_c1.rel_l2_deviation > 0.1
+
+    def test_rejects_nonpositive_scales(self, p_third, mexican):
+        # rejected before any numerics, with frwt_forward's message
+        sig = fs.gaussian_signal(1.0, 1024, 8.0)
+        xi = np.array([-2.0, -1.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="FRWT scale axis must be positive"):
+            frwt_via_frft(p_third, mexican, sig, np.linspace(-1, 1, 3), xi,
+                          enforce_sampling=False)
 
     def test_zero_signal_both_variants(self, p_third, mexican):
         sig = fs.SampledSignal(-6.0, 6.0 / 128, np.zeros(257, complex))
@@ -387,8 +396,7 @@ class TestContinuityBound:
                 rhs = 0.0
                 for n1 in range(n + 1):
                     n2 = n - n1
-                    binom = 1.0 if n == 0 else 1.0
-                    rhs += (binom * seminorm_sigma(F, 0, 0, k, k + n2).value
+                    rhs += (math.comb(n, n1) * seminorm_sigma(F, 0, 0, k, k + n2).value
                             * seminorm_rho(mexican, k + n2, n1).value)
                 assert rhs > 0
                 ratios.append(lhs / rhs)

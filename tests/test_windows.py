@@ -169,19 +169,9 @@ class TestOperators:
         x = np.linspace(-12, 12, 241)
         assert_allclose(g.eval(x), np.exp(1j * carrier * x) * b.eval(x), rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("name, length", [
-        ("hermite1", 1.0),
-        ("modulated:hermite1:4.0", 0.25),
-        ("dilated:modulated:hermite1:2.5:0.25", 1.6),
-        ("modulated:modulated:hermite1:40.0:-40.0", 1.0),
-    ])
-    def test_length_scale_follows_the_form(self, name, length):
-        # min(width, 1/|carrier|): carriers that cancel leave the width
-        assert_allclose(window_by_name(name).length_scale, length, rtol=1e-15)
-
     def test_cancelled_carriers_pair_like_the_plain_window(self, hermite):
-        # a fourth-derivative contour is sized by the length scale, so the
-        # round trip through +-40 pairs exactly as hermite1 does
+        # carriers that cancel leave hermite1's form, so a fourth derivative
+        # pairs exactly as hermite1's does
         g = window_by_name("modulated:modulated:hermite1:40.0:-40.0")
         d4 = DD.delta(location=0.3, order=4)
         assert pair(d4, window_probe(g)) == pair(d4, window_probe(hermite))
@@ -191,7 +181,7 @@ class TestDerivativeOfGaussian:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_horner_matches_hermite_e(self, m):
         # (-1)^m He_m(x) e^{-x^2/2} through numpy's Hermite_e series, on
-        # real and complex arguments (derivative contours are complex)
+        # real and complex arguments
         he = np.polynomial.hermite_e.HermiteE.basis(m)
         u = np.linspace(-10.0, 10.0, 401)
         for x in (u, u[:, None] + 1j * np.linspace(-3.0, 3.0, 13)):
