@@ -13,10 +13,12 @@ Descriptors are paired by one of three routes:
 * delta combs, sum_j w_j (-1)^k_j phi^(k_j)(a_j): the terms of order 0 by
   the probe's own values, the others by ``GaussianForm.derivative``, exact
   polynomial algebra on the probe's Gaussian form
-  Q(t) e^{-a t^2 + b t + c} (every FRST/FRWT probe carries one);
+  Q(u) e^{-a u^2 + b u + c}, u = t - origin (every FRST/FRWT probe carries
+  one, centred at the probe);
 * homogeneous kinds, with a probe that carries a ``GaussianForm``, in
-  closed form: a sum of Kummer functions M(alpha, beta, b^2/4a), one
-  vectorised ``hyp1f1`` call over all cells of a family.  The closed form
+  closed form about the origin: a sum of Kummer functions
+  M(alpha, beta, b^2/4a), one vectorised ``hyp1f1`` call over all cells of
+  a family.  The closed form
   is used where |z| = |b^2/4a| <= HOMOGENEOUS_Z_MAX = 10 and its terms
   exceed its value at most HOMOGENEOUS_CANCELLATION_MAX = 1e3-fold;
 * everything else (closed-form descriptors, the cells the closed form
@@ -372,6 +374,7 @@ def _homogeneous_closed_form(f: "DistributionDescriptor",
                              form: GaussianForm) -> tuple[np.ndarray, np.ndarray]:
     """(<f, phi>, accepted) at each cell of the form; the value is NaN
     where the closed form is not accepted (see HOMOGENEOUS_Z_MAX)."""
+    form = form.about(0.0)
     a = np.asarray(form.a, dtype=complex)[..., None]
     b = np.asarray(form.b, dtype=complex)[..., None] + 1j * f.modulation
     accepted = np.abs(b * b / (4.0 * a))[..., 0] <= HOMOGENEOUS_Z_MAX

@@ -27,8 +27,9 @@ kernel of sampled signals" below).  Distribution descriptors pair f
 with ``_integrand_probe``, the same kernel at given cells: single points
 through ``pair``, grids and lattices of cells through ``pair_cells``, which
 pairs a delta comb at all cells in one evaluation.  Every such probe
-carries the Gaussian form that its window's form gives it
-(``_probe_form``), so homogeneous distributions pair in closed form.
+carries the Gaussian form that its window's form gives it, centred at the
+probe's x (``_probe_form``), so delta derivatives are exact and homogeneous
+distributions pair in closed form.
 """
 
 from __future__ import annotations
@@ -164,22 +165,16 @@ def _integrand_probe(p: FracParam, g: Window, x, d, omega, amp) -> TestFunction:
 
 
 def _probe_form(p: FracParam, g: Window, x, d, omega, amp) -> GaussianForm:
-    """``_integrand_probe`` as a Gaussian polynomial, for a window
-    g(u) = P(u) e^{-u^2/(2 w^2)} e^{i kappa u}: with s = d^2/w^2,
-    a = (s - i c1)/2, b = s x - i (kappa d + omega),
-    c = -s x^2/2 + i kappa d x and Q(t) = amp conj(P)(d (t - x))."""
+    """``_integrand_probe`` as a Gaussian polynomial centred at x, for a
+    window g(u) = P(u) e^{-u^2/(2 w^2)} e^{i kappa u}: in u = t - x, with
+    s = d^2/w^2, a = (s - i c1)/2, b = i (c1 x - omega - kappa d),
+    c = i x (c1 x/2 - omega) and q_k = amp p_k d^k (P is real)."""
     x, d, omega, amp = np.broadcast_arrays(x, d, omega, amp)
     s = (d / g.width) ** 2
-    dx = d * x
-    # Horner: Q <- Q (d t - d x) + conj(p_j), from the leading coefficient down
-    q = np.zeros(x.shape + (len(g.poly),), dtype=complex)
-    for pj in reversed(g.poly):
-        q[..., 1:] = d[..., None] * q[..., :-1] - dx[..., None] * q[..., 1:]
-        q[..., 0] *= -dx
-        q[..., 0] += np.conj(pj)
-    return GaussianForm(q=cmul(q, np.asarray(amp)[..., None]), a=0.5 * (s - 1j * p.c1),
-                        b=s * x - 1j * (g.carrier * d + omega),
-                        c=-0.5 * s * x * x + 1j * g.carrier * dx)
+    q = cmul(np.asarray(amp)[..., None], np.array(g.poly) * d[..., None] ** np.arange(len(g.poly)))
+    return GaussianForm(q=q, a=0.5 * (s - 1j * p.c1),
+                        b=1j * (p.c1 * x - omega - g.carrier * d),
+                        c=1j * x * (0.5 * p.c1 * x - omega), origin=x)
 
 
 def _pair_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, d, omega,

@@ -93,58 +93,66 @@ def _form_eval(poly: tuple, width: float, carrier: float) -> Callable:
 
 @dataclass(frozen=True)
 class GaussianForm:
-    """phi(t) = sum_k q[..., k] t^k e^{-a t^2 + b t + c} with Re a > 0.
+    """phi(t) = sum_k q[..., k] u^k e^{-a u^2 + b u + c}, u = t - origin,
+    with Re a > 0.
 
-    The leading axes of q, and the shapes of a, b and c, are the cells' of
-    a probe family (none for a single probe).
+    The leading axes of q, and the shapes of a, b, c and origin, are the
+    cells' of a probe family (none for a single probe).  A probe's form is
+    centred at the probe: about 0, its exponent would cancel terms of size
+    (x/width)^2 for a probe at x, and their rounding would stay in it.
     """
 
     q: np.ndarray
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+    origin: np.ndarray = 0.0
 
     def scaled(self, eps: float) -> "GaussianForm":
         """The form of phi(t/eps)."""
         k = np.arange(self.q.shape[-1])
-        return GaussianForm(self.q / eps ** k, self.a / eps ** 2, self.b / eps, self.c)
+        return GaussianForm(self.q / eps ** k, self.a / eps ** 2, self.b / eps, self.c,
+                            self.origin * eps)
 
     def modulated(self, a: float) -> "GaussianForm":
-        """The form of e^{iat} phi(t)."""
-        return replace(self, b=self.b + 1j * a)
+        """The form of e^{iat} phi(t) = e^{iau} e^{ia origin} phi(t)."""
+        return replace(self, b=self.b + 1j * a, c=self.c + 1j * a * self.origin)
+
+    def about(self, t0) -> "GaussianForm":
+        """The same phi centred at t0: with h = t0 - origin, b -> b - 2 a h,
+        c -> c + h (b - a h) and q_j -> sum_{k>=j} binom(k, j) q_k h^(k-j),
+        by Horner in h."""
+        h = np.asarray(t0) - self.origin
+        top = self.q.shape[-1] - 1
+        r = [0.0] * (top + 1)
+        for j in range(top + 1):
+            for k in range(top, j - 1, -1):
+                r[j] = r[j] * h + math.comb(k, j) * self.q[..., k]
+        return GaussianForm(np.stack(np.broadcast_arrays(*r), axis=-1), self.a,
+                            self.b - 2.0 * self.a * h, self.c + h * (self.b - self.a * h), t0)
 
     def derivative(self, t0, order: int) -> np.ndarray:
         """phi^(order)(t0) at each cell; t0 broadcasts against the cells.
 
-        Re-centred at t0, phi(t0 + u) = e^{phi_0} R(u) E(u) with
-        phi_0 = -a t0^2 + b t0 + c, R(u) = Q(t0 + u) = sum_j r_j u^j and
-        E(u) = e^{b_0 u - a u^2} = sum_m e_m u^m, b_0 = b - 2 a t0, where
-        e_0 = 1, e_1 = b_0 and (m+1) e_{m+1} = b_0 e_m - 2 a e_{m-1}.  So
-        phi^(n)(t0) = n! e^{phi_0} sum_{j<=n} r_j e_{n-j}, in long double.
-        Differentiated about the origin instead, a probe far from it
-        cancels to ~1e-12 of its derivative's size.
+        Centred at t0 (``about``), phi(t0 + v) = e^{c} R(v) E(v) with
+        E(v) = e^{b v - a v^2} = sum_m e_m v^m, where e_0 = 1, e_1 = b and
+        (m+1) e_{m+1} = b e_m - 2 a e_{m-1}.  So
+        phi^(n)(t0) = n! e^{c} sum_{j<=n} r_j e_{n-j}, in long double.
         """
         if order < 0:
             raise ValueError(f"derivative order {order} is negative")
         if order > MAX_DERIVATIVE_ORDER:
             raise DerivativeOrderTooHigh(
                 f"derivative order {order} exceeds {MAX_DERIVATIVE_ORDER}")
-        t0 = np.asarray(t0, dtype=np.longdouble)
-        q = np.asarray(self.q, dtype=np.clongdouble)
-        a, b, c = (np.asarray(v, dtype=np.clongdouble) for v in (self.a, self.b, self.c))
-        b0 = b - 2.0 * a * t0
-        e = [np.ones_like(b0), b0]
+        ld = GaussianForm(*(np.asarray(v, dtype=np.clongdouble)
+                            for v in (self.q, self.a, self.b, self.c)),
+                          np.asarray(self.origin, dtype=np.longdouble))
+        fm = ld.about(np.asarray(t0, dtype=np.longdouble))
+        e = [np.ones_like(fm.b), fm.b]
         for m in range(1, order):
-            e.append((b0 * e[m] - 2.0 * a * e[m - 1]) / (m + 1))
-        total = 0.0
-        for j in range(min(order, q.shape[-1] - 1) + 1):
-            # r_j = sum_{k>=j} binom(k, j) q_k t0^(k-j), by Horner in t0
-            r = 0.0
-            for k in range(q.shape[-1] - 1, j - 1, -1):
-                r = r * t0 + math.comb(k, j) * q[..., k]
-            total = total + r * e[order - j]
-        total = math.factorial(order) * np.exp(c + t0 * (b - a * t0)) * total
-        return total.astype(complex)
+            e.append((fm.b * e[m] - 2.0 * fm.a * e[m - 1]) / (m + 1))
+        total = sum(fm.q[..., j] * e[order - j] for j in range(min(order, fm.q.shape[-1] - 1) + 1))
+        return (math.factorial(order) * np.exp(fm.c) * total).astype(complex)
 
 
 @dataclass(frozen=True)

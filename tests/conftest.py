@@ -57,13 +57,21 @@ def _mp_pairing(f, form, dps=20):
     GaussianForm, by the Kummer closed form in ``dps``-digit mpmath
     arithmetic: int_0^inf t^nu e^{-a t^2 + b t} dt = (E_nu + O_nu)/2 with
     E_nu = a^{-(nu+1)/2} Gamma((nu+1)/2) M((nu+1)/2, 1/2, z),
-    O_nu = b a^{-(nu+2)/2} Gamma(nu/2+1) M(nu/2+1, 3/2, z), z = b^2/(4a)."""
+    O_nu = b a^{-(nu+2)/2} Gamma(nu/2+1) M(nu/2+1, 3/2, z), z = b^2/(4a).
+    The form is moved from its origin o to 0 in the same arithmetic:
+    Q(t - o) = sum_j r_j t^j, b -> b + 2 a o and c -> c - o (b + a o)."""
     with mpmath.workdps(dps):
+        o = mpmath.mpf(float(form.origin))
         a = mpmath.mpc(complex(form.a))
-        b = mpmath.mpc(complex(form.b)) + 1j * mpmath.mpf(f.modulation)
+        b = mpmath.mpc(complex(form.b))
+        c = mpmath.mpc(complex(form.c)) - o * (b + a * o)
+        q = [mpmath.mpc(complex(v)) for v in np.ravel(form.q)]
+        r = [sum(mpmath.binomial(k, j) * q[k] * (-o) ** (k - j) for k in range(j, len(q)))
+             for j in range(len(q))]
+        b = b + 2 * a * o + 1j * mpmath.mpf(f.modulation)
         z = b * b / (4 * a)
         total = 0
-        for k, q in enumerate(np.ravel(form.q)):
+        for k, q in enumerate(r):
             nu = mpmath.mpf(f.degree) + k
             even = (nu + 1) / 2
             odd = nu / 2 + 1
@@ -75,8 +83,8 @@ def _mp_pairing(f, form, dps=20):
                 moment = (E + O) / 2
             else:
                 moment = (-1) ** k * (E - O) / 2
-            total += mpmath.mpc(complex(q)) * moment
-        return complex(mpmath.exp(mpmath.mpc(complex(form.c))) * total)
+            total += q * moment
+        return complex(mpmath.exp(c) * total)
 
 
 @pytest.fixture(scope="session")

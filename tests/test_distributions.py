@@ -23,6 +23,10 @@ from fracspec import distributions
 from conftest import probe_battery, window_probe
 
 GAUSS = window_probe(fs.gaussian_window())
+# the same probe without its Gaussian form: pair takes homogeneous
+# descriptors through the tanh-sinh rule instead of the closed form
+GAUSS_RULE = replace(GAUSS, form=None)
+ROUTES = ((GAUSS, 1), (GAUSS_RULE, 0))
 
 # high-resolution oracle value computed from 2^(3/4) Gamma(3/4)
 PAIR_SQRT_ABS_GAUSS = 2.0608970245899916
@@ -73,23 +77,29 @@ class TestPair:
             pair(DD.delta(order=1), plain)
 
     def test_sqrt_abs_oracle(self):
-        val = pair(DD.homogeneous("abs", 0.5), GAUSS)
-        assert_allclose(val, PAIR_SQRT_ABS_GAUSS, rtol=1e-9)
+        # the closed form and the rule each meet the oracle
+        for probe, closed_form in ROUTES:
+            with tally_pairings() as tally:
+                val = pair(DD.homogeneous("abs", 0.5), probe)
+            assert tally.closed_form_pairings == closed_form
+            assert_allclose(val, PAIR_SQRT_ABS_GAUSS, rtol=1e-9)
 
     def test_plus_minus_split(self):
-        plus = pair(DD.homogeneous("plus", 0.5), GAUSS)
-        minus = pair(DD.homogeneous("minus", 0.5), GAUSS)
-        assert_allclose(plus + minus, PAIR_SQRT_ABS_GAUSS, rtol=1e-9)
-        assert_allclose(plus, minus, rtol=1e-9)
+        for probe, _ in ROUTES:
+            plus = pair(DD.homogeneous("plus", 0.5), probe)
+            minus = pair(DD.homogeneous("minus", 0.5), probe)
+            assert_allclose(plus + minus, PAIR_SQRT_ABS_GAUSS, rtol=1e-9)
+            assert_allclose(plus, minus, rtol=1e-9)
 
     @pytest.mark.parametrize("m", [-0.9, -0.5, -0.25, 0.5])
     def test_homogeneous_closed_form(self, m):
         # integral over a half-line of |t|^m e^{-t^2/2} = 2^{(m-1)/2} Gamma((m+1)/2);
         # for m < 0 the density is infinite at the probe's centre
         half = 2.0 ** ((m - 1) / 2) * math.gamma((m + 1) / 2)
-        for pattern, expected in (("abs", 2 * half), ("plus", half), ("minus", half)):
-            assert_allclose(pair(DD.homogeneous(pattern, m), GAUSS), expected,
-                            rtol=1e-12, err_msg=pattern)
+        for probe, closed_form in ROUTES:
+            for pattern, expected in (("abs", 2 * half), ("plus", half), ("minus", half)):
+                assert_allclose(pair(DD.homogeneous(pattern, m), probe), expected,
+                                rtol=1e-12, err_msg=f"{pattern}, closed form {closed_form}")
 
     def test_homogeneous_density_at_origin(self):
         # |0|^m is infinite for m < 0; the density is 0 there for every pattern
@@ -100,8 +110,9 @@ class TestPair:
                             rtol=1e-15, err_msg=pattern)
 
     def test_error_estimate_reported(self):
-        _, err = pair_with_error(DD.homogeneous("abs", 0.5), GAUSS)
-        assert err < 1e-9
+        # the rule's estimate; the closed form reports 0.0
+        _, err = pair_with_error(DD.homogeneous("abs", 0.5), GAUSS_RULE)
+        assert 0.0 < err < 1e-9
 
     def test_sampled_density(self):
         sig = fs.gaussian_signal(1.0, 4001, 10.0)
@@ -116,11 +127,11 @@ class TestPair:
 
     def test_linearity_in_probe(self):
         h = DD.homogeneous("abs", 0.5)
-        mex = window_probe(fs.mexican_hat_window())
-        # without a form, so the combination goes through the quadrature rule
-        combo = replace(GAUSS, fn=lambda t: 2.0 * GAUSS.fn(t) - 1j * mex.fn(t), form=None)
+        # without forms, so every pairing goes through the quadrature rule
+        mex = replace(window_probe(fs.mexican_hat_window()), form=None)
+        combo = replace(GAUSS_RULE, fn=lambda t: 2.0 * GAUSS.fn(t) - 1j * mex.fn(t))
         lhs = pair(h, combo)
-        rhs = 2.0 * pair(h, GAUSS) - 1j * pair(h, mex)
+        rhs = 2.0 * pair(h, GAUSS_RULE) - 1j * pair(h, mex)
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
     def test_modulated_wrapper(self):
@@ -152,7 +163,9 @@ class TestTanhSinhEngine:
         # e^{iat} cycles across the probe at every scale the checkers use
         eps = 2.0 ** log2_eps
         phi = BATTERY[k]
-        moved = replace(phi, fn=lambda t: phi.fn(np.asarray(t) - center), center=center)
+        # without the battery window's form, which is not the moved probe's
+        moved = replace(phi, fn=lambda t: phi.fn(np.asarray(t) - center), center=center,
+                        form=None)
         probe = scaled_probe(moved, eps)
         f = DD.homogeneous(pattern, degree).modulated(modulation / eps)
         lo, hi = distributions._pairing_interval(f, probe)
@@ -172,9 +185,7 @@ class TestTanhSinhEngine:
         tol = (1e-10 * abs(ref) + 1e-13 * ref_scale
                + distributions.TANH_SINH_ACCEPT * distributions.PAIRING_ERROR_BUDGET * scale)
         assert abs(val - ref) <= tol
-        # the moved probe keeps the battery window's form; without it, pair
-        # takes this rule rather than the closed form
-        assert pair(f, replace(probe, form=None)) == val
+        assert pair(f, probe) == val
 
     def test_fallback_is_counted(self, p_third, hermite):
         # the te1 probe at eps = 1/4, x = xi = 1 is the window stretched
@@ -246,20 +257,23 @@ class TestHomogeneousClosedForm:
             single = _integrand_probe(p_third, g, 1.3, -2.0, p_third.c2 * -2.0, -0.5)
             for probe, tt in ((family, np.broadcast_to(t, (3, t.size))), (single, t)):
                 for phi in (probe, scaled_probe(probe, 0.25), distributions._modulated_probe(probe, 1.7)):
-                    fm = phi.form()
-                    powers = tt[..., None] ** np.arange(fm.q.shape[-1])
-                    got = np.sum(fm.q[..., None, :] * powers, axis=-1) * np.exp(
-                        -np.asarray(fm.a)[..., None] * tt ** 2 + np.asarray(fm.b)[..., None] * tt
-                        + np.asarray(fm.c)[..., None])
                     want = phi.fn(tt)
-                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+                    # centred at the probe, and moved to the origin as the
+                    # closed form takes it
+                    for fm in (phi.form(), phi.form().about(0.0)):
+                        u = tt - np.asarray(fm.origin)[..., None]
+                        powers = u[..., None] ** np.arange(fm.q.shape[-1])
+                        got = np.sum(fm.q[..., None, :] * powers, axis=-1) * np.exp(
+                            -np.asarray(fm.a)[..., None] * u ** 2 + np.asarray(fm.b)[..., None] * u
+                            + np.asarray(fm.c)[..., None])
+                        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
     def test_beyond_the_bound_takes_the_rule(self, p_third, hermite):
         # |z| grows with the probe's distance from the origin in widths
         from fracspec.frst import _integrand_probe
         f = DD.homogeneous("abs", 0.5)
         probe = _integrand_probe(p_third, hermite, 6.0, 1.0, p_third.c2, 1.0)
-        form = probe.form()
+        form = probe.form().about(0.0)
         assert abs(form.b ** 2 / (4 * form.a)) > distributions.HOMOGENEOUS_Z_MAX
         with tally_pairings() as tally:
             val = pair(f, probe)
@@ -282,8 +296,9 @@ class TestScaledPair:
 
     def test_homogeneous_eps_independent(self):
         h = DD.homogeneous("abs", 0.5)
-        vals = [scaled_pair(h, GAUSS, e, m=0.5) for e in (0.25, 2.0 ** -6, 2.0 ** -11)]
-        assert_allclose(vals, PAIR_SQRT_ABS_GAUSS, rtol=1e-8)
+        for probe, _ in ROUTES:
+            vals = [scaled_pair(h, probe, e, m=0.5) for e in (0.25, 2.0 ** -6, 2.0 ** -11)]
+            assert_allclose(vals, PAIR_SQRT_ABS_GAUSS, rtol=1e-8)
 
 
 class TestSlowlyVarying:
