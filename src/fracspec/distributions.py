@@ -40,9 +40,10 @@ one closed-form evaluation, anything else cell by cell through ``pair``, so
 those pairings are the per-cell ones.  A batch rounds every cell as the
 cell alone would.
 
-Scaled pairings <f(eps x), phi(x)> reduce to (1/eps) <f(t), phi(t/eps)>,
-and a modulation wrapper realizes M_a f exactly by multiplying the test
-function with exp(i*a*t).
+Scaled pairings <f(eps x), phi(x)> reduce to (1/eps) <f(t), phi(t/eps)>.
+A descriptor carries no modulation: M_a f pairs as <f, e^{iat} phi>, which
+the transforms' probes realize as a shift of their frequency (see
+``asymptotics``).
 """
 
 from __future__ import annotations
@@ -96,12 +97,7 @@ class DeltaTerm:
 
 @dataclass(frozen=True)
 class DistributionDescriptor:
-    """Pairing oracle for one distribution; see module docstring.
-
-    ``modulation`` wraps the base distribution with M_a (a phase factor
-    exp(i*a*t) folded into every pairing), which is how modulated limit
-    distributions are realized exactly.
-    """
+    """Pairing oracle for one distribution; see module docstring."""
 
     kind: str                     # "delta" | "homogeneous" | "closed_form"
     terms: tuple[DeltaTerm, ...] = ()
@@ -109,7 +105,6 @@ class DistributionDescriptor:
     degree: float = 0.0
     func: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     singular_points: tuple = ()
-    modulation: float = 0.0
 
     # ---- constructors -----------------------------------------------------
 
@@ -144,10 +139,6 @@ class DistributionDescriptor:
         return DistributionDescriptor(kind="closed_form", func=func,
                                       singular_points=tuple(singular_points))
 
-    def modulated(self, a: float) -> "DistributionDescriptor":
-        """M_a f; exact wrapper applied at pairing time."""
-        return replace(self, modulation=self.modulation + float(a))
-
     @staticmethod
     def from_json(obj: dict) -> "DistributionDescriptor":
         """Descriptor from its JSON object; malformed input raises ValueError."""
@@ -177,14 +168,10 @@ class DistributionDescriptor:
         if self.kind == "homogeneous":
             support = {"abs": t != 0, "plus": t > 0, "minus": t < 0}[self.pattern]
             with np.errstate(divide="ignore"):
-                base = np.where(support, np.abs(t) ** self.degree, 0.0)
-        elif self.kind == "closed_form":
-            base = np.asarray(self.func(t), dtype=complex)
-        else:
-            raise ValueError("delta combs have no pointwise density")
-        if self.modulation:
-            base = base * np.exp(1j * self.modulation * t)
-        return base
+                return np.where(support, np.abs(t) ** self.degree, 0.0)
+        if self.kind == "closed_form":
+            return np.asarray(self.func(t), dtype=complex)
+        raise ValueError("delta combs have no pointwise density")
 
 
 def _json_number(v):
@@ -196,14 +183,6 @@ def _json_number(v):
 def _json_weight(w):
     re, im = w if isinstance(w, (list, tuple)) else (w, 0)   # a number or [re, im]
     return complex(_json_number(re), _json_number(im))
-
-
-def _modulated_probe(phi: TestFunction, a: float) -> TestFunction:
-    if a == 0.0:
-        return phi
-    return replace(phi,
-                   fn=lambda t, _f=phi.fn, _a=a: np.exp(1j * _a * np.asarray(t)) * np.asarray(_f(t), dtype=complex),
-                   form=None if phi.form is None else lambda _f=phi.form, _a=a: _f().modulated(_a))
 
 
 SignalOrDistribution = Union[SampledSignal, DistributionDescriptor]
@@ -376,7 +355,7 @@ def _homogeneous_closed_form(f: "DistributionDescriptor",
     where the closed form is not accepted (see HOMOGENEOUS_Z_MAX)."""
     form = form.about(0.0)
     a = np.asarray(form.a, dtype=complex)[..., None]
-    b = np.asarray(form.b, dtype=complex)[..., None] + 1j * f.modulation
+    b = np.asarray(form.b, dtype=complex)[..., None]
     accepted = np.abs(b * b / (4.0 * a))[..., 0] <= HOMOGENEOUS_Z_MAX
     # cells beyond the bound are evaluated at a = 1, b = 0 and discarded;
     # complex products go through cmul, so that a batch of cells rounds
@@ -459,18 +438,15 @@ def _delta_pairing(f: DistributionDescriptor, phi: TestFunction, n: int) -> np.n
     """sum_j w_j (-1)^k_j phi^(k_j)(a_j) at each of phi's n cells (n = 1 for
     a single probe): phi(a_j) by phi's fn, the derivatives by its
     ``GaussianForm``, which a probe paired with delta^(k >= 1) must have."""
-    # modulation goes onto the test function; density() handles it for the
-    # function-type kinds
-    probe = _modulated_probe(phi, f.modulation)
     form = None
     if any(term.order for term in f.terms):
-        if probe.form is None:
+        if phi.form is None:
             raise ValueError(f"a delta derivative needs the probe's GaussianForm; "
-                             f"probe {probe.name!r} has no form")
-        form = probe.form()
+                             f"probe {phi.name!r} has no form")
+        form = phi.form()
     val = np.zeros(n, dtype=complex)
     for term in f.terms:
-        deriv = (probe.fn(np.full(n, term.location)) if term.order == 0
+        deriv = (phi.fn(np.full(n, term.location)) if term.order == 0
                  else form.derivative(term.location, term.order))
         val += cmul(term.weight * (-1.0) ** term.order, deriv)
     return val
@@ -544,6 +520,8 @@ class ScaleSequence:
         if eps is None:
             eps = tuple(2.0 ** -k for k in range(2, 13))
         eps = tuple(float(e) for e in eps)
+        if not (eps and np.isfinite(eps).all()):
+            raise ValueError("scale sequence must be non-empty and finite")
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ValueError("scale sequence must be strictly decreasing")
         if eps[-1] < 2.0 ** -20:

@@ -20,7 +20,7 @@ modulated/dilated variants of any of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -113,10 +113,6 @@ class GaussianForm:
         k = np.arange(self.q.shape[-1])
         return GaussianForm(self.q / eps ** k, self.a / eps ** 2, self.b / eps, self.c,
                             self.origin * eps)
-
-    def modulated(self, a: float) -> "GaussianForm":
-        """The form of e^{iat} phi(t) = e^{iau} e^{ia origin} phi(t)."""
-        return replace(self, b=self.b + 1j * a, c=self.c + 1j * a * self.origin)
 
     def about(self, t0) -> "GaussianForm":
         """The same phi centred at t0: with h = t0 - origin, b -> b - 2 a h,

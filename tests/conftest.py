@@ -68,7 +68,7 @@ def _mp_pairing(f, form, dps=20):
         q = [mpmath.mpc(complex(v)) for v in np.ravel(form.q)]
         r = [sum(mpmath.binomial(k, j) * q[k] * (-o) ** (k - j) for k in range(j, len(q)))
              for j in range(len(q))]
-        b = b + 2 * a * o + 1j * mpmath.mpf(f.modulation)
+        b = b + 2 * a * o
         z = b * b / (4 * a)
         total = 0
         for k, q in enumerate(r):

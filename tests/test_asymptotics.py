@@ -116,6 +116,91 @@ class TestModulationCorrections:
         assert rep.extras["printed_ratio_deviation"] > 0.1
 
 
+def _limit_probe(theorem, p, g, m, x, xi):
+    """The derived limit at the probe (x, xi) as (window, X, d, omega, amp, a):
+    amp e^{iat} conj(w(d (t - X))) e^{-i omega t} paired with u is the limit,
+    a classical S_w (d = omega = Xi) or W_w (d = 1/s, omega = 0) point of
+    M_a u; see the asymptotics module docstring."""
+    c1, c2 = p.c1, p.c2
+    st = np.sqrt(1.0 - 1j * c1) / c2 ** m * abs(xi / c2) / np.sqrt(2 * np.pi)
+    if theorem == "rez1":
+        return g, x * c2, xi / c2, xi / c2, st, xi * (1.0 / c2 - 1.0)
+    if theorem == "teab1":
+        return g, x * c2, xi / c2, xi / c2, st, xi / c2
+    if theorem == "te3":
+        return fs.modulate(g, c2), x * c2, xi / c2, 0.0, c2 ** -(m + 0.5) * (c2 / xi) ** -0.5, 0.0
+    if theorem == "te4":
+        amp = np.sqrt(2 * np.pi / xi) / c2 ** m * abs(xi / c2) / np.sqrt(2 * np.pi)
+        return g, x * c2, xi / c2, xi / c2, amp, xi / c2
+    assert theorem == "te5"
+    return g, 0.0, xi, 0.0, p.c_alpha * np.sqrt(xi) * (1.0 / xi) ** -0.5, -xi * c2
+
+
+def _comb_pairing(terms, w, X, d, omega, amp, a):
+    """sum w_j (-1)^k_j psi^(k_j)(t_j), k_j <= 1, for psi(t) = amp e^{i nu t}
+    G(d (t - X)), nu = a - omega and G = conj(w) = P(u) e^{-u^2/(2 width^2) - i
+    carrier u}: psi' = amp e^{i nu t} (i nu G + d G'), G' = (P' + P (-u/width^2
+    - i carrier)) e^{...}."""
+    P = np.polynomial.Polynomial(w.poly)
+    nu = a - omega
+    total = 0.0
+    for t, k, weight in terms:
+        u = d * (t - X)
+        env = np.exp(-u * u / (2 * w.width ** 2) - 1j * w.carrier * u)
+        G = P(u) * env
+        if k == 0:
+            val = G
+        else:
+            assert k == 1
+            val = -(1j * nu * G + d * (P.deriv()(u) + P(u) * (-u / w.width ** 2 - 1j * w.carrier)) * env)
+        total += weight * amp * np.exp(1j * nu * t) * val
+    return total
+
+
+class TestModulatedLimits:
+    """Each checker pairs its limit at all probes as one family, with each
+    probe's modulation folded into its frequency.  The reported RHS must be
+    the per-probe value of the modulated limit, computed without the batch."""
+
+    COMB = ((0.7, 1, 1.0), (-0.4, 0, 0.5j))
+
+    @pytest.mark.parametrize("theorem", sorted(CHECKERS))
+    def test_off_origin_comb(self, p_third, hermite, mexican, theorem):
+        u = DD.delta_comb(self.COMB)
+        g = mexican if theorem == "te5" else hermite
+        rep = CHECKERS[theorem](p_third, g, AsymptoticFixture(u, -2.0, SV_ONE, u, "comb"))
+        want = np.array([_comb_pairing(self.COMB, *_limit_probe(theorem, p_third, g, -2.0, x, xi))
+                         for x, xi in rep.probes])
+        assert np.max(np.abs(rep.rhs - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("theorem", sorted(CHECKERS))
+    def test_one_sided_power(self, p_third, hermite, mexican, theorem):
+        # the per-probe oracle: e^{iat} times the classical probe, a plain
+        # function paired by the quadrature rule
+        u = DD.homogeneous("plus", 0.25)
+        g = mexican if theorem == "te5" else hermite
+        rep = CHECKERS[theorem](p_third, g, AsymptoticFixture(u, 0.25, SV_ONE, u, "x_+^1/4"))
+        want = []
+        for x, xi in rep.probes:
+            w, X, d, omega, amp, a = _limit_probe(theorem, p_third, g, 0.25, x, xi)
+            fn = (lambda t, w=w, X=X, d=d, omega=omega, amp=amp, a=a:
+                  amp * np.exp(1j * (a - omega) * t) * np.conj(w.eval(d * (t - X))))
+            want.append(fs.distributions.pair(
+                u, fs.distributions.TestFunction(fn=fn, center=X, radius=w.support_radius / abs(d))))
+        want = np.array(want)
+        assert np.max(np.abs(rep.rhs - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_no_single_probe_pairing(self, monkeypatch, p_third, hermite):
+        # |x|^1/2 pairs its LHS and both right-hand sides as families in
+        # closed form: no pairing goes through pair_with_error
+        calls = []
+        single = fs.distributions.pair_with_error
+        monkeypatch.setattr(fs.distributions, "pair_with_error",
+                            lambda f, phi: calls.append(1) or single(f, phi))
+        rep = check_rez1(p_third, hermite, sqrt_abs_fixture())
+        assert rep.verdict == "pass" and not calls
+
+
 # upper end of each theorem's open angle interval (0, hi)
 ANGLE_UPPER = {"rez1": np.pi, "teab1": np.pi, "te3": np.pi / 2, "te4": np.pi / 2,
                "te5": np.pi}

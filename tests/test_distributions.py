@@ -46,12 +46,13 @@ class TestPair:
         # <delta'(.-a), phi> = -phi'(a); phi = exp(-x^2/2)
         expected = 0.7 * np.exp(-0.49 / 2)
         assert_allclose(pair(d1, GAUSS), expected, rtol=1e-9)
-        # under M_b the probe e^{ibt} phi is differentiated, also where e^{ibt}
-        # varies faster than phi: (e^{ibt - t^2/2})'' = ((ib - t)^2 - 1) e^{ibt - t^2/2}
+        # the probe e^{ibt} phi is differentiated, also where e^{ibt} varies
+        # faster than phi: (e^{ibt - t^2/2})'' = ((ib - t)^2 - 1) e^{ibt - t^2/2}
+        d2 = DD.delta(location=0.3, order=2)
         for b in (1.0, 10.0, 40.0):
-            d2 = DD.delta(location=0.3, order=2).modulated(b)
+            probe = window_probe(fs.modulate(fs.gaussian_window(), b))
             expected = ((1j * b - 0.3) ** 2 - 1) * np.exp(1j * b * 0.3 - 0.045)
-            assert_allclose(pair(d2, GAUSS), expected, rtol=1e-12, err_msg=f"b = {b}")
+            assert_allclose(pair(d2, probe), expected, rtol=1e-12, err_msg=f"b = {b}")
         # the same through a window's own modulation: phi = e^{iat} h(t),
         # h(t) = -t e^{-t^2/2}, phi'(t) = (t^2 - 1 - iat) e^{iat - t^2/2}
         for a in (20.0, 40.0):
@@ -135,9 +136,10 @@ class TestPair:
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
     def test_modulated_wrapper(self):
-        dm = DD.delta(location=0.5).modulated(2.0)
+        # <M_2 delta(. - 0.5), phi> = <delta(. - 0.5), e^{2it} phi>
+        probe = window_probe(fs.modulate(fs.gaussian_window(), 2.0))
         expected = np.exp(1j * 2.0 * 0.5) * np.exp(-0.125)
-        assert_allclose(pair(dm, GAUSS), expected, rtol=1e-12)
+        assert_allclose(pair(DD.delta(location=0.5), probe), expected, rtol=1e-12)
 
     def test_homogeneous_degree_gate(self):
         with pytest.raises(ValueError):
@@ -158,16 +160,16 @@ class TestTanhSinhEngine:
            modulation=st.floats(-8.0, 8.0),
            log2_eps=st.floats(-20.0, 0.0))
     def test_matches_quad(self, pattern, degree, k, center, modulation, log2_eps):
-        # a battery probe moved to `center` and scaled by eps, against
-        # M_{modulation/eps} of the homogeneous density: the same number of
-        # e^{iat} cycles across the probe at every scale the checkers use
+        # a battery probe moved to `center`, times e^{i modulation t}, and
+        # scaled by eps: the same number of e^{iat} cycles across the probe
+        # at every scale the checkers use
         eps = 2.0 ** log2_eps
         phi = BATTERY[k]
         # without the battery window's form, which is not the moved probe's
-        moved = replace(phi, fn=lambda t: phi.fn(np.asarray(t) - center), center=center,
-                        form=None)
+        moved = replace(phi, fn=lambda t: np.exp(1j * modulation * np.asarray(t))
+                        * phi.fn(np.asarray(t) - center), center=center, form=None)
         probe = scaled_probe(moved, eps)
-        f = DD.homogeneous(pattern, degree).modulated(modulation / eps)
+        f = DD.homogeneous(pattern, degree)
         lo, hi = distributions._pairing_interval(f, probe)
         assume(hi > lo)
         val, err, scale, _ = distributions._tanh_sinh_pairing(f, probe, lo, hi)
@@ -228,13 +230,15 @@ class TestHomogeneousClosedForm:
            modulation=st.floats(-1.0, 3.0))
     def test_matches_mpmath_and_the_rule(self, mp_pairing, pattern, degree, window,
                                          alpha, x, d, sign, modulation):
-        # an FRST probe cell (x, xi = sign d) of the window against a
-        # modulated homogeneous density, up to the |z| bound
+        # an FRST probe cell (x, xi = sign d) of the window, its frequency
+        # shifted by the modulation, against a homogeneous density, up to
+        # the |z| bound
         from fracspec.frst import _frst_params, _integrand_probe
         p = fs.make_frac_param(alpha)
         g = fs.window_by_name(window)
-        probe = _integrand_probe(p, g, *_frst_params(p, x, sign * d, False))
-        f = DD.homogeneous(pattern, degree).modulated(modulation)
+        x, d, omega, amp = _frst_params(p, x, sign * d, False)
+        probe = _integrand_probe(p, g, x, d, omega - modulation, amp)
+        f = DD.homogeneous(pattern, degree)
         val, accepted = distributions._homogeneous_closed_form(f, probe.form())
         assume(accepted)
         # the rule is the independent oracle of the identity; its scale, the
@@ -247,7 +251,7 @@ class TestHomogeneousClosedForm:
 
     def test_probe_form_is_the_probe(self, p_third):
         # the form of a probe family, of a single cell, and of their scaled
-        # and modulated versions against the probe's own fn on real t
+        # versions against the probe's own fn on real t
         from fracspec.frst import _integrand_probe
         t = np.linspace(-3.0, 3.0, 61)
         for name in self.WINDOWS + ("gauss-unit", "gauss:2.0"):
@@ -256,7 +260,7 @@ class TestHomogeneousClosedForm:
             family = _integrand_probe(p_third, g, x, d, p_third.c2 * d, np.array([1.0, 2j, -0.5]))
             single = _integrand_probe(p_third, g, 1.3, -2.0, p_third.c2 * -2.0, -0.5)
             for probe, tt in ((family, np.broadcast_to(t, (3, t.size))), (single, t)):
-                for phi in (probe, scaled_probe(probe, 0.25), distributions._modulated_probe(probe, 1.7)):
+                for phi in (probe, scaled_probe(probe, 0.25)):
                     want = phi.fn(tt)
                     # centred at the probe, and moved to the origin as the
                     # closed form takes it
@@ -337,6 +341,13 @@ class TestScaleSequence:
             ScaleSequence((0.25, 0.25))
         with pytest.raises(ValueError):
             ScaleSequence((0.25, 2.0 ** -21))
+        # an empty sequence, and a NaN the decreasing check cannot see
+        with pytest.raises(ValueError):
+            ScaleSequence(())
+        with pytest.raises(ValueError):
+            ScaleSequence([0.25, 0.125, float("nan"), 0.01])
+        with pytest.raises(ValueError):
+            ScaleSequence([float("inf"), 0.25])
 
 
 class TestBattery:
