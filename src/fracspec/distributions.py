@@ -16,19 +16,16 @@ Descriptors are paired by one of three routes:
   Q(u) e^{-a u^2 + b u + c}, u = t - origin (every FRST/FRWT probe carries
   one, centred at the probe);
 * homogeneous kinds, with a probe that carries a ``GaussianForm``, in
-  closed form about the origin: a sum of Kummer functions
-  M(alpha, beta, b^2/4a), one vectorised ``hyp1f1`` call over all cells of
-  a family.  The closed form
-  is used where |z| = |b^2/4a| <= HOMOGENEOUS_Z_MAX = 10 and its terms
-  exceed its value at most HOMOGENEOUS_CANCELLATION_MAX = 1e3-fold;
+  closed form: one long-double power series in b/sqrt(a) over all cells of
+  a family, at the cells it resolves (see HOMOGENEOUS_SERIES_TERMS);
 * everything else (closed-form descriptors, the cells the closed form
   leaves out, probes built from a plain function) by a fixed tanh-sinh
   rule on panels split at their singular points, evaluated on all of its
   nodes at once.  The windows' admissibility constants are pairings of
   this kind: the density 1/|w| with a spectral numerator as probe.
   Where the rule's own error estimate misses its budget, adaptive
-  quadrature (``quad``) takes over; it is also the rule's test oracle, and
-  no other module calls it.
+  quadrature (``quad``) takes over; it is also the rule's test oracle, no
+  other module calls it, and it is the one use of scipy.
 
 ``pair`` also takes a ``SampledSignal``, which it pairs by the trapezoid
 rule on the signal's own grid; that is the one way a sampled signal is
@@ -48,17 +45,16 @@ the transforms' probes realize as a shift of their frequency (see
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma, hyp1f1
 
 from .errors import PairingDiverged
-from .fraccore import SampledSignal, cmul
+from .fraccore import TWO_PI_LD, SampledSignal, cmul
 from .windows import KERNEL_BLOCK_ELEMENTS, GaussianForm
 
 # relative; a pairing whose error estimate exceeds it even through the
@@ -193,7 +189,7 @@ class PairingTally:
     """Counters of the pairings made while a ``tally_pairings`` block is open.
 
     ``closed_form_pairings`` counts the homogeneous pairings made by the
-    Kummer closed form; ``integrand_evaluations`` counts the points at
+    series closed form; ``integrand_evaluations`` counts the points at
     which a quadrature rule evaluated density x probe (0 for exact delta
     and closed-form pairings); ``max_rel_error_estimate`` is the largest
     quadrature error estimate relative to the scale its budget is set
@@ -302,6 +298,12 @@ def _tanh_sinh_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: flo
     return fine, err, scale, nodes.size
 
 
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported by the first call (only the fallback needs scipy)."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
+
+
 def _quad_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: float,
                   hi: float) -> tuple[complex, float, float, int]:
     """Adaptive quadrature of the same integral; raises PairingDiverged over budget."""
@@ -324,70 +326,65 @@ def _quad_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: float,
     # returns their error estimates as one complex number
     val, err = quad(integrand, lo, hi, complex_func=True, **kw)
     err = err.real + err.imag
-    if err > PAIRING_ERROR_BUDGET * max(abs(val), scale, 1e-250):
+    if not (np.isfinite(val) and err <= PAIRING_ERROR_BUDGET * max(abs(val), scale, 1e-250)):
         raise PairingDiverged(
             f"pairing error estimate {err:.3e} exceeds budget for value {val:.3e}")
     return val, err, scale, evaluations + 65
 
 
-# Homogeneous pairings in closed form (DLMF 12.5.6 and 13.2.2).  With
-# z = b^2/(4a) and nu > -1,
-#   int_0^inf t^nu e^{-a t^2 + b t} dt = (E_nu + O_nu)/2,
-#   E_nu = a^{-(nu+1)/2} Gamma((nu+1)/2) M((nu+1)/2, 1/2, z),
-#   O_nu = b a^{-(nu+2)/2} Gamma(nu/2+1) M(nu/2+1, 3/2, z),
-# with M Kummer's 1F1; t -> -t flips the sign of b, which leaves E_nu and
-# negates O_nu.  So int |t|^m t^k e^{-a t^2 + b t} dt is E_{m+k} for even k
-# and O_{m+k} for odd k; x_+^m pairs with (E + O)/2 and x_-^m with
-# (-1)^k (E - O)/2.  scipy's hyp1f1 is within 2e-15 of M(|z|) against
-# 30-digit mpmath for |z| <= 12; where the value is a small difference of
-# large terms (a probe centred on the far side of a one-sided power, or a
-# high-degree Q far from the origin) the closed form loses that ratio, so a
-# cell is paired in closed form only where |z| <= HOMOGENEOUS_Z_MAX and its
-# terms exceed its value at most HOMOGENEOUS_CANCELLATION_MAX-fold.  The
-# quadrature rule pairs the other cells.
-HOMOGENEOUS_Z_MAX = 10.0
-HOMOGENEOUS_CANCELLATION_MAX = 1e3
+# Homogeneous pairings in closed form.  Moved to the origin, a probe is
+# sum_k q_k t^k e^{-a t^2 + b t + c}.  With w = b/sqrt(a), e^{bt} as its
+# Taylor series and DLMF 5.9.1, int_0^inf t^nu e^{-a t^2 + b t} dt =
+# I(nu, w) = 1/2 a^{-(nu+1)/2} sum_n w^n Gamma((nu+n+1)/2)/n!: x_+^m pairs as
+# sum_k q_k e^c I(m+k, w), x_-^m as sum_k (-1)^k q_k e^c I(m+k, -w), |x|^m as
+# their sum.  Each cell sums the same terms in long double (so a batch rounds
+# each cell as it rounds alone) and is accepted where its value is finite, its
+# last two terms are below 2^-64 of its |terms| (to |b^2/4a| ~ 11) and its
+# |terms| exceed its value at most HOMOGENEOUS_CANCELLATION_MAX-fold (the far
+# side of a one-sided power needs 2.2e4); the quadrature rule pairs the rest.
+HOMOGENEOUS_SERIES_TERMS = 112
+HOMOGENEOUS_CANCELLATION_MAX = 1e5
+
+
+def _gamma_ld(x) -> np.ndarray:
+    """Gamma(x), x > 0, in long double: Stirling's series for ln Gamma(x + 32)
+    to its B_12 term (the next is below 1e-22), over x (x+1) ... (x+31)."""
+    x = np.asarray(x, dtype=np.longdouble)
+    y = x + 32
+    series = sum(np.longdouble(p) / q / y ** (2 * j + 1) for j, (p, q) in enumerate(
+        ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360))))
+    return np.exp((y - 0.5) * np.log(y) - y + np.log(TWO_PI_LD) / 2 + series) / np.prod(
+        x[..., None] + np.arange(32, dtype=np.longdouble), axis=-1)
+
+
+@functools.cache
+def _series_coefficients(pattern: str, degree: float, terms: int) -> np.ndarray:
+    """Read-only C[k, n] = Gamma((degree+k+n+1)/2)/n! for k < terms, times
+    (-1)^(k+n) for x_-^m and 1 + (-1)^(k+n) for |x|^m."""
+    k, n = np.ogrid[:terms, :HOMOGENEOUS_SERIES_TERMS]
+    factorial = np.cumprod(np.maximum(n, 1), axis=-1, dtype=np.longdouble)
+    coeff = _gamma_ld((np.longdouble(degree) + 1 + k + n) / 2) / factorial
+    coeff *= {"plus": 1.0, "minus": (-1.0) ** (k + n), "abs": 1.0 + (-1.0) ** (k + n)}[pattern]
+    coeff.flags.writeable = False
+    return coeff
 
 
 def _homogeneous_closed_form(f: "DistributionDescriptor",
                              form: GaussianForm) -> tuple[np.ndarray, np.ndarray]:
-    """(<f, phi>, accepted) at each cell of the form; the value is NaN
-    where the closed form is not accepted (see HOMOGENEOUS_Z_MAX)."""
-    form = form.about(0.0)
-    a = np.asarray(form.a, dtype=complex)[..., None]
-    b = np.asarray(form.b, dtype=complex)[..., None]
-    accepted = np.abs(b * b / (4.0 * a))[..., 0] <= HOMOGENEOUS_Z_MAX
-    # cells beyond the bound are evaluated at a = 1, b = 0 and discarded;
-    # complex products go through cmul, so that a batch of cells rounds
-    # each cell as it rounds alone
-    a, b = np.where(accepted[..., None], a, 1.0), np.where(accepted[..., None], b, 0.0)
-    z = cmul(b, b) / (4.0 * a)
-    k = np.arange(form.q.shape[-1])
-    nu = f.degree + k
-
-    def kummer(alpha, beta, lead):
-        """lead a^{-alpha} Gamma(alpha) M(alpha, beta, z), and its size: the
-        magnitudes of M's series terms sum to M(alpha, beta, |z|), the scale
-        M's rounding error is set against."""
-        pre = cmul(lead, a ** -alpha) * gamma(alpha)
-        return cmul(pre, hyp1f1(alpha, beta, z)), np.abs(pre) * hyp1f1(alpha, beta, np.abs(z))
-
-    even, odd = (nu + 1.0) / 2.0, nu / 2.0 + 1.0
-    if f.pattern == "abs":
-        # E for even k, O for odd k
-        k_odd = k % 2 == 1
-        moments, sizes = kummer(np.where(k_odd, odd, even), np.where(k_odd, 1.5, 0.5),
-                                np.where(k_odd, b, 1.0))
-    else:
-        E, E_size = kummer(even, 0.5, 1.0)
-        O, O_size = kummer(odd, 1.5, b)
-        sign = 1.0 if f.pattern == "plus" else -1.0
-        moments = sign ** k * 0.5 * (E + sign * O)
-        sizes = 0.5 * (E_size + O_size)
-    ec = np.exp(form.c)
-    vals = cmul(ec, np.sum(cmul(form.q, moments), axis=-1))
-    terms = np.abs(ec) * np.sum(np.abs(form.q) * sizes, axis=-1)
-    accepted &= terms <= HOMOGENEOUS_CANCELLATION_MAX * np.abs(vals)
+    """(<f, phi>, accepted) at each cell of the form, NaN where not accepted."""
+    form = form.long_double().about(0.0)
+    # a cell beyond the series' reach (or of a huge degree) may overflow: not accepted
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = _series_coefficients(f.pattern, f.degree, form.q.shape[-1])
+        w = np.repeat((form.b / np.sqrt(form.a))[..., None], HOMOGENEOUS_SERIES_TERMS - 1, axis=-1)
+        powers = np.cumprod(np.insert(w, 0, 1.0, axis=-1), axis=-1)   # w^n as a running product
+        lead = 0.5 * form.q * np.exp(form.c)[..., None] * form.a[..., None] ** (
+            -(np.longdouble(f.degree) + 1 + np.arange(coeff.shape[0])) / 2)
+        vals = np.sum(lead * (powers @ coeff.T), axis=-1).astype(complex)
+        sizes = np.abs(lead)[..., None] * np.abs(powers)[..., None, :] * np.abs(coeff)
+        terms, tail = (np.sum(s, axis=(-2, -1)) for s in (sizes, sizes[..., -2:]))
+        accepted = (np.isfinite(vals) & (tail <= 2.0 ** -64 * terms)
+                    & (terms <= HOMOGENEOUS_CANCELLATION_MAX * np.abs(vals)))
     return np.where(accepted, vals, np.nan), accepted
 
 
@@ -397,8 +394,8 @@ def pair_with_error(f: SignalOrDistribution, phi: TestFunction) -> tuple[complex
     A sampled signal is paired by the trapezoid rule on its own grid, with
     no error estimate (0.0): the samples are all that is known of it.  A
     homogeneous descriptor pairs with a probe that has a ``GaussianForm``
-    in closed form where that is accepted (see HOMOGENEOUS_Z_MAX), also
-    with estimate 0.0.  Other function-type pairings go through the
+    in closed form where that is accepted (see HOMOGENEOUS_SERIES_TERMS),
+    also with estimate 0.0.  Other function-type pairings go through the
     tanh-sinh rule, and through adaptive quadrature where its estimate
     exceeds TANH_SINH_ACCEPT of the budget.  Every pairing is counted in
     the open ``tally_pairings`` blocks.

@@ -127,6 +127,11 @@ class GaussianForm:
         return GaussianForm(np.stack(np.broadcast_arrays(*r), axis=-1), self.a,
                             self.b - 2.0 * self.a * h, self.c + h * (self.b - self.a * h), t0)
 
+    def long_double(self) -> "GaussianForm":
+        """The same form in long double."""
+        q, a, b, c = (np.asarray(v, dtype=np.clongdouble) for v in (self.q, self.a, self.b, self.c))
+        return GaussianForm(q, a, b, c, np.asarray(self.origin, dtype=np.longdouble))
+
     def derivative(self, t0, order: int) -> np.ndarray:
         """phi^(order)(t0) at each cell; t0 broadcasts against the cells.
 
@@ -140,10 +145,7 @@ class GaussianForm:
         if order > MAX_DERIVATIVE_ORDER:
             raise DerivativeOrderTooHigh(
                 f"derivative order {order} exceeds {MAX_DERIVATIVE_ORDER}")
-        ld = GaussianForm(*(np.asarray(v, dtype=np.clongdouble)
-                            for v in (self.q, self.a, self.b, self.c)),
-                          np.asarray(self.origin, dtype=np.longdouble))
-        fm = ld.about(np.asarray(t0, dtype=np.longdouble))
+        fm = self.long_double().about(np.asarray(t0, dtype=np.longdouble))
         e = [np.ones_like(fm.b), fm.b]
         for m in range(1, order):
             e.append((fm.b * e[m] - 2.0 * fm.a * e[m - 1]) / (m + 1))

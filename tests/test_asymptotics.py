@@ -314,7 +314,7 @@ class TestTe1Hypotheses:
     def test_sqrt_abs_cell_pairs_in_closed_form(self, p_third, hermite, mp_pairing):
         # the (eps x, eps xi) probe spans 10/(eps xi) under a chirp; the
         # quadrature rule and its quad fallback refuse some of these cells
-        # (below), the Kummer closed form pairs every one of them
+        # (below), the closed form pairs every one of them
         f = sqrt_abs_fixture().f
         rep = check_te1_hypotheses(p_third, hermite, f, m=0.5, x_lattice=(1.0,),
                                    xi_lattice=(1.0, 16.0, -16.0))
@@ -379,6 +379,14 @@ class TestReportSerialization:
         assert check_te5(p_third, mexican, sqrt_abs_fixture()).extras["pairings"] == 8 * 11 + 8 + 2 * 11
         again = check_rez1(p_third, hermite, sqrt_abs_fixture())
         assert json.dumps(again.to_json_dict()) == json.dumps(rep.to_json_dict())
+
+    def test_one_sided_power_pairs_in_closed_form(self, p_third, hermite):
+        # the probes centred on the far side of x_+^1/4 pair in closed form too
+        plus = DD.homogeneous("plus", 0.25)
+        fx = AsymptoticFixture(f=plus, m=0.25, L=SV_ONE, u=plus, label="x_+^1/4")
+        extras = check_rez1(p_third, hermite, fx).extras
+        assert extras["closed_form_pairings"] == extras["pairings"] == 8 * 11 + 2 * 8
+        assert extras["integrand_evaluations"] == 0
 
     def test_log_fixture_counts_rule_pairings(self, p_third, hermite):
         # |x|^1/2 ln(1/|x|) is a closed_form descriptor: its LHS goes through

@@ -292,14 +292,37 @@ class TestCommands:
         assert rep["integrand_evaluations"] == 0
 
     def test_refused_pairing_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
-        # with the closed form's bound at 0 the same run pairs through the
-        # quadrature rule, whose quad fallback refuses a cell: exit 2
-        monkeypatch.setattr(fs.distributions, "HOMOGENEOUS_Z_MAX", 0.0)
+        # with the closed form's cancellation bound at 0 the same run pairs
+        # through the quadrature rule, whose quad fallback refuses a cell: exit 2
+        monkeypatch.setattr(fs.distributions, "HOMOGENEOUS_CANCELLATION_MAX", 0.0)
         with pytest.warns(IntegrationWarning):
             assert exit_code(["verify", "te1", "--alpha", "1.0472", "--window", "hermite1",
                               "--dist", '{"kind":"homogeneous","pattern":"abs","degree":0.5}',
                               "--output", str(tmp_path / "te1")]) == 2
         assert "error: pairing error estimate 8.869e-05 exceeds budget" in capsys.readouterr().err
+
+    def test_non_finite_pairing_is_a_numerical_error(self, tmp_path, capsys):
+        # t^400 overflows within the limit probes' reach: the pairing is
+        # NaN, and a NaN is refused, not tallied as a pass
+        with pytest.warns(RuntimeWarning):
+            assert exit_code(["verify", "rez1", "--alpha", "1.0", "--window", "hermite1",
+                              "--dist", '{"kind":"homogeneous","pattern":"plus","degree":400}',
+                              "--output", str(tmp_path / "d400")]) == 2
+        assert "error: pairing error estimate nan" in capsys.readouterr().err
+        assert not (tmp_path / "d400.report.json").exists()
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported by the quadrature fallback on its first call only
+        import os
+        import pathlib
+        import subprocess
+        import sys
+        src = str(pathlib.Path(fs.__file__).parents[1])
+        code = ("import sys, fracspec.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.strip() == "[]"
 
     def test_verify_not_applicable_exit_code(self, tmp_path):
         code = run(["verify", "rez1", "--alpha", "1.0472", "--window", "hermite1",

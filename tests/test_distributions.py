@@ -214,7 +214,7 @@ class TestTanhSinhEngine:
 
 
 class TestHomogeneousClosedForm:
-    """The Kummer closed form against 20-digit mpmath and the tanh-sinh rule."""
+    """The series closed form against mpmath's Kummer form and the tanh-sinh rule."""
 
     WINDOWS = ("hermite1", "mexican-hat", "dog:3", "modulated:hermite1:1.5",
                "dilated:mexican-hat:0.5", "modulated:dilated:dog:2:2.0:-0.75")
@@ -231,8 +231,8 @@ class TestHomogeneousClosedForm:
     def test_matches_mpmath_and_the_rule(self, mp_pairing, pattern, degree, window,
                                          alpha, x, d, sign, modulation):
         # an FRST probe cell (x, xi = sign d) of the window, its frequency
-        # shifted by the modulation, against a homogeneous density, up to
-        # the |z| bound
+        # shifted by the modulation, against a homogeneous density, where
+        # the closed form accepts the cell
         from fracspec.frst import _frst_params, _integrand_probe
         p = fs.make_frac_param(alpha)
         g = fs.window_by_name(window)
@@ -273,16 +273,55 @@ class TestHomogeneousClosedForm:
                         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
     def test_beyond_the_bound_takes_the_rule(self, p_third, hermite):
-        # |z| grows with the probe's distance from the origin in widths
+        # |z| = |b^2/4a| grows with the probe's distance from the origin in
+        # widths; at x = 6 it is about 16, beyond the series' reach
         from fracspec.frst import _integrand_probe
         f = DD.homogeneous("abs", 0.5)
         probe = _integrand_probe(p_third, hermite, 6.0, 1.0, p_third.c2, 1.0)
         form = probe.form().about(0.0)
-        assert abs(form.b ** 2 / (4 * form.a)) > distributions.HOMOGENEOUS_Z_MAX
+        assert abs(form.b ** 2 / (4 * form.a)) > 16
+        val, accepted = distributions._homogeneous_closed_form(f, probe.form())
+        assert not accepted and np.isnan(val)
         with tally_pairings() as tally:
             val = pair(f, probe)
         assert tally.closed_form_pairings == 0 and tally.integrand_evaluations > 0
         assert val == pair(f, replace(probe, form=None))
+
+
+    def test_gamma_long_double(self):
+        # Stirling's series in long double on (0, 64], which covers the
+        # series' Gamma((m+k+n+1)/2) for degrees below 3 and n < 112
+        import mpmath
+        with mpmath.workdps(30):
+            for x in np.concatenate([np.linspace(0.0, 8.0, 321)[1:], np.linspace(8.1, 64.0, 560)]):
+                got = distributions._gamma_ld(x)
+                ref = mpmath.gamma(mpmath.mpf(float(x)))
+                assert abs((mpmath.mpf(str(got)) - ref) / ref) <= 1e-16, x
+
+    def test_far_side_cell_pairs_in_closed_form(self, mp_pairing):
+        # REZ1's probe (x, xi) = (-1.5, 2) at alpha = 1 lies on the far side
+        # of x_+^1/4: its even and odd sums cancel thousands-fold
+        from fracspec.frst import _frst_params, _integrand_probe
+        p = fs.make_frac_param(1.0)
+        f = DD.homogeneous("plus", 0.25)
+        probe = _integrand_probe(p, fs.hermite_wavelet_window(), *_frst_params(p, -1.5, 2.0, True))
+        with tally_pairings() as tally:
+            val = pair(f, probe)
+        assert tally.closed_form_pairings == 1 and tally.integrand_evaluations == 0
+        assert abs(val - mp_pairing(f, probe.form(), dps=30)) <= 1e-13 * abs(val)
+
+    def test_non_finite_pairing_is_refused(self):
+        # REZ1's limit probe (x, xi) = (0.5, 2) at alpha = 1 reaches t = 6.5,
+        # where t^400 overflows: the rule and quad return NaN, which no
+        # error budget accepts
+        from fracspec.asymptotics import CLASSICAL_FT_PARAM
+        from fracspec.frst import _frst_params, _integrand_probe
+        c2 = fs.make_frac_param(1.0).c2
+        x, d, omega, amp = _frst_params(CLASSICAL_FT_PARAM, 0.5 * c2, 2.0 / c2, False)
+        probe = _integrand_probe(CLASSICAL_FT_PARAM, fs.hermite_wavelet_window(), x, d,
+                                 omega - 2.0 * (1.0 / c2 - 1.0), amp)
+        with pytest.warns(RuntimeWarning), pytest.raises(fs.PairingDiverged):
+            pair(DD.homogeneous("plus", 400.0), probe)
 
 
 class TestScaledPair:
