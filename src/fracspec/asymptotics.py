@@ -301,9 +301,9 @@ def check_teab1(p: FracParam, g: Window, fixture: AsymptoticFixture,
     amp = np.sqrt(1.0 - 1j * p.c1) / p.c2 ** fixture.m
 
     def lhs_fn(x, xi, eps):
-        # the window depends on eps: one batch of probes per eps
-        return np.hstack([frst_cells(p, dilate(g, 1.0 / (e * e)), fixture.f, e * x, e * xi,
-                                     drop_xi_chirp=True) for e in eps])
+        # g_{1/eps^2}((t - x) d) = g((t - x) d/eps^2): one family over the lattice
+        x, d, omega, cell_amp = _frst_params(p, eps * x, eps * xi, True)
+        return _pair_cells(p, g, fixture.f, x, d / (eps * eps), omega, cell_amp)
 
     def rhs_fn(x, xi):
         return cmul(amp, _st_cells(g, fixture.u, x * p.c2, xi / p.c2, xi / p.c2))

@@ -8,34 +8,32 @@ A descriptor represents a tempered/Lizorkin distribution through the action
   integrable),
 * closed-form functions of polynomial growth.
 
-Descriptors are paired by one of three routes:
+Descriptors are paired by one of three routes, which ``pair_cells``
+chooses for a whole family of probes (``pair`` is its one-cell case):
 
 * delta combs, sum_j w_j (-1)^k_j phi^(k_j)(a_j): the terms of order 0 by
   the probe's own values, the others by ``GaussianForm.derivative``, exact
   polynomial algebra on the probe's Gaussian form
   Q(u) e^{-a u^2 + b u + c}, u = t - origin (every FRST/FRWT probe carries
-  one, centred at the probe);
+  one, centred at the probe), at all cells of a block in one evaluation
+  per term;
 * homogeneous kinds, with a probe that carries a ``GaussianForm``, in
   closed form: one long-double power series in b/sqrt(a) over all cells of
   a family, at the cells it resolves (see HOMOGENEOUS_SERIES_TERMS);
 * everything else (closed-form descriptors, the cells the closed form
-  leaves out, probes built from a plain function) by a fixed tanh-sinh
-  rule on panels split at their singular points, evaluated on all of its
-  nodes at once.  The windows' admissibility constants are pairings of
-  this kind: the density 1/|w| with a spectral numerator as probe.
-  Where the rule's own error estimate misses its budget, adaptive
-  quadrature (``quad``) takes over; it is also the rule's test oracle, no
-  other module calls it, and it is the one use of scipy.
+  leaves out, probes built from a plain function) cell by cell through
+  ``pair_with_error``: a fixed tanh-sinh rule on panels split at their
+  singular points, evaluated on all of its nodes at once.  The windows'
+  admissibility constants are pairings of this kind: the density 1/|w|
+  with a spectral numerator as probe.  Where the rule's own error estimate
+  misses its budget, adaptive quadrature (``quad``) takes over; it is also
+  the rule's test oracle, no other module calls it, and it is the one use
+  of scipy.
 
-``pair`` also takes a ``SampledSignal``, which it pairs by the trapezoid
-rule on the signal's own grid; that is the one way a sampled signal is
-paired, so the point transforms and the grid kernels agree on it.
-
-``pair_cells`` pairs f with a family of probes, one per cell: a delta comb
-at all cells in one evaluation per term, a homogeneous kind at all cells in
-one closed-form evaluation, anything else cell by cell through ``pair``, so
-those pairings are the per-cell ones.  A batch rounds every cell as the
-cell alone would.
+A ``SampledSignal`` is paired by the trapezoid rule on the signal's own
+grid, in ``pair_with_error`` too; that is the one way a sampled signal is
+paired, so the point transforms and the grid kernels agree on it.  A batch
+rounds every cell as the cell alone would.
 
 Scaled pairings <f(eps x), phi(x)> reduce to (1/eps) <f(t), phi(t/eps)>.
 A descriptor carries no modulation: M_a f pairs as <f, e^{iat} phi>, which
@@ -326,7 +324,9 @@ def _quad_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: float,
     # returns their error estimates as one complex number
     val, err = quad(integrand, lo, hi, complex_func=True, **kw)
     err = err.real + err.imag
-    if not (np.isfinite(val) and err <= PAIRING_ERROR_BUDGET * max(abs(val), scale, 1e-250)):
+    if not np.isfinite(val):
+        raise PairingDiverged(f"pairing value {val:.3e} is not finite")
+    if not err <= PAIRING_ERROR_BUDGET * max(abs(val), scale, 1e-250):
         raise PairingDiverged(
             f"pairing error estimate {err:.3e} exceeds budget for value {val:.3e}")
     return val, err, scale, evaluations + 65
@@ -389,46 +389,35 @@ def _homogeneous_closed_form(f: "DistributionDescriptor",
 
 
 def pair_with_error(f: SignalOrDistribution, phi: TestFunction) -> tuple[complex, float]:
-    """Dual pairing <f, phi> with a quadrature error estimate.
+    """Quadrature pairing <f, phi> with its error estimate.
 
     A sampled signal is paired by the trapezoid rule on its own grid, with
     no error estimate (0.0): the samples are all that is known of it.  A
-    homogeneous descriptor pairs with a probe that has a ``GaussianForm``
-    in closed form where that is accepted (see HOMOGENEOUS_SERIES_TERMS),
-    also with estimate 0.0.  Other function-type pairings go through the
-    tanh-sinh rule, and through adaptive quadrature where its estimate
-    exceeds TANH_SINH_ACCEPT of the budget.  Every pairing is counted in
-    the open ``tally_pairings`` blocks.
+    function-type descriptor is paired by the tanh-sinh rule, and by
+    adaptive quadrature where the rule's estimate exceeds TANH_SINH_ACCEPT
+    of the budget; a value that is not finite is refused (PairingDiverged).
+    Exact delta and closed-form pairings are made by ``pair_cells`` only.
+    Every pairing is counted in the open ``tally_pairings`` blocks.
     """
     if isinstance(f, SampledSignal):
         _record(f.n, 0.0)
         return complex(np.sum(f.samples * phi(f.t_grid) * f.trapezoid_weights())), 0.0
-    if f.kind == "delta":
-        val = complex(_delta_pairing(f, phi, 1)[0])
-        _record(0, 0.0)
-        return val, 0.0
-    if f.kind == "homogeneous" and phi.form is not None:
-        val, accepted = _homogeneous_closed_form(f, phi.form())
-        if accepted:
-            _record(0, 0.0, closed_form=1)
-            return complex(val), 0.0
 
     lo, hi = _pairing_interval(f, phi)
     if hi <= lo:
         _record(0, 0.0)
         return 0.0 + 0.0j, 0.0
 
-    val, err, scale, evaluations = _tanh_sinh_pairing(f, phi, lo, hi)
-    fallback = not _tanh_sinh_accepts(val, err, scale)
-    if fallback:
-        val, err, scale, more = _quad_pairing(f, phi, lo, hi)
-        evaluations += more
+    # an overflowing density leaves a value that is not finite, which
+    # _quad_pairing refuses: numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, err, scale, evaluations = _tanh_sinh_pairing(f, phi, lo, hi)
+        fallback = not _tanh_sinh_accepts(val, err, scale)
+        if fallback:
+            val, err, scale, more = _quad_pairing(f, phi, lo, hi)
+            evaluations += more
     _record(evaluations, err / max(abs(val), scale, 1e-250), fallback)
     return val, err
-
-
-def pair(f: SignalOrDistribution, phi: TestFunction) -> complex:
-    return pair_with_error(f, phi)[0]
 
 
 def _delta_pairing(f: DistributionDescriptor, phi: TestFunction, n: int) -> np.ndarray:
@@ -455,30 +444,36 @@ def pair_cells(f: SignalOrDistribution, probe_of: Callable[[object], TestFunctio
 
     ``probe_of(cells)`` is the probe family of the cells selected by a slice
     (arrays of center and radius), or the single probe of an integer cell.
-    A delta comb is paired at the cells of one block at once, at most
-    KERNEL_BLOCK_ELEMENTS cells.  A homogeneous descriptor is paired in
-    closed form at every cell of a family with a ``GaussianForm`` in one
-    evaluation.  Signals, other function-type descriptors and the cells the
-    closed form leaves out are paired cell by cell through ``pair``.  Every
-    cell counts as one pairing.
+    This is where a pairing's route is chosen.  A delta comb is paired
+    exactly at the cells of one block at once, at most KERNEL_BLOCK_ELEMENTS
+    cells.  A homogeneous descriptor is paired in closed form at every cell
+    of a family with a ``GaussianForm`` in one evaluation.  Signals, other
+    function-type descriptors and the cells the closed form leaves out go
+    cell by cell to ``pair_with_error``.  Every cell counts as one pairing.
     """
     vals = np.empty(n, dtype=complex)
+    if isinstance(f, DistributionDescriptor) and f.kind == "delta":
+        for lo in range(0, n, KERNEL_BLOCK_ELEMENTS):
+            cells = slice(lo, min(lo + KERNEL_BLOCK_ELEMENTS, n))
+            vals[cells] = _delta_pairing(f, probe_of(cells), cells.stop - lo)
+        _record(0, 0.0, pairings=n)
+        return vals
     rest = range(n)
     if isinstance(f, DistributionDescriptor) and f.kind == "homogeneous":
         form = probe_of(slice(0, n)).form
         if form is not None:
-            vals, accepted = _homogeneous_closed_form(f, form())
+            # a single probe's form gives 0-d arrays
+            vals, accepted = (np.reshape(v, n) for v in _homogeneous_closed_form(f, form()))
             _record(0, 0.0, pairings=int(accepted.sum()), closed_form=int(accepted.sum()))
             rest = np.flatnonzero(~accepted)
-    if isinstance(f, SampledSignal) or f.kind != "delta":
-        for c in rest:
-            vals[c] = pair(f, probe_of(int(c)))
-        return vals
-    for lo in range(0, n, KERNEL_BLOCK_ELEMENTS):
-        cells = slice(lo, min(lo + KERNEL_BLOCK_ELEMENTS, n))
-        vals[cells] = _delta_pairing(f, probe_of(cells), cells.stop - lo)
-    _record(0, 0.0, pairings=n)
+    for c in rest:
+        vals[c] = pair_with_error(f, probe_of(int(c)))[0]
     return vals
+
+
+def pair(f: SignalOrDistribution, phi: TestFunction) -> complex:
+    """<f, phi> for one probe: the one-cell case of ``pair_cells``."""
+    return complex(pair_cells(f, lambda _: phi, 1)[0])
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,12 @@ different dilations and modulations.  Both are spectral: the signal's FFT
 times the window's closed-form spectrum on the FFT bins of each column's
 band, summed over the x axis by Bluestein's chirp-z (see "The spectral
 kernel of sampled signals" below).  Distribution descriptors pair f
-with ``_integrand_probe``, the same kernel at given cells: single points
-through ``pair``, grids and lattices of cells through ``pair_cells``, which
-pairs a delta comb at all cells in one evaluation.  Every such probe
-carries the Gaussian form that its window's form gives it, centred at the
-probe's x (``_probe_form``), so delta derivatives are exact and homogeneous
+with ``_integrand_probe``, the same kernel at given cells: grids and
+lattices of cells through ``pair_cells``, which picks each cell's pairing
+route and pairs a delta comb at all cells in one evaluation, and single
+points through ``pair``, its one-cell case.  Every such probe carries
+the Gaussian form that its window's form gives it, centred at the probe's
+x (``_probe_form``), so delta derivatives are exact and homogeneous
 distributions pair in closed form.
 """
 

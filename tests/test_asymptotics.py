@@ -457,11 +457,34 @@ class TestBatchedLattices:
         assert batched.pairings == per_cell.pairings == 80 * len(ScaleSequence())
 
     def test_function_type_lattice_repeats_the_scalar_formula(self, p_third, hermite):
-        # TE3's LHS, e^{i c1 (eps x)^2/2} W f(eps x, eps/xi), written per cell
-        # in scalar arithmetic: the batch must round every cell the same way
-        p, fx = p_third, sqrt_abs_fixture()
-        rep = check_te3(p, hermite, fx)
-        gm = fs.modulate(hermite, p.c2)
-        want = [[np.exp(1j * 0.5 * p.c1 * (e * x) ** 2) * fs.frwt_point(p, gm, fx.f, e * x, e / xi)
-                 for e in rep.eps] for x, xi in rep.probes]
-        assert np.array_equal(rep.lhs, np.array(want))
+        # each LHS written per cell in scalar arithmetic: the batch must round
+        # every cell the same way.  TE3: e^{i c1 (eps x)^2/2} W f(eps x, eps/xi);
+        # TEAB1 (one family over all eps): S_{g_{1/eps^2}} f(eps x, eps xi)
+        p, gm = p_third, fs.modulate(hermite, p_third.c2)
+
+        def te3(fx, x, xi, e):
+            return np.exp(1j * 0.5 * p.c1 * (e * x) ** 2) * fs.frwt_point(p, gm, fx.f, e * x, e / xi)
+
+        def teab1(fx, x, xi, e):
+            return fs.frst_point(p, fs.dilate(hermite, 1.0 / (e * e)), fx.f, e * x, e * xi,
+                                 drop_xi_chirp=True)
+
+        for theorem, cell, fixture in [("te3", te3, "sqrt-abs"), ("teab1", teab1, "sqrt-abs"),
+                                       ("teab1", teab1, "delta'")]:
+            fx = self.FIXTURES[fixture]()
+            rep = CHECKERS[theorem](p, hermite, fx)
+            want = [[cell(fx, x, xi, e) for e in rep.eps] for x, xi in rep.probes]
+            assert np.array_equal(rep.lhs, np.array(want)), (theorem, fixture)
+
+
+def test_te1_rejected_cells_skip_the_closed_form(monkeypatch, p_third, hermite):
+    # |x|^1/2 against dilated:hermite1:3.0 leaves 8 cells beyond the series'
+    # reach; they go to the quadrature rule without a second closed-form pass
+    calls = []
+    closed_form = fs.distributions._homogeneous_closed_form
+    monkeypatch.setattr(fs.distributions, "_homogeneous_closed_form",
+                        lambda f, form: calls.append(1) or closed_form(f, form))
+    rep = check_te1_hypotheses(p_third, fs.dilate(hermite, 3.0), DD.homogeneous("abs", 0.5),
+                               m=0.5)
+    assert len(calls) == 1
+    assert (rep.pairings, rep.closed_form_pairings, rep.integrand_evaluations) == (880, 872, 25092)
