@@ -104,6 +104,13 @@ def _xi_axis(transform: str, spec):
     return make(*_parse_axis(spec)) if spec else make()
 
 
+def _tolerance(text: str) -> float:
+    """A gate's tolerance: not negative and not NaN; inf turns the gate off."""
+    if not float(text) >= 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be >= 0 or inf, got {text!r}")
+    return float(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on its own usage errors; this CLI reserves 2 for
     numerical errors, so they exit EXIT_USAGE.  Subparsers share the class."""
@@ -142,14 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--psi", default=None, help="synthesis window (frst)")
     sp.add_argument("--x", default="-8:8:128")
     sp.add_argument("--xi", default=None)
-    sp.add_argument("--tolerance", type=float, default=None,
+    sp.add_argument("--tolerance", type=_tolerance, default=None,
                     help="optional rel-L2 gate; exit 3 when exceeded")
 
     sp = sub.add_parser("bridge", help="FRST<->FRWT bridge check")
     common(sp)
     sp.add_argument("--points", default="-2:2:8x0.5:4:8",
                     help="probe lattice xlo:xhi:nx X xilo:xihi:nxi")
-    sp.add_argument("--tolerance", type=float, default=1e-6)
+    sp.add_argument("--tolerance", type=_tolerance, default=1e-6)
 
     sp = sub.add_parser("verify", help="theorem checker")
     sp.add_argument("theorem", choices=("rez1", "teab1", "te1", "te3", "te4", "te5"))
@@ -159,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=float, default=None,
                     help="quasiasymptotic degree m (default: inferred)")
     sp.add_argument("--sv", default="one", choices=("one", "logpow", "iterlog"))
-    sp.add_argument("--slope-tol", type=float, default=asymptotics.SLOPE_TOL)
-    sp.add_argument("--ratio-tol", type=float, default=asymptotics.RATIO_TOL)
+    sp.add_argument("--slope-tol", type=_tolerance, default=asymptotics.SLOPE_TOL)
+    sp.add_argument("--ratio-tol", type=_tolerance, default=asymptotics.RATIO_TOL)
     sp.add_argument("--r", type=int, default=2, help="te1 bound power r")
     sp.add_argument("--s", type=float, default=2.0, help="te1 bound exponent s")
     sp.add_argument("--output", default="out")

@@ -25,10 +25,9 @@ chooses for a whole family of probes (``pair`` is its one-cell case):
   ``pair_with_error``: a fixed tanh-sinh rule on panels split at their
   singular points, evaluated on all of its nodes at once.  The windows'
   admissibility constants are pairings of this kind: the density 1/|w|
-  with a spectral numerator as probe.  Where the rule's own error estimate
-  misses its budget, adaptive quadrature (``quad``) takes over; it is also
-  the rule's test oracle, no other module calls it, and it is the one use
-  of scipy.
+  with a spectral numerator as probe.  A pairing whose rule error estimate
+  misses PAIRING_ERROR_BUDGET is refused.  Adaptive quadrature (``quad``,
+  scipy's) is the rule's test oracle only: no runtime path calls it.
 
 A ``SampledSignal`` is paired by the trapezoid rule on the signal's own
 grid, in ``pair_with_error`` too; that is the one way a sampled signal is
@@ -55,9 +54,9 @@ from .errors import PairingDiverged
 from .fraccore import TWO_PI_LD, SampledSignal, cmul
 from .windows import KERNEL_BLOCK_ELEMENTS, GaussianForm
 
-# relative; a pairing whose error estimate exceeds it even through the
-# adaptive-quadrature fallback raises PairingDiverged
-PAIRING_ERROR_BUDGET = 1e-8
+# relative to max(|value|, scale); a pairing whose tanh-sinh error estimate
+# exceeds it raises PairingDiverged
+PAIRING_ERROR_BUDGET = 1e-10
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,6 @@ class PairingTally:
     closed_form_pairings: int = 0
     integrand_evaluations: int = 0
     max_rel_error_estimate: float = 0.0
-    quad_fallbacks: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -222,14 +220,13 @@ def tally_pairings():
         _OPEN_TALLIES.reset(token)
 
 
-def _record(evaluations: int, rel_error: float, fallback: bool = False,
-            pairings: int = 1, closed_form: int = 0) -> None:
+def _record(evaluations: int, rel_error: float, pairings: int = 1,
+            closed_form: int = 0) -> None:
     for tally in _OPEN_TALLIES.get():
         tally.pairings += pairings
         tally.closed_form_pairings += closed_form
         tally.integrand_evaluations += evaluations
         tally.max_rel_error_estimate = max(tally.max_rel_error_estimate, rel_error)
-        tally.quad_fallbacks += fallback
 
 
 # Tanh-sinh (double-exponential) rule: Takahasi & Mori, Publ. RIMS 9 (1974);
@@ -243,7 +240,6 @@ def _record(evaluations: int, rel_error: float, fallback: bool = False,
 TANH_SINH_STEP = 1.0 / 32       # the fine level h/2; the level h takes every other node
 TANH_SINH_SPAN = 5.75
 PAIRING_PANELS = 8              # equal panels, split further at singular points
-TANH_SINH_ACCEPT = 1e-2         # fraction of the budget the rule's own estimate must meet
 
 
 def _tanh_sinh_rule():
@@ -270,10 +266,6 @@ def _pairing_interval(f: "DistributionDescriptor", probe: TestFunction) -> tuple
     return lo, hi
 
 
-def _tanh_sinh_accepts(val: complex, err: float, scale: float) -> bool:
-    return err <= TANH_SINH_ACCEPT * PAIRING_ERROR_BUDGET * max(abs(val), scale)
-
-
 def _tanh_sinh_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: float,
                        hi: float) -> tuple[complex, float, float, int]:
     """(value, error estimate, scale, evaluations) of int_lo^hi density x probe.
@@ -297,14 +289,15 @@ def _tanh_sinh_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: flo
 
 
 def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported by the first call (only the fallback needs scipy)."""
+    """``scipy.integrate.quad``, imported by the first call: the rule's test oracle."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
 
 
 def _quad_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: float,
                   hi: float) -> tuple[complex, float, float, int]:
-    """Adaptive quadrature of the same integral; raises PairingDiverged over budget."""
+    """Adaptive quadrature of the same integral, the rule's test oracle; raises
+    PairingDiverged where its estimate exceeds 1e-8 of its scale."""
     evaluations = 0
 
     def integrand(t):
@@ -326,7 +319,7 @@ def _quad_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: float,
     err = err.real + err.imag
     if not np.isfinite(val):
         raise PairingDiverged(f"pairing value {val:.3e} is not finite")
-    if not err <= PAIRING_ERROR_BUDGET * max(abs(val), scale, 1e-250):
+    if not err <= 1e-8 * max(abs(val), scale, 1e-250):
         raise PairingDiverged(
             f"pairing error estimate {err:.3e} exceeds budget for value {val:.3e}")
     return val, err, scale, evaluations + 65
@@ -393,11 +386,11 @@ def pair_with_error(f: SignalOrDistribution, phi: TestFunction) -> tuple[complex
 
     A sampled signal is paired by the trapezoid rule on its own grid, with
     no error estimate (0.0): the samples are all that is known of it.  A
-    function-type descriptor is paired by the tanh-sinh rule, and by
-    adaptive quadrature where the rule's estimate exceeds TANH_SINH_ACCEPT
-    of the budget; a value that is not finite is refused (PairingDiverged).
-    Exact delta and closed-form pairings are made by ``pair_cells`` only.
-    Every pairing is counted in the open ``tally_pairings`` blocks.
+    function-type descriptor is paired by the tanh-sinh rule; a value that
+    is not finite, or whose estimate exceeds PAIRING_ERROR_BUDGET of
+    max(|value|, scale), is refused (PairingDiverged).  Exact delta and
+    closed-form pairings are made by ``pair_cells`` only.  Every pairing is
+    counted in the open ``tally_pairings`` blocks.
     """
     if isinstance(f, SampledSignal):
         _record(f.n, 0.0)
@@ -408,15 +401,16 @@ def pair_with_error(f: SignalOrDistribution, phi: TestFunction) -> tuple[complex
         _record(0, 0.0)
         return 0.0 + 0.0j, 0.0
 
-    # an overflowing density leaves a value that is not finite, which
-    # _quad_pairing refuses: numpy need not warn on the way
+    # an overflowing density leaves a value that is not finite, which is
+    # refused: numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
         val, err, scale, evaluations = _tanh_sinh_pairing(f, phi, lo, hi)
-        fallback = not _tanh_sinh_accepts(val, err, scale)
-        if fallback:
-            val, err, scale, more = _quad_pairing(f, phi, lo, hi)
-            evaluations += more
-    _record(evaluations, err / max(abs(val), scale, 1e-250), fallback)
+    if not np.isfinite(val):
+        raise PairingDiverged(f"pairing value {val:.3e} is not finite")
+    if not err <= PAIRING_ERROR_BUDGET * max(abs(val), scale):
+        raise PairingDiverged(
+            f"pairing error estimate {err:.3e} exceeds budget for value {val:.3e}")
+    _record(evaluations, err / max(abs(val), scale, 1e-250))
     return val, err
 
 

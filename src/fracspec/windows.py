@@ -380,8 +380,8 @@ def _pair_inverse_abs(numerator, lo: float, hi: float) -> tuple[complex, float]:
     pairing of the density 1/|w|, singular at 0, with numerator as probe."""
     # imported here: distributions imports this module
     from .distributions import DistributionDescriptor, TestFunction, pair_with_error
-    # the density is 0 at w = 0, where one infinite sample would poison the
-    # fallback's tolerance (see DistributionDescriptor.density)
+    # the density is 0 at w = 0, where one infinite sample would poison a
+    # quadrature's tolerance (see DistributionDescriptor.density)
     inverse_abs = DistributionDescriptor.closed_form(
         lambda w: 1.0 / np.where(w != 0, np.abs(w), np.inf), singular_points=(0.0,))
     return pair_with_error(inverse_abs, TestFunction(numerator, center=(lo + hi) / 2.0,

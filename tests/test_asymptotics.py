@@ -21,7 +21,6 @@ from fracspec.asymptotics import (
 from fracspec.distributions import DistributionDescriptor as DD, ScaleSequence, SV_ONE
 from fracspec.asymptotics import AsymptoticFixture
 from fracspec.frst import _frst_params, _integrand_probe
-from scipy.integrate import IntegrationWarning
 
 
 def zero_fixture():
@@ -233,6 +232,11 @@ class TestDegenerateInput:
         rep5 = check_te5(p_third, hermite, zero_fixture())
         assert rep5.verdict == "not-applicable"
 
+    def test_te4_refuses_a_non_positive_scale(self, p_third, hermite):
+        # TE4's probes are FRWT scales 1/(eps xi): xi must be positive
+        with pytest.raises(ValueError, match="scale must be positive"):
+            check_te4(p_third, hermite, delta_fixture(), probes=((0.5, 2.0), (0.5, -2.0)))
+
 
 class TestVanishingLimit:
     def test_te5_odd_window_on_delta(self, p_third, hermite):
@@ -313,26 +317,24 @@ class TestTe1Hypotheses:
 
     def test_sqrt_abs_cell_pairs_in_closed_form(self, p_third, hermite, mp_pairing):
         # the (eps x, eps xi) probe spans 10/(eps xi) under a chirp; the
-        # quadrature rule and its quad fallback refuse some of these cells
+        # quadrature rule refuses some of these cells
         # (below), the closed form pairs every one of them
         f = sqrt_abs_fixture().f
         rep = check_te1_hypotheses(p_third, hermite, f, m=0.5, x_lattice=(1.0,),
                                    xi_lattice=(1.0, 16.0, -16.0))
         assert rep.closed_form_pairings == rep.pairings == 3 * len(ScaleSequence())
-        assert rep.integrand_evaluations == 0 and rep.quad_fallbacks == 0
+        assert rep.integrand_evaluations == 0
         for xi in (1.0, 16.0, -16.0):
             probe = _integrand_probe(p_third, hermite, *_frst_params(p_third, 0.25, 0.25 * xi, True))
             ref = mp_pairing(f, probe.form())
             assert abs(fs.pair(f, probe) - ref) <= 1e-13 * abs(ref)
 
-    def test_quad_fallback_refuses_the_cell_of_a_closed_form_density(self, p_third, hermite):
+    def test_rule_refuses_the_cell_of_a_closed_form_density(self, p_third, hermite):
         # the same te1 cell against sqrt|x| given as a closed_form descriptor,
-        # which takes the quadrature route: the rule misses its budget, and
-        # adaptive quadrature, its fallback, refuses the pairing (estimate
-        # 8.6e-5 for a value 6.5e-4) with scipy's IntegrationWarning
+        # which takes the quadrature route: the rule's estimate (6.8e-7)
+        # misses its budget, and the pairing is refused
         sqrt_abs = DD.closed_form(lambda t: np.sqrt(np.abs(t)) + 0j, singular_points=(0.0,))
-        with pytest.warns(IntegrationWarning), \
-                pytest.raises(fs.PairingDiverged, match=r"estimate 8\.6\d*e-05"):
+        with pytest.raises(fs.PairingDiverged, match=r"estimate 6\.81\de-07"):
             check_te1_hypotheses(p_third, hermite, sqrt_abs, m=0.5,
                                  x_lattice=(1.0,), xi_lattice=(1.0,))
 
@@ -364,7 +366,7 @@ class TestReportSerialization:
         assert payload["theorem_id"] == "TE1_HYPOTHESES"
         # one exact pairing per lattice cell and eps, no integrand
         assert payload["pairings"] == rep.total_cells * len(ScaleSequence())
-        assert payload["integrand_evaluations"] == payload["quad_fallbacks"] == 0
+        assert payload["integrand_evaluations"] == 0
 
     def test_pairing_counters(self, p_third, hermite, mexican):
         rep = check_rez1(p_third, hermite, sqrt_abs_fixture())
@@ -373,7 +375,6 @@ class TestReportSerialization:
         assert rep.extras["pairings"] == 8 * 11 + 2 * 8
         assert rep.extras["closed_form_pairings"] == rep.extras["pairings"]
         assert rep.extras["integrand_evaluations"] == 0
-        assert rep.extras["quad_fallbacks"] == 0
         assert rep.extras["max_rel_error_estimate"] == 0.0
         # TE5 also counts the x = 0 centres of its x-dependence decay
         assert check_te5(p_third, mexican, sqrt_abs_fixture()).extras["pairings"] == 8 * 11 + 8 + 2 * 11
@@ -425,7 +426,7 @@ class TestBatchedLattices:
         a, b = np.asarray(batched.fitted_exponent), np.asarray(per_cell.fitted_exponent)
         assert np.array_equal(np.isnan(a), np.isnan(b))
         assert np.all(np.abs(a - b)[~np.isnan(a)] <= 1e-12)
-        for key in ("pairings", "integrand_evaluations", "quad_fallbacks"):
+        for key in ("pairings", "integrand_evaluations"):
             assert batched.extras[key] == per_cell.extras[key], key
         if exact:
             assert json.dumps(batched.to_json_dict()) == json.dumps(per_cell.to_json_dict())
@@ -459,7 +460,9 @@ class TestBatchedLattices:
     def test_function_type_lattice_repeats_the_scalar_formula(self, p_third, hermite):
         # each LHS written per cell in scalar arithmetic: the batch must round
         # every cell the same way.  TE3: e^{i c1 (eps x)^2/2} W f(eps x, eps/xi);
-        # TEAB1 (one family over all eps): S_{g_{1/eps^2}} f(eps x, eps xi)
+        # TEAB1 (one family over all eps): S_{g_{1/eps^2}} f(eps x, eps xi).
+        # TE4 folds its window M_{c2} g_{1/eps^2} into one family of probes
+        # of g, so it repeats the per-eps batch of that window to rounding
         p, gm = p_third, fs.modulate(hermite, p_third.c2)
 
         def te3(fx, x, xi, e):
@@ -475,6 +478,19 @@ class TestBatchedLattices:
             rep = CHECKERS[theorem](p, hermite, fx)
             want = [[cell(fx, x, xi, e) for e in rep.eps] for x, xi in rep.probes]
             assert np.array_equal(rep.lhs, np.array(want)), (theorem, fixture)
+
+        def te4(fx, x, xi, e):
+            h = fs.modulate(fs.dilate(hermite, 1.0 / (e * e)), p.c2)
+            w = fs.frwt.frwt_cells(p, h, fx.f, e * x, 1.0 / (e * xi))
+            return np.exp(1j * (0.5 * p.c1 * (e * x) ** 2 - p.c2 * e * e * x * xi)) * w
+
+        for fixture in ("sqrt-abs", "delta'"):
+            fx = self.FIXTURES[fixture]()
+            rep = check_te4(p, hermite, fx)
+            x, xi = (np.array(v)[:, None] for v in zip(*rep.probes))
+            want = np.hstack([te4(fx, x, xi, e) for e in rep.eps])
+            dev = np.max(np.abs(rep.lhs - want), axis=1) / np.max(np.abs(want), axis=1)
+            assert np.all(dev <= 1e-14), fixture
 
 
 def test_te1_rejected_cells_skip_the_closed_form(monkeypatch, p_third, hermite):

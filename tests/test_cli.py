@@ -6,7 +6,6 @@ import pytest
 import fracspec as fs
 from fracspec import cli
 from fracspec.cli import ingest_signal, main, read_signal_csv, run, write_signal_csv
-from scipy.integrate import IntegrationWarning
 
 
 def file_bytes(path):
@@ -200,6 +199,36 @@ class TestUsageErrors:
         assert exit_code(argv) == 0
         assert "usage:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--transform", "frwt", "--alpha", "1.5707963", "--window", "mexican-hat",
+         "--input", SYNTH, "--tolerance=nan"],
+        ["bridge", "--alpha", "1.0472", "--window", "hermite1", "--input", SYNTH,
+         "--tolerance=nan"],
+        ["verify", "rez1", "--alpha", "1.0472", "--window", "hermite1",
+         "--dist", '{"kind":"delta","terms":[[0,0,1.0]]}', "--slope-tol=nan"],
+        ["verify", "rez1", "--alpha", "1.0472", "--window", "hermite1",
+         "--dist", '{"kind":"delta","terms":[[0,0,1.0]]}', "--ratio-tol=-0.1"],
+    ])
+    def test_gate_tolerance_not_nan_nor_negative(self, tmp_path, argv, capsys):
+        # a NaN gate would compare false and pass (or fail) whatever the value
+        assert exit_code(argv + ["--output", str(tmp_path / "o")]) == 1
+        assert "tolerance must be >= 0 or inf" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_infinite_gate_tolerance_turns_the_gate_off(self, tmp_path):
+        argv = ["verify", "rez1", "--alpha", "1.0472", "--window", "hermite1",
+                "--dist", '{"kind":"delta","terms":[[0,0,1.0]]}', "--output", str(tmp_path / "o")]
+        assert run(argv + ["--slope-tol=0", "--ratio-tol=0"]) == 3
+        assert run(argv + ["--slope-tol=inf", "--ratio-tol=inf"]) == 0
+
+    def test_te1_nan_bound_exponent(self, tmp_path, capsys):
+        # s must exceed 1; NaN does not, so it is refused as s = 0.5 is
+        assert exit_code(["verify", "te1", "--alpha", "1.0472", "--window", "hermite1",
+                          "--dist", '{"kind":"delta","terms":[[0,0,1.0]]}', "--s=nan",
+                          "--output", str(tmp_path / "te1")]) == 2
+        assert "s > 1, got nan" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("c2", ["0", "nan", "inf", "-inf"])
     def test_degenerate_c2(self, tmp_path, c2):
         assert exit_code(["admissibility", "--window", "mexican-hat", "--psi",
@@ -293,13 +322,13 @@ class TestCommands:
 
     def test_refused_pairing_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
         # with the closed form's cancellation bound at 0 the same run pairs
-        # through the quadrature rule, whose quad fallback refuses a cell: exit 2
+        # through the quadrature rule, whose estimate misses its budget at a
+        # cell: the pairing is refused, exit 2
         monkeypatch.setattr(fs.distributions, "HOMOGENEOUS_CANCELLATION_MAX", 0.0)
-        with pytest.warns(IntegrationWarning):
-            assert exit_code(["verify", "te1", "--alpha", "1.0472", "--window", "hermite1",
-                              "--dist", '{"kind":"homogeneous","pattern":"abs","degree":0.5}',
-                              "--output", str(tmp_path / "te1")]) == 2
-        assert "error: pairing error estimate 8.869e-05 exceeds budget" in capsys.readouterr().err
+        assert exit_code(["verify", "te1", "--alpha", "1.0472", "--window", "hermite1",
+                          "--dist", '{"kind":"homogeneous","pattern":"abs","degree":0.5}',
+                          "--output", str(tmp_path / "te1")]) == 2
+        assert "error: pairing error estimate 7.503e-07 exceeds budget" in capsys.readouterr().err
 
     def test_non_finite_pairing_is_a_numerical_error(self, tmp_path, capsys):
         # t^400 overflows within the limit probes' reach: the pairing is
@@ -311,18 +340,36 @@ class TestCommands:
         assert "error: pairing value nan+nanj is not finite" in capsys.readouterr().err
         assert not (tmp_path / "d400.report.json").exists()
 
-    def test_import_loads_no_scipy(self):
-        # scipy is imported by the quadrature fallback on its first call only
+    @staticmethod
+    def _scipy_modules_after(code):
+        """The scipy modules loaded after running code in a fresh interpreter."""
         import os
         import pathlib
         import subprocess
         import sys
         src = str(pathlib.Path(fs.__file__).parents[1])
-        code = ("import sys, fracspec.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-        assert out.strip() == "[]"
+        code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", "import sys\n" + code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        return out.strip().splitlines()
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test dependency: only the tests' quadrature oracle
+        # (distributions.quad) imports it, on its first call
+        assert self._scipy_modules_after("import fracspec.cli") == ["[]"]
+
+    def test_refused_pairing_loads_no_scipy(self):
+        # the te1 cell whose rule estimate misses its budget is refused by
+        # the rule alone: no quadrature fallback, no scipy
+        code = ("import numpy as np, fracspec as fs\n"
+                "f = fs.DistributionDescriptor.closed_form(lambda t: np.sqrt(np.abs(t)) + 0j,\n"
+                "                                          singular_points=(0.0,))\n"
+                "try:\n"
+                "    fs.check_te1_hypotheses(fs.make_frac_param(np.pi / 3), fs.hermite_wavelet_window(),\n"
+                "                            f, m=0.5, x_lattice=(1.0,), xi_lattice=(1.0,))\n"
+                "except fs.PairingDiverged:\n"
+                "    print('refused')")
+        assert self._scipy_modules_after(code) == ["refused", "[]"]
 
     def test_verify_not_applicable_exit_code(self, tmp_path):
         code = run(["verify", "rez1", "--alpha", "1.0472", "--window", "hermite1",
@@ -349,7 +396,7 @@ class TestCommands:
         rep = json.loads((tmp_path / "adm.report.json").read_text())
         assert abs(rep["c_g"] - 1.0) < 1e-6
         # how the value was computed: one pairing per half-line
-        assert rep["pairings"] == 2 and rep["quad_fallbacks"] == 0
+        assert rep["pairings"] == 2
         assert rep["integrand_evaluations"] > 0
         assert rep["max_rel_error_estimate"] < 1e-10
 

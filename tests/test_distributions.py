@@ -173,8 +173,8 @@ class TestTanhSinhEngine:
         lo, hi = distributions._pairing_interval(f, probe)
         assume(hi > lo)
         val, err, scale, _ = distributions._tanh_sinh_pairing(f, probe, lo, hi)
-        # where the rule misses its own acceptance, pair_with_error falls back
-        assume(distributions._tanh_sinh_accepts(val, err, scale))
+        # where the rule misses its own acceptance, pair_with_error refuses
+        assume(err <= distributions.PAIRING_ERROR_BUDGET * max(abs(val), scale))
         try:
             ref, _, ref_scale, _ = distributions._quad_pairing(f, probe, lo, hi)
         except fs.PairingDiverged:
@@ -184,31 +184,30 @@ class TestTanhSinhEngine:
         # scale it accepts at.  quad uses most of its share (3.2e-11
         # relative against 30-digit mpmath at degree 1.73, where the rule
         # was off by 1.9e-16)
-        tol = (1e-10 * abs(ref) + 1e-13 * ref_scale
-               + distributions.TANH_SINH_ACCEPT * distributions.PAIRING_ERROR_BUDGET * scale)
+        tol = 1e-10 * abs(ref) + 1e-13 * ref_scale + distributions.PAIRING_ERROR_BUDGET * scale
         assert abs(val - ref) <= tol
         assert pair(f, probe) == val
 
-    def test_fallback_is_counted(self, p_third, hermite):
+    def test_rule_refuses_a_cell_over_budget(self, p_third, hermite):
         # the te1 probe at eps = 1/4, x = xi = 1 is the window stretched
         # fourfold under a chirp: against sqrt|x| as a closed_form density
-        # the rule misses its acceptance, and quad's value comes back as it is
+        # the rule's estimate (6.8e-7) misses its 1e-10 of the scale, and
+        # the pairing is refused, counted in no open tally
         from fracspec.frst import _integrand_probe
         f = DD.closed_form(lambda t: np.sqrt(np.abs(t)) + 0j, singular_points=(0.0,))
         probe = _integrand_probe(p_third, hermite, 0.25, 0.25, p_third.c2 * 0.25,
                                  0.25 * p_third.c_alpha)
-        with tally_pairings() as outer:
-            with tally_pairings() as inner:
-                val = pair(f, probe)
-            pair(f, GAUSS)
-        assert val == distributions._quad_pairing(f, probe, *distributions._pairing_interval(f, probe))[0]
-        assert inner.pairings == 1 and inner.quad_fallbacks == 1
-        assert outer.pairings == 2 and outer.quad_fallbacks == 1
-        assert inner.closed_form_pairings == outer.closed_form_pairings == 0
-        assert inner.max_rel_error_estimate < distributions.PAIRING_ERROR_BUDGET
-        # |x|^1/2 itself pairs with the same probe in closed form
+        val, err, scale, _ = distributions._tanh_sinh_pairing(
+            f, probe, *distributions._pairing_interval(f, probe))
+        assert err > distributions.PAIRING_ERROR_BUDGET * max(abs(val), scale)
+        with tally_pairings() as tally, \
+                pytest.raises(fs.PairingDiverged, match=rf"estimate {err:.3e} exceeds budget"):
+            pair(f, probe)
+        assert tally.pairings == 0
+        # |x|^1/2 itself pairs with the same probe in closed form; the
+        # refused value agrees with it far below the rule's estimate
         with tally_pairings() as closed:
-            assert abs(pair(DD.homogeneous("abs", 0.5), probe) - val) <= 1e-9 * abs(val)
+            assert abs(pair(DD.homogeneous("abs", 0.5), probe) - val) <= 1e-13 * abs(val)
         assert closed.closed_form_pairings == closed.pairings == 1
         assert closed.integrand_evaluations == 0
 
@@ -312,8 +311,8 @@ class TestHomogeneousClosedForm:
 
     def test_non_finite_pairing_is_refused(self):
         # REZ1's limit probe (x, xi) = (0.5, 2) at alpha = 1 reaches t = 6.5,
-        # where t^400 overflows: the rule and quad return NaN, which is
-        # refused without a numpy warning
+        # where t^400 overflows: the rule returns NaN, which is refused
+        # without a numpy warning
         from fracspec.asymptotics import CLASSICAL_FT_PARAM
         from fracspec.frst import _frst_params, _integrand_probe
         c2 = fs.make_frac_param(1.0).c2
