@@ -5,7 +5,8 @@ A descriptor represents a tempered/Lizorkin distribution through the action
 
 * delta combs  sum w_j * delta^(k_j)(. - a_j)   (exact pairing),
 * homogeneous functions |x|^m, x_+^m, x_-^m with m > -1 (locally
-  integrable),
+  integrable); the windows' admissibility constants pair |x|^-1 and
+  x_+^-1 too, with numerators that vanish at 0,
 * closed-form functions of polynomial growth.
 
 Descriptors are paired by one of three routes, which ``pair_cells``
@@ -24,15 +25,17 @@ chooses for a whole family of probes (``pair`` is its one-cell case):
   leaves out, probes built from a plain function) cell by cell through
   ``pair_with_error``: a fixed tanh-sinh rule on panels split at their
   singular points, evaluated on all of its nodes at once.  The windows'
-  admissibility constants are pairings of this kind: the density 1/|w|
-  with a spectral numerator as probe.  A pairing whose rule error estimate
-  misses PAIRING_ERROR_BUDGET is refused.  Adaptive quadrature (``quad``,
-  scipy's) is the rule's test oracle only: no runtime path calls it.
+  admissibility constants are pairings of this kind: the density |w|^-1
+  (or w_+^-1) with a spectral numerator as probe.  A pairing whose rule
+  error estimate misses PAIRING_ERROR_BUDGET is refused.  Adaptive
+  quadrature (``quad``, scipy's) is the rule's test oracle only: no
+  runtime path calls it.
 
 A ``SampledSignal`` is paired by the trapezoid rule on the signal's own
-grid, in ``pair_with_error`` too; that is the one way a sampled signal is
-paired, so the point transforms and the grid kernels agree on it.  A batch
-rounds every cell as the cell alone would.
+grid, in ``pair_with_error`` too.  That is the point transforms' route,
+and the test reference of the grid kernels, which transform sampled
+signals by the spectral kernel in ``frst``.  A batch rounds every cell as
+the cell alone would.
 
 Scaled pairings <f(eps x), phi(x)> reduce to (1/eps) <f(t), phi(t/eps)>.
 A descriptor carries no modulation: M_a f pairs as <f, e^{iat} phi>, which
@@ -51,8 +54,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import PairingDiverged
-from .fraccore import TWO_PI_LD, SampledSignal, cmul
-from .windows import KERNEL_BLOCK_ELEMENTS, GaussianForm
+from .fraccore import KERNEL_BLOCK_ELEMENTS, TWO_PI_LD, SampledSignal, cmul
+from .windows import GaussianForm
 
 # relative to max(|value|, scale); a pairing whose tanh-sinh error estimate
 # exceeds it raises PairingDiverged
@@ -237,7 +240,7 @@ def _record(evaluations: int, rel_error: float, pairings: int = 1,
 # from the nearer end, so nodes next to a singular end carry no
 # cancellation.  At the last node r is 1e-214, so an end singularity |t|^m
 # with m > -0.9 leaves out a tail below 1e-21 of its panel's integral.
-TANH_SINH_STEP = 1.0 / 32       # the fine level h/2; the level h takes every other node
+TANH_SINH_STEP = 1.0 / 32       # the fine level h/2; levels h and 2h take every 2nd, 4th node
 TANH_SINH_SPAN = 5.75
 PAIRING_PANELS = 8              # equal panels, split further at singular points
 
@@ -250,10 +253,10 @@ def _tanh_sinh_rule():
     r = 2.0 * q / (1.0 + q)
     # dx/dt = (pi/2) cosh t / cosh^2(pi/2 sinh t), with 1/cosh^2 = 4q/(1+q)^2
     w = TANH_SINH_STEP * 0.5 * np.pi * np.cosh(t) * 4.0 * q / (1.0 + q) ** 2
-    return t <= 0, r, w, k % 2 == 0
+    return t <= 0, r, w, k % 2 == 0, k % 4 == 0
 
 
-_TS_LEFT, _TS_DIST, _TS_WEIGHT, _TS_COARSE = _tanh_sinh_rule()
+_TS_LEFT, _TS_DIST, _TS_WEIGHT, _TS_COARSE, _TS_COARSER = _tanh_sinh_rule()
 
 
 def _pairing_interval(f: "DistributionDescriptor", probe: TestFunction) -> tuple[float, float]:
@@ -270,9 +273,13 @@ def _tanh_sinh_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: flo
                        hi: float) -> tuple[complex, float, float, int]:
     """(value, error estimate, scale, evaluations) of int_lo^hi density x probe.
 
-    The estimate is |S(h) - S(h/2)|, plus the outermost terms, which bound
-    the tails the node set leaves out, plus the rounding of the sum,
-    eps * scale; scale is the h/2 sum of |terms|.
+    The error of the fine sum S(h/2) is estimated from three levels, after
+    Bailey, Jeyabalan & Li: with d1 = |S(h/2) - S(h)|, the error of S(h),
+    and d2 = |S(h/2) - S(2h)|, that of S(2h), the step's last halving is
+    taken to shrink the error by d1/d2 as the one before it did, giving
+    d1 (d1/d2) where d2 > d1, and d1 otherwise.  To that come the
+    outermost terms, which bound the tails the node set leaves out, and the
+    rounding of the sum, eps * scale; scale is the h/2 sum of |terms|.
     """
     edges = np.linspace(lo, hi, PAIRING_PANELS + 1)
     edges = np.unique(np.concatenate([edges, [p for p in f.singular_points if lo < p < hi]]))
@@ -281,10 +288,12 @@ def _tanh_sinh_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: flo
     nodes = np.where(_TS_LEFT, a + c * _TS_DIST, b - c * _TS_DIST)
     terms = c * _TS_WEIGHT * f.density(nodes) * np.asarray(probe(nodes), dtype=complex)
     fine = complex(np.sum(terms))
-    coarse = 2.0 * complex(np.sum(terms[:, _TS_COARSE]))
+    d1 = abs(fine - 2.0 * complex(np.sum(terms[:, _TS_COARSE])))
+    d2 = abs(fine - 4.0 * complex(np.sum(terms[:, _TS_COARSER])))
     scale = float(np.sum(np.abs(terms)))
     tails = float(np.sum(np.abs(terms[:, [0, -1]])))
-    err = abs(fine - coarse) + tails + np.finfo(float).eps * scale
+    # d1 (d1/d2), not d1^2/d2: d1^2 overflows where the terms are near 1e200
+    err = (d1 * (d1 / d2) if d2 > d1 else d1) + tails + np.finfo(float).eps * scale
     return fine, err, scale, nodes.size
 
 

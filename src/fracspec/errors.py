@@ -46,8 +46,8 @@ class GridTooCoarse(FracspecError):
 
 
 class PairingDiverged(FracspecError):
-    """Distribution pairing exceeded its error budget: the tanh-sinh rule
-    missed it, and so did adaptive quadrature, its fallback."""
+    """Distribution pairing refused: its value is not finite, or the
+    tanh-sinh rule's error estimate exceeds its budget."""
 
 
 class InvalidExponent(FracspecError):

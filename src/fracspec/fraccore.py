@@ -28,9 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SingularAngle, UndersampledChirp
-from .windows import KERNEL_BLOCK_ELEMENTS
 
 TWO_PI = 2.0 * np.pi
+
+# Values computed in one block: the signal kernels' chirp-z buffers and the
+# cells of batched delta pairings number at most this many (on a 2-vCPU
+# Xeon, a hermite1 evaluation took ~4.5 ns per point up to 28k points and
+# ~13 ns from 32k, where each numpy temporary reaches 256 kB).
+KERNEL_BLOCK_ELEMENTS = 16384
 
 # Angles with |sin(alpha)| below this are demoted to the delta branches:
 # evaluating the chirp there would need |c1|, |c2| ~ 1/|sin| > 1e3, which no

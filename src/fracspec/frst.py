@@ -44,6 +44,7 @@ import numpy as np
 from .distributions import SignalOrDistribution, TestFunction, pair, pair_cells
 from .errors import GridTooCoarse, MalformedCSV, SingularAngle
 from .fraccore import (
+    KERNEL_BLOCK_ELEMENTS,
     TWO_PI_LD,
     AngleKind,
     FracParam,
@@ -58,7 +59,6 @@ from .fraccore import (
     trapezoid_weights,
 )
 from .windows import (
-    KERNEL_BLOCK_ELEMENTS,
     SQRT_2PI,
     SUPPORT_RADII,
     GaussianForm,
@@ -158,8 +158,7 @@ def _integrand_probe(p: FracParam, g: Window, x, d, omega, amp) -> TestFunction:
         if family:
             lead = (-1,) + (1,) * (t.ndim - 1)
             xs, ds, om, am = (v.reshape(lead) for v in (x, d, omega, amp))
-        # conj(g(conj u)) is analytic in t and equals conj(g(u)) for real t
-        return am * np.conj(g.eval(np.conj(t - xs) * ds)) * np.exp(1j * (0.5 * p.c1 * t * t - om * t))
+        return am * np.conj(g.eval((t - xs) * ds)) * np.exp(1j * (0.5 * p.c1 * t * t - om * t))
 
     return TestFunction(fn=fn, center=x, radius=g.support_radius / abs(d),
                         form=lambda: _probe_form(p, g, x, d, omega, amp))

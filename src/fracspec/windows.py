@@ -10,8 +10,8 @@ convention, f_hat(w) = (2*pi)^{-1/2} * integral f(x) exp(-i*w*x) dx), its
 moments, its ``GaussianForm`` (which gives the derivatives that delta
 pairings and seminorms need), and its pairings with homogeneous
 distributions are all derived from the form.  The admissibility constants
-are integrals of the spectra against 1/|w|, paired by the engine in
-``distributions``.
+are pairings of the degree -1 homogeneous densities |w|^-1 and w_+^-1 with
+spectral numerators, made by the tanh-sinh rule in ``distributions``.
 The built-in library covers the unit-mass Gaussian, the Mexican hat, the
 Hermite wavelet d/dt exp(-t^2/2), the derivatives of the Gaussian, and
 modulated/dilated variants of any of them.
@@ -47,12 +47,6 @@ WAVELET_MOMENT_TOL = 1e-8
 # Truncation radius for window quadratures, in widths (and for spectra, in
 # spectral widths 1/width).
 SUPPORT_RADII = 10.0
-
-# Values computed in one block: the signal kernels' chirp-z buffers and the
-# cells of batched delta pairings number at most this many (on a 2-vCPU
-# Xeon, a hermite1 evaluation took ~4.5 ns per point up to 28k points and
-# ~13 ns from 32k, where each numpy temporary reaches 256 kB).
-KERNEL_BLOCK_ELEMENTS = 16384
 
 
 def _parity(coef) -> tuple[int, tuple]:
@@ -338,35 +332,18 @@ def require_wavelet(g: Window) -> None:
 class AdmissibilityConstant:
     """Admissibility value with the error estimate of its pairing.
 
-    Both constants are pairings of numerator(w) with the density 1/|w|,
+    Both constants are pairings of the density |w|^-1 with a numerator(w),
     made by ``distributions.pair_with_error`` over the frequency band where
     the windows' spectra lie within SUPPORT_RADII spectral widths of their
     carriers.  For the single-window wavelet constant, ``value`` is the
-    full-line integral of |g_hat|^2/|w| and ``half_line`` its w>0 part,
-    which is what normalizes a synthesis over positive scales only.
+    pairing <|w|^-1, |g_hat|^2> and ``half_line`` its w>0 part, the pairing
+    of w_+^-1 with the same numerator over the same band, which is what
+    normalizes a synthesis over positive scales only.
     """
 
     value: complex
     quadrature_error_estimate: float
     half_line: float | None = None
-
-
-def _check_small_freq_convergence(numerator, what: str) -> None:
-    """The 1/|w| weight is integrable at 0 only if the numerator vanishes there.
-
-    Probes numerator(+-exp(-u)); a non-decaying tail means the admissibility
-    integral diverges logarithmically.
-    """
-    u = np.linspace(8.0, 36.0, 15)
-    probes = np.concatenate([np.exp(-u), -np.exp(-u)])
-    vals = np.abs(numerator(probes))
-    scale = max(1.0, float(np.max(np.abs(numerator(np.linspace(-4, 4, 161))))))
-    tail = max(vals[10:15].max(), vals[25:30].max())
-    if tail > 1e-10 * scale:
-        raise DivergentAdmissibility(
-            f"{what}: integrand numerator does not vanish at omega=0 "
-            f"(tail {tail:.3e} vs scale {scale:.3e}); the 1/|omega| integral diverges"
-        )
 
 
 def _spectral_band(g: Window) -> tuple[float, float]:
@@ -375,25 +352,25 @@ def _spectral_band(g: Window) -> tuple[float, float]:
     return g.carrier - r, g.carrier + r
 
 
-def _pair_inverse_abs(numerator, lo: float, hi: float) -> tuple[complex, float]:
-    """(integral of numerator(w)/|w| over [lo, hi], its error estimate): the
-    pairing of the density 1/|w|, singular at 0, with numerator as probe."""
+def _pair_inverse_abs(pattern: str, numerator, lo: float, hi: float) -> tuple[complex, float]:
+    """(<|w|^-1, numerator> over [lo, hi], its error estimate), or with
+    pattern "plus" the pairing of w_+^-1, over the part of [lo, hi] above 0."""
     # imported here: distributions imports this module
     from .distributions import DistributionDescriptor, TestFunction, pair_with_error
-    # the density is 0 at w = 0, where one infinite sample would poison a
-    # quadrature's tolerance (see DistributionDescriptor.density)
-    inverse_abs = DistributionDescriptor.closed_form(
-        lambda w: 1.0 / np.where(w != 0, np.abs(w), np.inf), singular_points=(0.0,))
-    return pair_with_error(inverse_abs, TestFunction(numerator, center=(lo + hi) / 2.0,
-                                                     radius=(hi - lo) / 2.0))
+    # ``homogeneous`` refuses degree -1, which is not locally integrable; an
+    # admissibility numerator vanishes at w = 0, so the pairing converges
+    inverse = DistributionDescriptor(kind="homogeneous", pattern=pattern, degree=-1.0,
+                                     singular_points=(0.0,))
+    return pair_with_error(inverse, TestFunction(numerator, center=(lo + hi) / 2.0,
+                                                 radius=(hi - lo) / 2.0))
 
 
 def admissibility_cg(g: Window) -> AdmissibilityConstant:
-    """Wavelet constant C_g = integral |g_hat(w)|^2 / |w| dw.
+    """Wavelet constant C_g = <|w|^-1, |g_hat|^2> over g's spectral band.
 
     Requires the vanishing-zeroth-moment gate (so |g_hat|^2 ~ w^2 near 0 and
-    the weight is integrable).  ``half_line`` is the w>0 share; the two
-    half-lines of g's spectral band are paired separately.
+    the weight is integrable).  ``half_line``, the w>0 share, is the pairing
+    of w_+^-1 with the same numerator.
     """
     require_wavelet(g)
 
@@ -401,15 +378,13 @@ def admissibility_cg(g: Window) -> AdmissibilityConstant:
         v = g.ft(w)
         return (v * np.conj(v)).real
 
-    _check_small_freq_convergence(numerator, f"C_g[{g.name}]")
     lo, hi = _spectral_band(g)
-    pos, pos_err = _pair_inverse_abs(numerator, max(lo, 0.0), hi)
-    neg, neg_err = _pair_inverse_abs(numerator, lo, min(hi, 0.0))
-    value = pos.real + neg.real
+    value, err = _pair_inverse_abs("abs", numerator, lo, hi)
+    half_line = _pair_inverse_abs("plus", numerator, lo, hi)[0].real
+    value = value.real
     if value <= 0 or not np.isfinite(value):
         raise DivergentAdmissibility(f"C_g[{g.name}] evaluated to {value}")
-    return AdmissibilityConstant(value=value, quadrature_error_estimate=pos_err + neg_err,
-                                 half_line=pos.real)
+    return AdmissibilityConstant(value=value, quadrature_error_estimate=err, half_line=half_line)
 
 
 def admissibility_cgpsi(g: Window, psi: Window, c2: float) -> AdmissibilityConstant:
@@ -429,14 +404,19 @@ def admissibility_cgpsi(g: Window, psi: Window, c2: float) -> AdmissibilityConst
         arg = c2 * (w - 1.0)
         return psi.ft(arg) * np.conj(g.ft(arg))
 
-    _check_small_freq_convergence(numerator, f"C_gpsi[{g.name},{psi.name}]")
+    at_zero = float(np.abs(numerator(np.zeros(1)))[0])
+    scale = max(1.0, float(np.max(np.abs(numerator(np.linspace(-4, 4, 161))))))
+    if at_zero > 1e-10 * scale:
+        raise DivergentAdmissibility(
+            f"C_gpsi[{g.name},{psi.name}]: integrand numerator {at_zero:.3e} at omega=0 "
+            f"(scale {scale:.3e}); the 1/|omega| integral diverges")
 
     def w_band(h: Window) -> list:
         """The w with c2 (w - 1) in h's spectral band."""
         return sorted(1.0 + s / c2 for s in _spectral_band(h))
 
     (g_lo, g_hi), (psi_lo, psi_hi) = w_band(g), w_band(psi)
-    value, err = _pair_inverse_abs(numerator, max(g_lo, psi_lo), min(g_hi, psi_hi))
+    value, err = _pair_inverse_abs("abs", numerator, max(g_lo, psi_lo), min(g_hi, psi_hi))
     if not np.isfinite(value):
         raise DivergentAdmissibility(f"C_gpsi[{g.name},{psi.name}] is not finite")
     if abs(value) < 1e-10:

@@ -328,7 +328,7 @@ class TestCommands:
         assert exit_code(["verify", "te1", "--alpha", "1.0472", "--window", "hermite1",
                           "--dist", '{"kind":"homogeneous","pattern":"abs","degree":0.5}',
                           "--output", str(tmp_path / "te1")]) == 2
-        assert "error: pairing error estimate 7.503e-07 exceeds budget" in capsys.readouterr().err
+        assert "error: pairing error estimate 8.042e-01 exceeds budget" in capsys.readouterr().err
 
     def test_non_finite_pairing_is_a_numerical_error(self, tmp_path, capsys):
         # t^400 overflows within the limit probes' reach: the pairing is
@@ -399,6 +399,14 @@ class TestCommands:
         assert rep["pairings"] == 2
         assert rep["integrand_evaluations"] > 0
         assert rep["max_rel_error_estimate"] < 1e-10
+
+    def test_admissibility_of_a_carrier_near_the_gate(self, tmp_path):
+        # the whole band and its omega > 0 part, one pairing each
+        assert exit_code(["admissibility", "--window", "modulated:hermite1:8",
+                          "--output", str(tmp_path / "adm")]) == 0
+        rep = json.loads((tmp_path / "adm.report.json").read_text())
+        assert rep["pairings"] == 2
+        assert rep["c_g"] == rep["c_g_half_line"] == 0.11348212805388344
 
     def test_admissibility_divergent_maps_to_numerical_error(self, tmp_path, capsys):
         with pytest.raises(fs.DivergentAdmissibility):

@@ -189,23 +189,32 @@ class TestTanhSinhEngine:
         assert pair(f, probe) == val
 
     def test_rule_refuses_a_cell_over_budget(self, p_third, hermite):
-        # the te1 probe at eps = 1/4, x = xi = 1 is the window stretched
-        # fourfold under a chirp: against sqrt|x| as a closed_form density
-        # the rule's estimate (6.8e-7) misses its 1e-10 of the scale, and
-        # the pairing is refused, counted in no open tally
+        # the te1 probe at eps, x = xi = 1 is the window stretched 1/eps-fold
+        # under a chirp, paired against sqrt|x| as a closed_form density
         from fracspec.frst import _integrand_probe
         f = DD.closed_form(lambda t: np.sqrt(np.abs(t)) + 0j, singular_points=(0.0,))
-        probe = _integrand_probe(p_third, hermite, 0.25, 0.25, p_third.c2 * 0.25,
-                                 0.25 * p_third.c_alpha)
+
+        def cell(eps):
+            return _integrand_probe(p_third, hermite, eps, eps, p_third.c2 * eps,
+                                    eps * p_third.c_alpha)
+
+        # at eps = 1/8 the rule's estimate (0.74) misses its 1e-10 of the
+        # scale, and the pairing is refused, counted in no open tally
+        probe = cell(0.125)
         val, err, scale, _ = distributions._tanh_sinh_pairing(
             f, probe, *distributions._pairing_interval(f, probe))
         assert err > distributions.PAIRING_ERROR_BUDGET * max(abs(val), scale)
         with tally_pairings() as tally, \
-                pytest.raises(fs.PairingDiverged, match=rf"estimate {err:.3e} exceeds budget"):
+                pytest.raises(fs.PairingDiverged, match=r"estimate 7\.396e-01 exceeds budget"):
             pair(f, probe)
         assert tally.pairings == 0
-        # |x|^1/2 itself pairs with the same probe in closed form; the
-        # refused value agrees with it far below the rule's estimate
+        # at eps = 1/4 the three-level estimate (1.9e-11) meets the budget;
+        # |x|^1/2 itself pairs with the same probe in closed form, and the
+        # rule's value agrees with it
+        probe = cell(0.25)
+        with tally_pairings() as rule:
+            val = pair(f, probe)
+        assert rule.pairings == 1 and rule.integrand_evaluations > 0
         with tally_pairings() as closed:
             assert abs(pair(DD.homogeneous("abs", 0.5), probe) - val) <= 1e-13 * abs(val)
         assert closed.closed_form_pairings == closed.pairings == 1

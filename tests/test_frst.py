@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import fracspec as fs
 from fracspec.distributions import DistributionDescriptor as DD
-from fracspec.fraccore import TWO_PI_LD, _LatticeSum, _uniform_step
+from fracspec.fraccore import KERNEL_BLOCK_ELEMENTS, TWO_PI_LD, _LatticeSum, _uniform_step
 from fracspec.frst import (
     _correlate,
     _kernel_meta,
@@ -23,7 +23,6 @@ from fracspec.frst import (
     symmetric_log_xi_axis,
 )
 from fracspec.windows import (
-    KERNEL_BLOCK_ELEMENTS,
     SUPPORT_RADII,
     admissibility_cgpsi,
     window_by_name,

@@ -289,11 +289,36 @@ class TestAdmissibility:
         assert_allclose(adm.value, oracle, rtol=1e-12)
         assert_allclose(adm.half_line, oracle, rtol=1e-12)
 
+    @pytest.mark.parametrize("name, power", [
+        ("modulated:hermite1:6.75", 2), ("modulated:hermite1:8.0", 2),
+        ("modulated:hermite1:9.5", 2), ("modulated:mexican-hat:8.0", 4),
+    ])
+    def test_cg_of_a_carrier_near_the_gate(self, name, power):
+        # |g_hat(w)|^2 = (w-kappa)^power e^{-(w-kappa)^2}: the carrier passes
+        # the zeroth-moment gate, and the spectral band [kappa-10, kappa+10]
+        # crosses 0, where the numerator is below 1e-17
+        g = window_by_name(name)
+        kappa = g.carrier
+
+        def numerator(w):
+            return (w - kappa) ** power * mpmath.exp(-(w - kappa) ** 2)
+
+        positive = mp_inverse_abs_integral(numerator, [0, kappa - 4, kappa, kappa + 4, kappa + 10])
+        negative = mp_inverse_abs_integral(numerator, [kappa - 10, 0])
+        adm = fs.admissibility_cg(g)
+        assert_allclose(adm.value, positive + negative, rtol=1e-12)
+        assert_allclose(adm.half_line, positive, rtol=1e-12)
+
     def test_pair_divergent_for_hermite_pair(self, hermite):
         # g_hat(-c2) != 0 makes the 1/|omega| integral log-divergent
         c2 = 2.0 / np.sqrt(3.0)
         with pytest.raises(DivergentAdmissibility):
             fs.admissibility_cgpsi(hermite, hermite, c2)
+
+    def test_divergence_quotes_the_numerator_at_zero(self, hermite):
+        # the hermite1 pair's numerator at omega = 0 is c2^2 e^{-c2^2}
+        with pytest.raises(DivergentAdmissibility, match=r"numerator 3\.515e-01 at omega=0"):
+            fs.admissibility_cgpsi(hermite, hermite, 2.0 / np.sqrt(3.0))
 
     def test_pair_divergent_for_mexican_pair(self, mexican):
         with pytest.raises(DivergentAdmissibility):
