@@ -96,16 +96,13 @@ def sqrt_abs_fixture() -> AsymptoticFixture:
 
 
 def log_sqrt_abs_fixture() -> AsymptoticFixture:
-    """|x|^{1/2} ln(1/|x|): genuinely slowly varying factor L = |ln eps|."""
+    """|x|^{1/2} ln(1/|x|): genuinely slowly varying factor L = |ln eps|.
 
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        a = np.abs(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(a > 0, np.sqrt(a) * -np.log(np.where(a > 0, a, 1.0)), 0.0)
-        return out + 0.0j
-
-    f = DistributionDescriptor.closed_form(fn, singular_points=(0.0,))
+    f(eps x) = eps^{1/2} |ln eps| |x|^{1/2} + eps^{1/2} |x|^{1/2} ln(1/|x|),
+    so the limit u is |x|^{1/2}.  f is the log-homogeneous descriptor, which
+    pairs in closed form like u.
+    """
+    f = DistributionDescriptor.homogeneous("abs", 0.5, log_power=1)
     u = DistributionDescriptor.homogeneous("abs", 0.5)
     return AsymptoticFixture(f=f, m=0.5, L=SlowlyVarying("logpow", 1.0), u=u,
                              label="|x|^1/2 ln(1/|x|)")

@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -280,7 +281,8 @@ def run(argv=None) -> int:
                   f"(converged {rep.converged_cells}/{rep.total_cells}, "
                   f"D={rep.bound_constant:.4g})")
             return EXIT_OK if rep.verdict == "pass" else EXIT_VERIFY_FAIL
-        fixture = AsymptoticFixture(f=desc, m=m, L=L, u=desc, label="cli")
+        # the limit of |x|^m ln(1/|x|) is |x|^m: f(eps x) = eps^m |ln eps| |x|^m + O(eps^m)
+        fixture = AsymptoticFixture(f=desc, m=m, L=L, u=replace(desc, log_power=0), label="cli")
         checker = asymptotics.CHECKERS[args.theorem]
         rep = checker(p, g, fixture, slope_tol=args.slope_tol,
                       ratio_tol=args.ratio_tol)

@@ -5,8 +5,9 @@ A descriptor represents a tempered/Lizorkin distribution through the action
 
 * delta combs  sum w_j * delta^(k_j)(. - a_j)   (exact pairing),
 * homogeneous functions |x|^m, x_+^m, x_-^m with m > -1 (locally
-  integrable); the windows' admissibility constants pair |x|^-1 and
-  x_+^-1 too, with numerators that vanish at 0,
+  integrable), optionally times ln(1/|x|) (``log_power`` 1); the windows'
+  admissibility constants pair |x|^-1 and x_+^-1 too, with numerators
+  that vanish at 0,
 * closed-form functions of polynomial growth.
 
 Descriptors are paired by one of three routes, which ``pair_cells``
@@ -20,7 +21,8 @@ chooses for a whole family of probes (``pair`` is its one-cell case):
   per term;
 * homogeneous kinds, with a probe that carries a ``GaussianForm``, in
   closed form: one long-double power series in b/sqrt(a) over all cells of
-  a family, at the cells it resolves (see HOMOGENEOUS_SERIES_TERMS);
+  a family, at the cells it resolves (see HOMOGENEOUS_SERIES_TERMS); the
+  log kinds by the same series differentiated in the degree;
 * everything else (closed-form descriptors, the cells the closed form
   leaves out, probes built from a plain function) cell by cell through
   ``pair_with_error``: a fixed tanh-sinh rule on panels split at their
@@ -99,6 +101,7 @@ class DistributionDescriptor:
     terms: tuple[DeltaTerm, ...] = ()
     pattern: str = "abs"          # "abs" | "plus" | "minus"
     degree: float = 0.0
+    log_power: int = 0            # homogeneous: times ln(1/|x|)^log_power
     func: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     singular_points: tuple = ()
 
@@ -120,15 +123,19 @@ class DistributionDescriptor:
             kind="delta", terms=tuple(DeltaTerm(a, int(k), w) for a, k, w in terms))
 
     @staticmethod
-    def homogeneous(pattern: str, degree: float):
+    def homogeneous(pattern: str, degree: float, log_power: int = 0):
+        """|x|^m, x_+^m or x_-^m (pattern "abs", "plus", "minus"), m = degree,
+        times ln(1/|x|) where log_power is 1."""
         degree = float(degree)
         if pattern not in ("abs", "plus", "minus"):
             raise ValueError(f"unknown homogeneous pattern {pattern!r}")
         if not -1 < degree < np.inf:
             raise ValueError("homogeneous degree must be finite and exceed -1 "
                              f"(locally integrable); got {degree}")
-        return DistributionDescriptor(kind="homogeneous", pattern=pattern,
-                                      degree=degree, singular_points=(0.0,))
+        if type(log_power) is not int or log_power not in (0, 1):   # not a bool or 1.0
+            raise ValueError(f"homogeneous log_power must be the integer 0 or 1; got {log_power!r}")
+        return DistributionDescriptor(kind="homogeneous", pattern=pattern, degree=degree,
+                                      log_power=log_power, singular_points=(0.0,))
 
     @staticmethod
     def closed_form(func, singular_points: tuple = ()):
@@ -145,7 +152,8 @@ class DistributionDescriptor:
                 return DistributionDescriptor.delta_comb(
                     [(num(a), num(k), _json_weight(w)) for a, k, w in obj["terms"]])
             if kind == "homogeneous":
-                return DistributionDescriptor.homogeneous(obj["pattern"], num(obj["degree"]))
+                return DistributionDescriptor.homogeneous(obj["pattern"], num(obj["degree"]),
+                                                          obj.get("log_power", 0))
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed descriptor {obj!r}: {exc}") from None
         raise ValueError(f"unknown descriptor kind {kind!r}")
@@ -156,15 +164,18 @@ class DistributionDescriptor:
         """Pointwise density of a function-type kind.
 
         Homogeneous densities are 0 at the origin: for m < 0, |0|^m is
-        infinite, and one infinite sample would poison the magnitude that
-        sets the pairing's error tolerance.  A single point does not change
-        the integral.
+        infinite (and so is ln(1/0)), and one infinite sample would poison
+        the magnitude that sets the pairing's error tolerance.  A single
+        point does not change the integral.
         """
         t = np.asarray(t, dtype=float)
         if self.kind == "homogeneous":
             support = {"abs": t != 0, "plus": t > 0, "minus": t < 0}[self.pattern]
-            with np.errstate(divide="ignore"):
-                return np.where(support, np.abs(t) ** self.degree, 0.0)
+            magnitude = np.where(support, np.abs(t), 1.0)   # 1 off the support: all finite
+            power = magnitude ** self.degree
+            if self.log_power:
+                power = power * -np.log(magnitude)
+            return np.where(support, power, 0.0)
         if self.kind == "closed_form":
             return np.asarray(self.func(t), dtype=complex)
         raise ValueError("delta combs have no pointwise density")
@@ -339,11 +350,16 @@ def _quad_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: float,
 # Taylor series and DLMF 5.9.1, int_0^inf t^nu e^{-a t^2 + b t} dt =
 # I(nu, w) = 1/2 a^{-(nu+1)/2} sum_n w^n Gamma((nu+n+1)/2)/n!: x_+^m pairs as
 # sum_k q_k e^c I(m+k, w), x_-^m as sum_k (-1)^k q_k e^c I(m+k, -w), |x|^m as
-# their sum.  Each cell sums the same terms in long double (so a batch rounds
-# each cell as it rounds alone) and is accepted where its value is finite, its
-# last two terms are below 2^-64 of its |terms| (to |b^2/4a| ~ 11) and its
-# |terms| exceed its value at most HOMOGENEOUS_CANCELLATION_MAX-fold (the far
-# side of a one-sided power needs 2.2e4); the quadrature rule pairs the rest.
+# their sum.  -d/dnu of I(nu, w) pairs t^nu ln(1/t): term n gains the factor
+# 1/2 [ln a - psi((nu+n+1)/2)] (DLMF 5.15; the series is analytic in nu,
+# Gel'fand & Shilov, Generalized Functions I, sec. I.3), so the log kinds sum
+# 1/2 ln a times the same terms minus those terms times 1/2 psi.  Each cell
+# sums the same terms in long double (so a batch rounds each cell as it
+# rounds alone) and is accepted where its value is finite, its last two
+# terms are below 2^-64 of its |terms| (to |b^2/4a| ~ 11) and its |terms|
+# (of both sums, for a log kind) exceed its value at most
+# HOMOGENEOUS_CANCELLATION_MAX-fold (the far side of a one-sided power needs
+# 2.2e4); the quadrature rule pairs the rest.
 HOMOGENEOUS_SERIES_TERMS = 112
 HOMOGENEOUS_CANCELLATION_MAX = 1e5
 
@@ -359,16 +375,32 @@ def _gamma_ld(x) -> np.ndarray:
         x[..., None] + np.arange(32, dtype=np.longdouble), axis=-1)
 
 
+def _digamma_ld(x) -> np.ndarray:
+    """psi(x), x > 0, in long double: the asymptotic series of psi(x + 32) to
+    its B_12 term (the next is below 1e-22), minus 1/x + ... + 1/(x+31)."""
+    x = np.asarray(x, dtype=np.longdouble)
+    y = x + 32
+    series = sum(np.longdouble(p) / q / y ** (2 * j + 2) for j, (p, q) in enumerate(
+        ((1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132), (-691, 32760))))
+    return np.log(y) - 0.5 / y - series - np.sum(
+        1 / (x[..., None] + np.arange(32, dtype=np.longdouble)), axis=-1)
+
+
 @functools.cache
-def _series_coefficients(pattern: str, degree: float, terms: int) -> np.ndarray:
+def _series_coefficients(pattern: str, degree: float, terms: int,
+                         log_power: int) -> tuple[np.ndarray, ...]:
     """Read-only C[k, n] = Gamma((degree+k+n+1)/2)/n! for k < terms, times
-    (-1)^(k+n) for x_-^m and 1 + (-1)^(k+n) for |x|^m."""
+    (-1)^(k+n) for x_-^m and 1 + (-1)^(k+n) for |x|^m; for log_power 1 also
+    C[k, n] psi((degree+k+n+1)/2)/2."""
     k, n = np.ogrid[:terms, :HOMOGENEOUS_SERIES_TERMS]
     factorial = np.cumprod(np.maximum(n, 1), axis=-1, dtype=np.longdouble)
-    coeff = _gamma_ld((np.longdouble(degree) + 1 + k + n) / 2) / factorial
+    x = (np.longdouble(degree) + 1 + k + n) / 2
+    coeff = _gamma_ld(x) / factorial
     coeff *= {"plus": 1.0, "minus": (-1.0) ** (k + n), "abs": 1.0 + (-1.0) ** (k + n)}[pattern]
-    coeff.flags.writeable = False
-    return coeff
+    tables = (coeff, coeff * _digamma_ld(x) / 2) if log_power else (coeff,)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _homogeneous_closed_form(f: "DistributionDescriptor",
@@ -377,13 +409,18 @@ def _homogeneous_closed_form(f: "DistributionDescriptor",
     form = form.long_double().about(0.0)
     # a cell beyond the series' reach (or of a huge degree) may overflow: not accepted
     with np.errstate(over="ignore", invalid="ignore"):
-        coeff = _series_coefficients(f.pattern, f.degree, form.q.shape[-1])
+        coeff, *psi = _series_coefficients(f.pattern, f.degree, form.q.shape[-1], f.log_power)
         w = np.repeat((form.b / np.sqrt(form.a))[..., None], HOMOGENEOUS_SERIES_TERMS - 1, axis=-1)
         powers = np.cumprod(np.insert(w, 0, 1.0, axis=-1), axis=-1)   # w^n as a running product
         lead = 0.5 * form.q * np.exp(form.c)[..., None] * form.a[..., None] ** (
             -(np.longdouble(f.degree) + 1 + np.arange(coeff.shape[0])) / 2)
-        vals = np.sum(lead * (powers @ coeff.T), axis=-1).astype(complex)
-        sizes = np.abs(lead)[..., None] * np.abs(powers)[..., None, :] * np.abs(coeff)
+        sums, magnitude = powers @ coeff.T, np.abs(coeff)
+        if psi:   # -d/dnu: 1/2 ln a times the sums, minus the psi sums
+            half_log_a = np.log(form.a)[..., None] / 2
+            sums = half_log_a * sums - powers @ psi[0].T
+            magnitude = np.abs(half_log_a)[..., None] * magnitude + np.abs(psi[0])
+        vals = np.sum(lead * sums, axis=-1).astype(complex)
+        sizes = np.abs(lead)[..., None] * np.abs(powers)[..., None, :] * magnitude
         terms, tail = (np.sum(s, axis=(-2, -1)) for s in (sizes, sizes[..., -2:]))
         accepted = (np.isfinite(vals) & (tail <= 2.0 ** -64 * terms)
                     & (terms <= HOMOGENEOUS_CANCELLATION_MAX * np.abs(vals)))

@@ -59,7 +59,9 @@ def _mp_pairing(f, form, dps=20):
     E_nu = a^{-(nu+1)/2} Gamma((nu+1)/2) M((nu+1)/2, 1/2, z),
     O_nu = b a^{-(nu+2)/2} Gamma(nu/2+1) M(nu/2+1, 3/2, z), z = b^2/(4a).
     The form is moved from its origin o to 0 in the same arithmetic:
-    Q(t - o) = sum_j r_j t^j, b -> b + 2 a o and c -> c - o (b + a o)."""
+    Q(t - o) = sum_j r_j t^j, b -> b + 2 a o and c -> c - o (b + a o).
+    For a log kind (log_power 1) the pairing is -d/dnu of the same closed
+    form at nu = degree, by mpmath.diff."""
     with mpmath.workdps(dps):
         o = mpmath.mpf(float(form.origin))
         a = mpmath.mpc(complex(form.a))
@@ -70,21 +72,26 @@ def _mp_pairing(f, form, dps=20):
              for j in range(len(q))]
         b = b + 2 * a * o
         z = b * b / (4 * a)
-        total = 0
-        for k, q in enumerate(r):
-            nu = mpmath.mpf(f.degree) + k
-            even = (nu + 1) / 2
-            odd = nu / 2 + 1
-            E = a ** -even * mpmath.gamma(even) * mpmath.hyp1f1(even, 0.5, z)
-            O = b * a ** -odd * mpmath.gamma(odd) * mpmath.hyp1f1(odd, 1.5, z)
-            if f.pattern == "abs":
-                moment = E if k % 2 == 0 else O
-            elif f.pattern == "plus":
-                moment = (E + O) / 2
-            else:
-                moment = (-1) ** k * (E - O) / 2
-            total += q * moment
-        return complex(mpmath.exp(c) * total)
+
+        def pairing(degree):
+            total = 0
+            for k, q in enumerate(r):
+                nu = degree + k
+                even = (nu + 1) / 2
+                odd = nu / 2 + 1
+                E = a ** -even * mpmath.gamma(even) * mpmath.hyp1f1(even, 0.5, z)
+                O = b * a ** -odd * mpmath.gamma(odd) * mpmath.hyp1f1(odd, 1.5, z)
+                if f.pattern == "abs":
+                    moment = E if k % 2 == 0 else O
+                elif f.pattern == "plus":
+                    moment = (E + O) / 2
+                else:
+                    moment = (-1) ** k * (E - O) / 2
+                total += q * moment
+            return mpmath.exp(c) * total
+
+        degree = mpmath.mpf(f.degree)
+        return complex(-mpmath.diff(pairing, degree) if f.log_power else pairing(degree))
 
 
 @pytest.fixture(scope="session")

@@ -138,6 +138,13 @@ class TestUsageErrors:
         '{"kind":"delta","terms":[[0,1,[]]]}',
         '{"kind":"delta","terms":[[0,1,[2.0]]]}',
         '[1, 2]',
+        '{"kind":"homogeneous","pattern":"abs","degree":0.5,"log_power":2}',
+        '{"kind":"homogeneous","pattern":"abs","degree":0.5,"log_power":-1}',
+        '{"kind":"homogeneous","pattern":"abs","degree":0.5,"log_power":0.5}',
+        '{"kind":"homogeneous","pattern":"abs","degree":0.5,"log_power":1.0}',
+        '{"kind":"homogeneous","pattern":"abs","degree":0.5,"log_power":true}',
+        '{"kind":"homogeneous","pattern":"abs","degree":0.5,"log_power":"1"}',
+        '{"kind":"homogeneous","pattern":"abs","degree":0.5,"log_power":null}',
     ])
     def test_bad_descriptor(self, tmp_path, dist):
         assert exit_code(["verify", "rez1", "--alpha", "1.0472", "--window", "hermite1",
@@ -310,7 +317,7 @@ class TestCommands:
 
     def test_verify_te1_sqrt_abs_reaches_a_verdict(self, tmp_path, capsys):
         # every cell of te1's lattice on |x|^1/2 pairs in closed form; the
-        # hypotheses fail (16 cells do not converge, ROADMAP item 3)
+        # hypotheses fail (16 cells do not converge, ROADMAP item 4)
         out = tmp_path / "te1"
         assert exit_code(["verify", "te1", "--alpha", "1.0472", "--window", "hermite1",
                           "--dist", '{"kind":"homogeneous","pattern":"abs","degree":0.5}',
@@ -319,6 +326,23 @@ class TestCommands:
         rep = json.loads((tmp_path / "te1.report.json").read_text())
         assert rep["closed_form_pairings"] == rep["pairings"] == 880
         assert rep["integrand_evaluations"] == 0
+
+    @pytest.mark.parametrize("theorem, ratio_deviation", [("te4", 0.5), ("rez1", 0.2)])
+    def test_verify_log_homogeneous(self, tmp_path, theorem, ratio_deviation):
+        # |x|^1/2 ln(1/|x|) with L = |ln eps|: every pairing in closed form.
+        # The limit is |x|^1/2, not the log distribution itself, which would
+        # leave ratio deviations of 1.57 (te4) and 3.62 (rez1).  On the
+        # default sequence the 1/|ln eps| corrections still fail a gate
+        # (te4: slope deviation 0.110; rez1: ratio deviation 0.138), exit 3
+        out = tmp_path / theorem
+        assert exit_code(["verify", theorem, "--alpha", "1.0472", "--window", "hermite1",
+                          "--dist", '{"kind":"homogeneous","pattern":"abs","degree":0.5,'
+                                    '"log_power":1}',
+                          "--sv", "logpow", "--output", str(out)]) == 3
+        rep = json.loads((tmp_path / f"{theorem}.report.json").read_text())
+        assert rep["extras"]["closed_form_pairings"] == rep["extras"]["pairings"] == 104
+        assert rep["extras"]["integrand_evaluations"] == 0
+        assert rep["max_ratio_deviation"] < ratio_deviation
 
     def test_refused_pairing_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
         # with the closed form's cancellation bound at 0 the same run pairs

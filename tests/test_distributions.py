@@ -103,12 +103,14 @@ class TestPair:
                                 rtol=1e-12, err_msg=f"{pattern}, closed form {closed_form}")
 
     def test_homogeneous_density_at_origin(self):
-        # |0|^m is infinite for m < 0; the density is 0 there for every pattern
+        # |0|^m is infinite for m < 0, and so is ln(1/0); the density is 0
+        # there for every pattern, with or without the log factor
         t = np.array([-4.0, 0.0, 4.0])
-        for pattern, expected in (("abs", [0.5, 0.0, 0.5]), ("plus", [0.0, 0.0, 0.5]),
-                                  ("minus", [0.5, 0.0, 0.0])):
-            assert_allclose(DD.homogeneous(pattern, -0.5).density(t), expected,
-                            rtol=1e-15, err_msg=pattern)
+        for log_power, factor in ((0, 1.0), (1, -np.log(4.0))):
+            for pattern, expected in (("abs", [0.5, 0.0, 0.5]), ("plus", [0.0, 0.0, 0.5]),
+                                      ("minus", [0.5, 0.0, 0.0])):
+                assert_allclose(DD.homogeneous(pattern, -0.5, log_power).density(t),
+                                factor * np.array(expected), rtol=1e-15, err_msg=pattern)
 
     def test_error_estimate_reported(self):
         # the rule's estimate; the closed form reports 0.0
@@ -306,6 +308,73 @@ class TestHomogeneousClosedForm:
                 ref = mpmath.gamma(mpmath.mpf(float(x)))
                 assert abs((mpmath.mpf(str(got)) - ref) / ref) <= 1e-16, x
 
+    def test_digamma_long_double(self):
+        # the asymptotic series in long double on the arguments the tables
+        # use, x in [(m+1)/2, (m+k+112)/2] for m > -1 and short Q
+        import mpmath
+        with mpmath.workdps(30):
+            for x in np.concatenate([np.linspace(0.0, 2.0, 201)[1:], np.linspace(2.05, 64.0, 400)]):
+                got = distributions._digamma_ld(x)
+                ref = mpmath.digamma(mpmath.mpf(float(x)))
+                assert abs(mpmath.mpf(str(got)) - ref) <= 1e-18 * max(1, abs(ref)), x
+
+    @staticmethod
+    def _random_cell(rng):
+        """An FRST probe cell of a library window, as in test_matches_mpmath_and_the_rule."""
+        from fracspec.frst import _frst_params, _integrand_probe
+        p = fs.make_frac_param(rng.uniform(1.0, 2.1))
+        g = fs.window_by_name(rng.choice(TestHomogeneousClosedForm.WINDOWS))
+        x, d, omega, amp = _frst_params(p, rng.uniform(-1.0, 3.0),
+                                        rng.choice([1.0, -1.0]) * rng.uniform(0.5, 2.0), False)
+        return _integrand_probe(p, g, x, d, omega - rng.uniform(-1.0, 3.0), amp)
+
+    @pytest.mark.parametrize("pattern", ["abs", "plus", "minus"])
+    def test_log_kinds_match_mpmath(self, mp_pairing, pattern):
+        # |x|^m ln(1/|x|) and x_+-^m ln(1/|x|): -d/dnu of the series against
+        # -d/dnu of mpmath's Kummer form, relative to the value, at every
+        # accepted cell of 20 random probe cells per degree (the rest lie
+        # beyond the series' reach: the same powers without the log accept
+        # 60, 59 and 56 of the 80 cells, the log kinds 59, 59 and 54)
+        rng = np.random.default_rng(7)
+        accepted_cells = 0
+        for degree in (-0.5, 0.25, 0.5, 1.5):
+            f = DD.homogeneous(pattern, degree, log_power=1)
+            for _ in range(20):
+                form = self._random_cell(rng).form()
+                val, accepted = distributions._homogeneous_closed_form(f, form)
+                if accepted:
+                    accepted_cells += 1
+                    ref = mp_pairing(f, form, dps=30)
+                    assert abs(val - ref) <= 1e-13 * abs(ref), (pattern, degree)
+        assert accepted_cells >= 50
+
+    def test_log_kind_matches_the_rule(self, monkeypatch, p_third, hermite):
+        # the slow paths as oracle of the closed form: the log descriptor
+        # forced through the rule (cancellation bound 0), and the density
+        # given as a closed_form function with a probe without its form,
+        # each within the rule's budget of its scale; REZ1's probes at
+        # three scales of the deep sequence
+        from fracspec.frst import _frst_params, _integrand_probe
+        f = DD.homogeneous("abs", 0.5, log_power=1)
+        density = DD.closed_form(
+            lambda t: np.sqrt(np.abs(t)) * -np.log(np.where(t != 0, np.abs(t), 1.0)) + 0j,
+            singular_points=(0.0,))
+        for eps in (2.0 ** -6, 2.0 ** -13, 2.0 ** -20):
+            for x, xi in fs.asymptotics.DEFAULT_PROBES:
+                probe = _integrand_probe(p_third, hermite,
+                                         *_frst_params(p_third, eps * x, xi / eps, True))
+                with tally_pairings() as closed:
+                    val = pair(f, probe)
+                assert closed.closed_form_pairings == 1
+                scale = distributions._tanh_sinh_pairing(
+                    f, probe, *distributions._pairing_interval(f, probe))[2]
+                budget = distributions.PAIRING_ERROR_BUDGET * max(abs(val), scale)
+                with monkeypatch.context() as mp, tally_pairings() as rule:
+                    mp.setattr(distributions, "HOMOGENEOUS_CANCELLATION_MAX", 0.0)
+                    assert abs(pair(f, probe) - val) <= budget
+                assert rule.closed_form_pairings == 0 and rule.integrand_evaluations > 0
+                assert abs(pair(density, replace(probe, form=None)) - val) <= budget
+
     def test_far_side_cell_pairs_in_closed_form(self, mp_pairing):
         # REZ1's probe (x, xi) = (-1.5, 2) at alpha = 1 lies on the far side
         # of x_+^1/4: its even and odd sums cancel thousands-fold
@@ -420,7 +489,11 @@ class TestJson:
 
     def test_homogeneous_json(self):
         d = DD.from_json({"kind": "homogeneous", "pattern": "abs", "degree": 0.5})
-        assert d.degree == 0.5
+        assert d.degree == 0.5 and d.log_power == 0
+        for log_power in (0, 1):
+            d = DD.from_json({"kind": "homogeneous", "pattern": "minus", "degree": 0.5,
+                              "log_power": log_power})
+            assert d == DD.homogeneous("minus", 0.5, log_power=log_power)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
