@@ -197,11 +197,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _infer_degree(desc: DistributionDescriptor) -> float:
+    """Of the two kinds ``from_json`` builds: a delta comb or a homogeneous density."""
     if desc.kind == "delta":
         return -1.0 - max(t.order for t in desc.terms)
-    if desc.kind == "homogeneous":
-        return desc.degree
-    raise ValueError("--degree is required for this descriptor kind")
+    return desc.degree
 
 
 def run(argv=None) -> int:

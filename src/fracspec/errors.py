@@ -30,7 +30,9 @@ class NotAWavelet(FracspecError):
 
 
 class DivergentAdmissibility(FracspecError):
-    """Admissibility integral fails the small-frequency convergence check."""
+    """Admissibility integral diverges at omega = 0: the tanh-sinh rule
+    refuses its pairing of 1/|omega| with a numerator that does not vanish
+    there."""
 
 
 class ZeroAdmissibility(FracspecError):

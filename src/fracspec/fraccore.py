@@ -204,10 +204,8 @@ def check_sampling(p: FracParam, f: SampledSignal, omega: float) -> None:
     the kernel (``|c2|*max|xi|`` for the FRFT; for the FRST that plus the
     window's carrier times max|xi|; for the FRWT the window bandwidth plus
     its carrier at the finest scale); we require at most pi/4 phase per
-    sample.
+    sample.  ``p`` is a regular angle.
     """
-    if not p.is_regular:
-        return
     t_abs = max(abs(f.t0), abs(f.t_end))
     omega_max = abs(p.c1) * t_abs + omega
     if omega_max > 0 and f.dt > MAX_PHASE_STEP / omega_max:

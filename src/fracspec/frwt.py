@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import SignalOrDistribution, pair
+from .errors import ZeroAdmissibility
 from .fraccore import (
     CLASSICAL_FT_PARAM,
     FracParam,
@@ -54,7 +55,7 @@ from .frst import (
     frst_point,  # not called here; perfbench's tracer looks it up in this module
     log_branch_weights,
 )
-from .windows import Window, admissibility_cg, modulate, require_wavelet
+from .windows import ADMISSIBILITY_MIN, Window, admissibility_cg, modulate, require_wavelet
 
 
 def _frwt_params(p: FracParam, x, xi):
@@ -202,11 +203,15 @@ def frwt_reconstruct(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
 
     Cg_plus is the positive-half admissibility integral; over a positive
     scale axis the composition reproduces 2*pi*Cg_plus*f (equal to
-    pi*C_g*f for real windows).
+    pi*C_g*f for real windows).  A 2*pi*Cg_plus below ADMISSIBILITY_MIN (a
+    spectrum below w = 0) raises ZeroAdmissibility.
     """
     p.require_regular("frwt_reconstruct")
     adm = admissibility_cg(g)
     const = 2.0 * np.pi * adm.half_line
+    if const < ADMISSIBILITY_MIN:
+        raise ZeroAdmissibility(f"2 pi C_g[{g.name}] on omega > 0 = {const:.3e}; "
+                                "reconstruction over positive scales impossible")
     F = frwt_forward(p, g, f, x_axis, xi_axis, enforce_sampling=enforce_sampling)
     rec = frwt_synthesis(p, g, F, f.t_grid) / const
     return _compare("FRWT", p.alpha, const, f, rec)

@@ -11,7 +11,8 @@ moments, its ``GaussianForm`` (which gives the derivatives that delta
 pairings and seminorms need), and its pairings with homogeneous
 distributions are all derived from the form.  The admissibility constants
 are pairings of the degree -1 homogeneous densities |w|^-1 and w_+^-1 with
-spectral numerators, made by the tanh-sinh rule in ``distributions``.
+spectral numerators, made by the tanh-sinh rule in ``distributions``, whose
+refusal is what decides that a constant diverges at w = 0.
 The built-in library covers the unit-mass Gaussian, the Mexican hat, the
 Hermite wavelet d/dt exp(-t^2/2), the derivatives of the Gaussian, and
 modulated/dilated variants of any of them.
@@ -34,6 +35,7 @@ from .errors import (
     MomentOrderTooHigh,
     NonPositiveScale,
     NotAWavelet,
+    PairingDiverged,
     ZeroAdmissibility,
 )
 
@@ -43,6 +45,7 @@ MAX_MOMENT_ORDER = 12
 MAX_DERIVATIVE_ORDER = 4
 MAX_SIGMA_DERIVATIVE = 2
 WAVELET_MOMENT_TOL = 1e-8
+ADMISSIBILITY_MIN = 1e-10   # smaller constants cannot normalize a reconstruction
 
 # Truncation radius for window quadratures, in widths (and for spectra, in
 # spectral widths 1/width).
@@ -335,9 +338,10 @@ class AdmissibilityConstant:
     Both constants are pairings of the density |w|^-1 with a numerator(w),
     made by ``distributions.pair_with_error`` over the frequency band where
     the windows' spectra lie within SUPPORT_RADII spectral widths of their
-    carriers.  For the single-window wavelet constant, ``value`` is the
-    pairing <|w|^-1, |g_hat|^2> and ``half_line`` its w>0 part, the pairing
-    of w_+^-1 with the same numerator over the same band, which is what
+    carriers; a pairing the rule refuses is DivergentAdmissibility.  For the
+    single-window wavelet constant, ``value`` is the pairing
+    <|w|^-1, |g_hat|^2> and ``half_line`` its w>0 part, the pairing of
+    w_+^-1 with the same numerator over the same band, which is what
     normalizes a synthesis over positive scales only.
     """
 
@@ -352,25 +356,34 @@ def _spectral_band(g: Window) -> tuple[float, float]:
     return g.carrier - r, g.carrier + r
 
 
-def _pair_inverse_abs(pattern: str, numerator, lo: float, hi: float) -> tuple[complex, float]:
+def _pair_inverse_abs(label: str, pattern: str, numerator, lo: float,
+                      hi: float) -> tuple[complex, float]:
     """(<|w|^-1, numerator> over [lo, hi], its error estimate), or with
-    pattern "plus" the pairing of w_+^-1, over the part of [lo, hi] above 0."""
+    pattern "plus" the pairing of w_+^-1, over the part of [lo, hi] above 0.
+
+    A pairing the rule refuses is the constant ``label`` diverging at w = 0:
+    DivergentAdmissibility, quoting |numerator(0)|."""
     # imported here: distributions imports this module
     from .distributions import DistributionDescriptor, TestFunction, pair_with_error
-    # ``homogeneous`` refuses degree -1, which is not locally integrable; an
-    # admissibility numerator vanishes at w = 0, so the pairing converges
+    # ``homogeneous`` refuses degree -1, which is not locally integrable: the
+    # pairing converges only where the numerator vanishes at w = 0
     inverse = DistributionDescriptor(kind="homogeneous", pattern=pattern, degree=-1.0,
                                      singular_points=(0.0,))
-    return pair_with_error(inverse, TestFunction(numerator, center=(lo + hi) / 2.0,
-                                                 radius=(hi - lo) / 2.0))
+    try:
+        return pair_with_error(inverse, TestFunction(numerator, center=(lo + hi) / 2.0,
+                                                     radius=(hi - lo) / 2.0))
+    except PairingDiverged as exc:
+        at_zero = float(np.abs(numerator(np.zeros(1)))[0])
+        raise DivergentAdmissibility(
+            f"{label}: integrand numerator {at_zero:.3e} at omega=0; the 1/|omega| "
+            f"integral diverges ({exc})") from exc
 
 
 def admissibility_cg(g: Window) -> AdmissibilityConstant:
     """Wavelet constant C_g = <|w|^-1, |g_hat|^2> over g's spectral band.
 
-    Requires the vanishing-zeroth-moment gate (so |g_hat|^2 ~ w^2 near 0 and
-    the weight is integrable).  ``half_line``, the w>0 share, is the pairing
-    of w_+^-1 with the same numerator.
+    Requires the vanishing-zeroth-moment gate (NotAWavelet).  ``half_line``,
+    the w>0 share, is the pairing of w_+^-1 with the same numerator.
     """
     require_wavelet(g)
 
@@ -379,12 +392,10 @@ def admissibility_cg(g: Window) -> AdmissibilityConstant:
         return (v * np.conj(v)).real
 
     lo, hi = _spectral_band(g)
-    value, err = _pair_inverse_abs("abs", numerator, lo, hi)
-    half_line = _pair_inverse_abs("plus", numerator, lo, hi)[0].real
-    value = value.real
-    if value <= 0 or not np.isfinite(value):
-        raise DivergentAdmissibility(f"C_g[{g.name}] evaluated to {value}")
-    return AdmissibilityConstant(value=value, quadrature_error_estimate=err, half_line=half_line)
+    value, err = _pair_inverse_abs(f"C_g[{g.name}]", "abs", numerator, lo, hi)
+    half_line = _pair_inverse_abs(f"C_g[{g.name}] on omega > 0", "plus", numerator, lo, hi)[0]
+    return AdmissibilityConstant(value=value.real, quadrature_error_estimate=err,
+                                 half_line=half_line.real)
 
 
 def admissibility_cgpsi(g: Window, psi: Window, c2: float) -> AdmissibilityConstant:
@@ -392,9 +403,10 @@ def admissibility_cgpsi(g: Window, psi: Window, c2: float) -> AdmissibilityConst
     C_{g,psi,c2} = integral psi_hat(c2*(w-1)) * conj(g_hat(c2*(w-1))) dw/|w|.
 
     c2 must be finite and nonzero (ValueError).  Finite only when the
-    numerator vanishes at w=0, i.e. when psi_hat(-c2)*conj(g_hat(-c2)) = 0;
-    otherwise DivergentAdmissibility.  Paired over the w where both spectra
-    lie in their bands, so disjoint spectra give ZeroAdmissibility.
+    numerator vanishes at w=0, i.e. when psi_hat(-c2)*conj(g_hat(-c2)) = 0:
+    a pairing the rule refuses raises DivergentAdmissibility.  Paired over
+    the w where both spectra lie in their bands, so disjoint spectra give
+    ZeroAdmissibility, as does any |value| below ADMISSIBILITY_MIN.
     """
     c2 = float(c2)
     if c2 == 0 or not math.isfinite(c2):
@@ -404,25 +416,15 @@ def admissibility_cgpsi(g: Window, psi: Window, c2: float) -> AdmissibilityConst
         arg = c2 * (w - 1.0)
         return psi.ft(arg) * np.conj(g.ft(arg))
 
-    at_zero = float(np.abs(numerator(np.zeros(1)))[0])
-    scale = max(1.0, float(np.max(np.abs(numerator(np.linspace(-4, 4, 161))))))
-    if at_zero > 1e-10 * scale:
-        raise DivergentAdmissibility(
-            f"C_gpsi[{g.name},{psi.name}]: integrand numerator {at_zero:.3e} at omega=0 "
-            f"(scale {scale:.3e}); the 1/|omega| integral diverges")
-
     def w_band(h: Window) -> list:
         """The w with c2 (w - 1) in h's spectral band."""
         return sorted(1.0 + s / c2 for s in _spectral_band(h))
 
+    label = f"C_gpsi[{g.name},{psi.name}]"
     (g_lo, g_hi), (psi_lo, psi_hi) = w_band(g), w_band(psi)
-    value, err = _pair_inverse_abs("abs", numerator, max(g_lo, psi_lo), min(g_hi, psi_hi))
-    if not np.isfinite(value):
-        raise DivergentAdmissibility(f"C_gpsi[{g.name},{psi.name}] is not finite")
-    if abs(value) < 1e-10:
-        raise ZeroAdmissibility(
-            f"C_gpsi[{g.name},{psi.name}] = {value:.3e}; reconstruction impossible"
-        )
+    value, err = _pair_inverse_abs(label, "abs", numerator, max(g_lo, psi_lo), min(g_hi, psi_hi))
+    if abs(value) < ADMISSIBILITY_MIN:
+        raise ZeroAdmissibility(f"{label} = {value:.3e}; reconstruction impossible")
     return AdmissibilityConstant(value=value, quadrature_error_estimate=err)
 
 

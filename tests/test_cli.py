@@ -1,5 +1,7 @@
 import json
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ class TestIngest:
         with pytest.raises(fs.MalformedCSV):
             read_signal_csv(path)
 
+
+    def test_one_row_file(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("t,re,im\n0.0,1.0,0.0\n")
+        assert exit_code(["frft", "--alpha", "1.0", "--input", str(path),
+                          "--output", str(tmp_path / "out")]) == 2
+        assert "at least 2 samples" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_non_finite_field_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
@@ -145,6 +155,7 @@ class TestUsageErrors:
         '{"kind":"homogeneous","pattern":"abs","degree":0.5,"log_power":true}',
         '{"kind":"homogeneous","pattern":"abs","degree":0.5,"log_power":"1"}',
         '{"kind":"homogeneous","pattern":"abs","degree":0.5,"log_power":null}',
+        '{"kind":"homogeneous","pattern":"both","degree":0.5}',
     ])
     def test_bad_descriptor(self, tmp_path, dist):
         assert exit_code(["verify", "rez1", "--alpha", "1.0472", "--window", "hermite1",
@@ -162,10 +173,12 @@ class TestUsageErrors:
         ("gauss:inf", 1), ("gauss:nan", 1), ("modulated:hermite1:nan", 1),
         ("modulated:hermite1:inf", 1), ("dilated:hermite1:nan", 1),
         ("dilated:hermite1:inf", 1), ("dilated:gauss:inf", 1), ("gauss:0", 2),
+        ("dog:9", 1),
     ])
     def test_bad_window_parameter(self, tmp_path, window, code):
-        # non-finite widths, carriers and dilation factors are usage errors;
-        # a zero width stays NonPositiveScale, a numerical error
+        # non-finite widths, carriers and dilation factors, and a
+        # derivative-of-Gaussian order outside 1..8, are usage errors; a zero
+        # width stays NonPositiveScale, a numerical error
         assert exit_code(["verify", "rez1", "--alpha", "1.0", "--window", window,
                           "--dist", '{"kind":"delta","terms":[[0,0,1.0]]}',
                           "--output", str(tmp_path / "v")]) == code
@@ -432,6 +445,26 @@ class TestCommands:
         assert rep["pairings"] == 2
         assert rep["c_g"] == rep["c_g_half_line"] == 0.11348212805388344
 
+    def test_admissibility_pair_command(self, tmp_path):
+        # psi_hat(s) conj(g_hat(s)) = -(s + c2)^6 s^2 e^{-(s + c2)^2/2 - s^2/2},
+        # s = c2 (w - 1), over the w where both spectra lie in their bands
+        c2 = 2.0 / math.sqrt(3.0)
+        assert exit_code(["admissibility", "--window", "mexican-hat",
+                          "--psi", f"modulated:dog:6:{-c2!r}", f"--c2={c2!r}",
+                          "--output", str(tmp_path / "adm")]) == 0
+        rep = json.loads((tmp_path / "adm.report.json").read_text())
+        assert rep["pairings"] == 1
+
+        def numerator(w):
+            s = c2 * (w - 1)
+            return -(s + c2) ** 6 * s ** 2 * mpmath.exp(-(s + c2) ** 2 / 2 - s ** 2 / 2)
+
+        with mpmath.workdps(30):
+            oracle = float(mpmath.quad(lambda w: numerator(w) / abs(w),
+                                       [1 - 10 / c2, 0, 1, 1 + (10 - c2) / c2]))
+        assert rep["c_gpsi"][1] == 0.0
+        assert abs(rep["c_gpsi"][0] - oracle) <= 1e-12 * abs(oracle)
+
     def test_admissibility_divergent_maps_to_numerical_error(self, tmp_path, capsys):
         with pytest.raises(fs.DivergentAdmissibility):
             run(["admissibility", "--window", "hermite1", "--psi", "hermite1",
@@ -473,6 +506,16 @@ class TestCommands:
         assert code == 0
         rep = json.loads((tmp_path / "inv.report.json").read_text())
         assert "rel_l2" in rep
+
+    def test_invert_frwt_spectrum_below_zero(self, tmp_path, capsys):
+        # the band of modulated:hermite1:-12 lies below omega = 0, so its
+        # positive-scale constant 2 pi C_g+ is 0: refused, not divided by
+        assert exit_code(["invert", "--transform", "frwt", "--alpha", "1.5707963267948966",
+                          "--window", "modulated:hermite1:-12.0",
+                          "--input", '{"gaussian":{"width":1.0},"N":1024,"T":12}',
+                          "--xi", "0.5:16:64", "--output", str(tmp_path / "inv")]) == 2
+        assert "reconstruction over positive scales impossible" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestDeterminism:

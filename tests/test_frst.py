@@ -102,6 +102,19 @@ class TestTFGrid:
         with pytest.raises(fs.MalformedCSV):
             grid_from_csv(bad)
 
+    @pytest.mark.parametrize("text, match", [
+        # np.loadtxt warns on a file with no data rows before the refusal
+        pytest.param("x,xi,re,im\n", "empty grid file", marks=pytest.mark.filterwarnings(
+            "ignore:loadtxt. input contained no data:UserWarning")),
+        ("x,xi,re,im\n0,1,0,0\n0,2,0,0\n1,1,0,0\n", "complete x/xi product"),
+        ("x,xi,re,im\n0,1,zero,0\n", "could not convert"),
+    ])
+    def test_malformed_rows(self, tmp_path, text, match):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with pytest.raises(fs.MalformedCSV, match=match):
+            grid_from_csv(bad)
+
 
 class TestForward:
     def test_zero_operator_at_alpha_zero(self, unit_gauss):
@@ -134,6 +147,13 @@ class TestForward:
         oracle = stockwell_oracle(unit_gauss, sig, x, xi)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(grid.values - oracle)) / scale < 1e-8
+
+    def test_st_point_of_delta(self, hermite):
+        # alpha = pi/2: |xi| conj(g(-xi x)) / sqrt(2 pi), g(t) = -t e^{-t^2/2}
+        for x, xi in [(0.7, 1.3), (-1.2, 0.4), (0.5, -2.5)]:
+            u = x * xi
+            want = abs(xi) / np.sqrt(2 * np.pi) * u * np.exp(-u * u / 2)
+            assert_allclose(fs.st_point(hermite, DD.delta(), x, xi), want, rtol=1e-14, atol=0)
 
     def test_delta_closed_form(self, p_third, hermite):
         rng = np.random.default_rng(11)

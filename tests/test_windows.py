@@ -320,6 +320,41 @@ class TestAdmissibility:
         with pytest.raises(DivergentAdmissibility, match=r"numerator 3\.515e-01 at omega=0"):
             fs.admissibility_cgpsi(hermite, hermite, 2.0 / np.sqrt(3.0))
 
+    @pytest.mark.parametrize("c2", [2.0 / np.sqrt(3.0), 1.0 / np.sin(2.5), -1.3])
+    def test_every_refusal_is_an_admissibility_error(self, c2):
+        # a numerator small but not zero at omega = 0 is refused by the
+        # pairing itself, as the constant diverging there: no pair of these
+        # windows ends in PairingDiverged
+        names = ["mexican-hat", "hermite1", "dog:3", "dog:6", "gauss:2.0",
+                 "modulated:hermite1:8.0", "dilated:hermite1:3.0",
+                 "modulated:dog:6:-1.1547005383792515"]
+        windows = [window_by_name(n) for n in names]
+        for g in windows:
+            for psi in windows:
+                try:
+                    fs.admissibility_cgpsi(g, psi, c2)
+                except (DivergentAdmissibility, ZeroAdmissibility):
+                    pass
+
+    def test_divergence_below_the_old_gate_quotes_its_numerator(self):
+        # |psi_hat(-c2) g_hat(-c2)| = 8.155e-11 is within 1e-10 of the
+        # numerator's size, but the pairing cannot resolve its 1/|omega|
+        # residue
+        g, psi = window_by_name("gauss:2.0"), window_by_name("modulated:hermite1:8.0")
+        with pytest.raises(DivergentAdmissibility,
+                           match=r"C_gpsi\[gauss:2\.0,modulated:hermite1:8\.0\]: "
+                                 r"integrand numerator 8\.155e-11 at omega=0"):
+            fs.admissibility_cgpsi(g, psi, -1.3)
+
+    def test_cg_of_a_negative_carrier_diverges_on_its_positive_share(self):
+        # |g_hat(0)|^2 = 64 e^{-64} passes the zeroth-moment gate and the
+        # whole band's pairing, not the omega > 0 one
+        g = window_by_name("modulated:hermite1:-8.0")
+        with pytest.raises(DivergentAdmissibility,
+                           match=r"C_g\[modulated:hermite1:-8\.0\] on omega > 0: "
+                                 r"integrand numerator 1\.026e-26 at omega=0"):
+            fs.admissibility_cg(g)
+
     def test_pair_divergent_for_mexican_pair(self, mexican):
         with pytest.raises(DivergentAdmissibility):
             fs.admissibility_cgpsi(mexican, mexican, 1.0)
@@ -411,6 +446,16 @@ class TestSeminorms:
         assert 0.9 < est.value < 1.1
         with pytest.raises(fs.DerivativeOrderTooHigh):
             fs.seminorm_sigma(g, 2, 1, 0, 0)
+
+    def test_sigma_x_derivative(self):
+        # d/dx exp(-x^2 - xi) = -2 x exp(-x^2 - xi): against the same sup
+        # over the grid interior, within np.gradient's O(h^2)
+        g = self._make_grid()
+        x, xi = g.x_axis[1:-1, None], g.xi_axis[None, :]
+        want = np.max(xi * np.abs(x) * np.abs(-2 * x * np.exp(-x ** 2 - xi)))
+        est = fs.seminorm_sigma(g, 0, 1, 1, 1)
+        assert est.indices == (0, 1, 1, 1)
+        assert_allclose(est.value, want, rtol=1e-3)
 
     def test_sigma_grid_too_coarse(self):
         x = np.linspace(-1, 1, 3)
