@@ -58,7 +58,6 @@ from .distributions import (
     SV_ONE,
     TestFunction,
     pair,
-    scaled_pair,
 )
 from .frst import (
     ReconstructionReport,

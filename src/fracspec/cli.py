@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import asymptotics
+from . import asymptotics, distributions
 from .asymptotics import (
     AsymptoticFixture,
     check_te1_hypotheses,
@@ -73,17 +73,21 @@ def read_signal_csv(path) -> SampledSignal:
 
 def ingest_signal(spec: str) -> SampledSignal:
     """Load `t,re,im` CSV, or build a synthetic signal from a JSON spec
-    {"gaussian": {"width": w}, "N": n, "T": T}."""
+    {"gaussian": {"width": w}, "N": n, "T": T}, n an integer."""
     if spec.lstrip().startswith("{"):
         obj = json.loads(spec)
         gauss = obj.get("gaussian")
         if not isinstance(gauss, dict):
             raise ValueError("synthetic spec supports only the gaussian family")
-        width, n, half = float(gauss.get("width", 1.0)), int(obj["N"]), float(obj["T"])
-        if n < 2 or not (0 < width < np.inf and 0 < half < np.inf):
-            raise ValueError(f"synthetic signal needs N >= 2 and finite width, T > 0; "
-                             f"got N={n}, width={width}, T={half}")
-        return gaussian_signal(width, n, half)
+        try:
+            width, n, half = map(distributions._json_number,
+                                 (gauss.get("width", 1.0), obj["N"], obj["T"]))
+        except TypeError as exc:
+            raise ValueError(f"malformed synthetic spec: {exc}") from None
+        if type(n) is not int or n < 2 or not (0 < width < np.inf and 0 < half < np.inf):
+            raise ValueError(f"synthetic signal needs an integer N >= 2 and finite width, "
+                             f"T > 0; got N={n}, width={width}, T={half}")
+        return gaussian_signal(float(width), n, float(half))
     return read_signal_csv(spec)
 
 

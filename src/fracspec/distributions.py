@@ -29,9 +29,9 @@ chooses for a whole family of probes (``pair`` is its one-cell case):
   singular points, evaluated on all of its nodes at once.  The windows'
   admissibility constants are pairings of this kind: the density |w|^-1
   (or w_+^-1) with a spectral numerator as probe.  A pairing whose rule
-  error estimate misses PAIRING_ERROR_BUDGET is refused.  Adaptive
-  quadrature (``quad``, scipy's) is the rule's test oracle only: no
-  runtime path calls it.
+  error estimate misses PAIRING_ERROR_BUDGET is refused.  The rule's
+  test oracle, adaptive quadrature by ``quad`` (scipy's), lives in the
+  tests: no runtime path calls it.
 
 A ``SampledSignal`` is paired by the trapezoid rule on the signal's own
 grid, in ``pair_with_error`` too.  That is the point transforms' route,
@@ -39,29 +39,86 @@ and the test reference of the grid kernels, which transform sampled
 signals by the spectral kernel in ``frst``.  A batch rounds every cell as
 the cell alone would.
 
-Scaled pairings <f(eps x), phi(x)> reduce to (1/eps) <f(t), phi(t/eps)>.
-A descriptor carries no modulation: M_a f pairs as <f, e^{iat} phi>, which
-the transforms' probes realize as a shift of their frequency (see
-``asymptotics``).
+``GaussianForm`` lives here, with the pairings that read it: this module
+imports nothing from ``windows``, which imports it.  A descriptor carries
+no modulation: M_a f pairs as <f, e^{iat} phi>, which the transforms'
+probes realize as a shift of their frequency (see ``asymptotics``).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import PairingDiverged
+from .errors import DerivativeOrderTooHigh, PairingDiverged
 from .fraccore import KERNEL_BLOCK_ELEMENTS, TWO_PI_LD, SampledSignal, cmul
-from .windows import GaussianForm
 
 # relative to max(|value|, scale); a pairing whose tanh-sinh error estimate
 # exceeds it raises PairingDiverged
 PAIRING_ERROR_BUDGET = 1e-10
+MAX_DERIVATIVE_ORDER = 4        # of GaussianForm.derivative
+
+
+@dataclass(frozen=True)
+class GaussianForm:
+    """phi(t) = sum_k q[..., k] u^k e^{-a u^2 + b u + c}, u = t - origin,
+    with Re a > 0.
+
+    The leading axes of q, and the shapes of a, b, c and origin, are the
+    cells' of a probe family (none for a single probe).  A probe's form is
+    centred at the probe: about 0, its exponent would cancel terms of size
+    (x/width)^2 for a probe at x, and their rounding would stay in it.
+    """
+
+    q: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    origin: np.ndarray = 0.0
+
+    def about(self, t0) -> "GaussianForm":
+        """The same phi centred at t0: with h = t0 - origin, b -> b - 2 a h,
+        c -> c + h (b - a h) and q_j -> sum_{k>=j} binom(k, j) q_k h^(k-j),
+        by Horner in h."""
+        h = np.asarray(t0) - self.origin
+        top = self.q.shape[-1] - 1
+        r = [0.0] * (top + 1)
+        for j in range(top + 1):
+            for k in range(top, j - 1, -1):
+                r[j] = r[j] * h + math.comb(k, j) * self.q[..., k]
+        return GaussianForm(np.stack(np.broadcast_arrays(*r), axis=-1), self.a,
+                            self.b - 2.0 * self.a * h, self.c + h * (self.b - self.a * h), t0)
+
+    def long_double(self) -> "GaussianForm":
+        """The same form in long double."""
+        q, a, b, c = (np.asarray(v, dtype=np.clongdouble) for v in (self.q, self.a, self.b, self.c))
+        return GaussianForm(q, a, b, c, np.asarray(self.origin, dtype=np.longdouble))
+
+    def derivative(self, t0, order: int) -> np.ndarray:
+        """phi^(order)(t0) at each cell; t0 broadcasts against the cells.
+
+        Centred at t0 (``about``), phi(t0 + v) = e^{c} R(v) E(v) with
+        E(v) = e^{b v - a v^2} = sum_m e_m v^m, where e_0 = 1, e_1 = b and
+        (m+1) e_{m+1} = b e_m - 2 a e_{m-1}.  So
+        phi^(n)(t0) = n! e^{c} sum_{j<=n} r_j e_{n-j}, in long double.
+        """
+        if order < 0:
+            raise ValueError(f"derivative order {order} is negative")
+        if order > MAX_DERIVATIVE_ORDER:
+            raise DerivativeOrderTooHigh(
+                f"derivative order {order} exceeds {MAX_DERIVATIVE_ORDER}")
+        fm = self.long_double().about(np.asarray(t0, dtype=np.longdouble))
+        e = [np.ones_like(fm.b), fm.b]
+        for m in range(1, order):
+            e.append((fm.b * e[m] - 2.0 * fm.a * e[m - 1]) / (m + 1))
+        total = sum(fm.q[..., j] * e[order - j] for j in range(min(order, fm.q.shape[-1] - 1) + 1))
+        return (math.factorial(order) * np.exp(fm.c) * total).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -314,37 +371,6 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
-def _quad_pairing(f: "DistributionDescriptor", probe: TestFunction, lo: float,
-                  hi: float) -> tuple[complex, float, float, int]:
-    """Adaptive quadrature of the same integral, the rule's test oracle; raises
-    PairingDiverged where its estimate exceeds 1e-8 of its scale."""
-    evaluations = 0
-
-    def integrand(t):
-        nonlocal evaluations
-        evaluations += 1
-        return f.density(np.asarray([t]))[0] * np.asarray(probe(np.asarray([t])), dtype=complex)[0]
-
-    # anchor the absolute tolerance to the integrand's own magnitude so that
-    # pairings of size 1e-15 are still resolved relatively
-    sample = f.density(np.linspace(lo, hi, 65)) * np.asarray(probe(np.linspace(lo, hi, 65)), dtype=complex)
-    scale = float(np.max(np.abs(sample))) * (hi - lo)
-    pts = [p for p in set(f.singular_points) if lo < p < hi]
-    kw = {"limit": 300, "epsabs": max(1e-13 * scale, 1e-280), "epsrel": 1e-10}
-    if pts:
-        kw["points"] = sorted(pts)
-    # complex_func integrates the real and imaginary parts separately and
-    # returns their error estimates as one complex number
-    val, err = quad(integrand, lo, hi, complex_func=True, **kw)
-    err = err.real + err.imag
-    if not np.isfinite(val):
-        raise PairingDiverged(f"pairing value {val:.3e} is not finite")
-    if not err <= 1e-8 * max(abs(val), scale, 1e-250):
-        raise PairingDiverged(
-            f"pairing error estimate {err:.3e} exceeds budget for value {val:.3e}")
-    return val, err, scale, evaluations + 65
-
-
 # Homogeneous pairings in closed form.  Moved to the origin, a probe is
 # sum_k q_k t^k e^{-a t^2 + b t + c}.  With w = b/sqrt(a), e^{bt} as its
 # Taylor series and DLMF 5.9.1, int_0^inf t^nu e^{-a t^2 + b t} dt =
@@ -565,24 +591,6 @@ class ScaleSequence:
 
     def __len__(self):
         return len(self.eps)
-
-
-def scaled_probe(phi: TestFunction, eps: float) -> TestFunction:
-    """phi(./eps): its support stretches by eps."""
-    return replace(
-        phi,
-        fn=lambda t, _f=phi.fn, _e=eps: np.asarray(_f(np.asarray(t) / _e)),
-        center=phi.center * eps,
-        radius=phi.radius * eps,
-        form=None if phi.form is None else lambda _f=phi.form, _e=eps: _f().scaled(_e),
-    )
-
-
-def scaled_pair(f: DistributionDescriptor, phi: TestFunction, eps: float,
-                m: float = 0.0, L: SlowlyVarying = SV_ONE) -> complex:
-    """<f(eps x), phi(x)> / (eps^m L(eps)) via <f(eps x), phi> = (1/eps) <f, phi(./eps)>."""
-    raw = pair(f, scaled_probe(phi, eps))
-    return raw / (eps * eps ** m * float(L(np.asarray(eps))))
 
 
 FIT_POINTS = 6   # tail entries a log-slope fit uses

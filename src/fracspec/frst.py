@@ -41,7 +41,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .distributions import SignalOrDistribution, TestFunction, pair, pair_cells
+from .distributions import GaussianForm, SignalOrDistribution, TestFunction, pair, pair_cells
 from .errors import GridTooCoarse, MalformedCSV, SingularAngle
 from .fraccore import (
     KERNEL_BLOCK_ELEMENTS,
@@ -61,7 +61,6 @@ from .fraccore import (
 from .windows import (
     SQRT_2PI,
     SUPPORT_RADII,
-    GaussianForm,
     Window,
     admissibility_cgpsi,
 )
@@ -518,11 +517,16 @@ def write_json(path, obj) -> None:
 
 
 def read_csv_rows(path, header: str) -> np.ndarray:
-    """Numeric rows (2-D) of a CSV file whose first line must be ``header``."""
+    """Numeric rows (2-D) of a CSV file whose first line must be ``header``;
+    none when only blank or comment lines follow it."""
     with open(path) as fh:
         first = fh.readline().strip()
         if first != header:
             raise MalformedCSV(f"expected header {header!r}, got {first!r}")
+        start = fh.tell()
+        if not any(line.split("#", 1)[0].strip() for line in iter(fh.readline, "")):
+            return np.empty((0, header.count(",") + 1))   # np.loadtxt would warn
+        fh.seek(start)
         try:
             return np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:

@@ -7,15 +7,15 @@ Every window is a Gaussian polynomial
 and a Window holds only that form: P's coefficients, the width w and the
 carrier kappa.  Its evaluation, its closed-form Fourier transform (unitary
 convention, f_hat(w) = (2*pi)^{-1/2} * integral f(x) exp(-i*w*x) dx), its
-moments, its ``GaussianForm`` (which gives the derivatives that delta
-pairings and seminorms need), and its pairings with homogeneous
+moments, its ``distributions.GaussianForm`` (which gives the derivatives
+that delta pairings and seminorms need), and its pairings with homogeneous
 distributions are all derived from the form.  The admissibility constants
 are pairings of the degree -1 homogeneous densities |w|^-1 and w_+^-1 with
-spectral numerators, made by the tanh-sinh rule in ``distributions``, whose
-refusal is what decides that a constant diverges at w = 0.
-The built-in library covers the unit-mass Gaussian, the Mexican hat, the
-Hermite wavelet d/dt exp(-t^2/2), the derivatives of the Gaussian, and
-modulated/dilated variants of any of them.
+spectral numerators, made by the tanh-sinh rule in ``distributions`` (which
+imports nothing from here: no cycle), whose refusal is what decides that a
+constant diverges at w = 0.  The built-in library covers the unit-mass
+Gaussian, the Mexican hat, the Hermite wavelet d/dt exp(-t^2/2), the
+derivatives of the Gaussian, and modulated/dilated variants of any of them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from . import distributions
 from .errors import (
     DerivativeOrderTooHigh,
     DivergentAdmissibility,
@@ -42,7 +43,6 @@ from .errors import (
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 MAX_MOMENT_ORDER = 12
-MAX_DERIVATIVE_ORDER = 4
 MAX_SIGMA_DERIVATIVE = 2
 WAVELET_MOMENT_TOL = 1e-8
 ADMISSIBILITY_MIN = 1e-10   # smaller constants cannot normalize a reconstruction
@@ -89,68 +89,6 @@ def _form_eval(poly: tuple, width: float, carrier: float) -> Callable:
 
 
 @dataclass(frozen=True)
-class GaussianForm:
-    """phi(t) = sum_k q[..., k] u^k e^{-a u^2 + b u + c}, u = t - origin,
-    with Re a > 0.
-
-    The leading axes of q, and the shapes of a, b, c and origin, are the
-    cells' of a probe family (none for a single probe).  A probe's form is
-    centred at the probe: about 0, its exponent would cancel terms of size
-    (x/width)^2 for a probe at x, and their rounding would stay in it.
-    """
-
-    q: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    origin: np.ndarray = 0.0
-
-    def scaled(self, eps: float) -> "GaussianForm":
-        """The form of phi(t/eps)."""
-        k = np.arange(self.q.shape[-1])
-        return GaussianForm(self.q / eps ** k, self.a / eps ** 2, self.b / eps, self.c,
-                            self.origin * eps)
-
-    def about(self, t0) -> "GaussianForm":
-        """The same phi centred at t0: with h = t0 - origin, b -> b - 2 a h,
-        c -> c + h (b - a h) and q_j -> sum_{k>=j} binom(k, j) q_k h^(k-j),
-        by Horner in h."""
-        h = np.asarray(t0) - self.origin
-        top = self.q.shape[-1] - 1
-        r = [0.0] * (top + 1)
-        for j in range(top + 1):
-            for k in range(top, j - 1, -1):
-                r[j] = r[j] * h + math.comb(k, j) * self.q[..., k]
-        return GaussianForm(np.stack(np.broadcast_arrays(*r), axis=-1), self.a,
-                            self.b - 2.0 * self.a * h, self.c + h * (self.b - self.a * h), t0)
-
-    def long_double(self) -> "GaussianForm":
-        """The same form in long double."""
-        q, a, b, c = (np.asarray(v, dtype=np.clongdouble) for v in (self.q, self.a, self.b, self.c))
-        return GaussianForm(q, a, b, c, np.asarray(self.origin, dtype=np.longdouble))
-
-    def derivative(self, t0, order: int) -> np.ndarray:
-        """phi^(order)(t0) at each cell; t0 broadcasts against the cells.
-
-        Centred at t0 (``about``), phi(t0 + v) = e^{c} R(v) E(v) with
-        E(v) = e^{b v - a v^2} = sum_m e_m v^m, where e_0 = 1, e_1 = b and
-        (m+1) e_{m+1} = b e_m - 2 a e_{m-1}.  So
-        phi^(n)(t0) = n! e^{c} sum_{j<=n} r_j e_{n-j}, in long double.
-        """
-        if order < 0:
-            raise ValueError(f"derivative order {order} is negative")
-        if order > MAX_DERIVATIVE_ORDER:
-            raise DerivativeOrderTooHigh(
-                f"derivative order {order} exceeds {MAX_DERIVATIVE_ORDER}")
-        fm = self.long_double().about(np.asarray(t0, dtype=np.longdouble))
-        e = [np.ones_like(fm.b), fm.b]
-        for m in range(1, order):
-            e.append((fm.b * e[m] - 2.0 * fm.a * e[m - 1]) / (m + 1))
-        total = sum(fm.q[..., j] * e[order - j] for j in range(min(order, fm.q.shape[-1] - 1) + 1))
-        return (math.factorial(order) * np.exp(fm.c) * total).astype(complex)
-
-
-@dataclass(frozen=True)
 class Window:
     """Gaussian-polynomial window g(u) = P(u) e^{-u^2/(2 width^2)} e^{i carrier u}.
 
@@ -186,11 +124,11 @@ class Window:
         return SUPPORT_RADII * self.width
 
     @cached_property
-    def form(self) -> GaussianForm:
+    def form(self) -> distributions.GaussianForm:
         """q = P, a = 1/(2 width^2), b = i carrier, c = 0."""
-        return GaussianForm(q=np.array(self.poly, dtype=float),
-                            a=np.array(0.5 / (self.width * self.width)),
-                            b=np.array(1j * self.carrier), c=np.array(0.0))
+        return distributions.GaussianForm(q=np.array(self.poly, dtype=float),
+                                          a=np.array(0.5 / (self.width * self.width)),
+                                          b=np.array(1j * self.carrier), c=np.array(0.0))
 
     @cached_property
     def _spectrum(self) -> tuple:
@@ -363,15 +301,13 @@ def _pair_inverse_abs(label: str, pattern: str, numerator, lo: float,
 
     A pairing the rule refuses is the constant ``label`` diverging at w = 0:
     DivergentAdmissibility, quoting |numerator(0)|."""
-    # imported here: distributions imports this module
-    from .distributions import DistributionDescriptor, TestFunction, pair_with_error
     # ``homogeneous`` refuses degree -1, which is not locally integrable: the
     # pairing converges only where the numerator vanishes at w = 0
-    inverse = DistributionDescriptor(kind="homogeneous", pattern=pattern, degree=-1.0,
-                                     singular_points=(0.0,))
-    try:
-        return pair_with_error(inverse, TestFunction(numerator, center=(lo + hi) / 2.0,
-                                                     radius=(hi - lo) / 2.0))
+    inverse = distributions.DistributionDescriptor(kind="homogeneous", pattern=pattern,
+                                                   degree=-1.0, singular_points=(0.0,))
+    probe = distributions.TestFunction(numerator, center=(lo + hi) / 2.0, radius=(hi - lo) / 2.0)
+    try:   # through the module, where a tracer may have wrapped pair_with_error
+        return distributions.pair_with_error(inverse, probe)
     except PairingDiverged as exc:
         at_zero = float(np.abs(numerator(np.zeros(1)))[0])
         raise DivergentAdmissibility(

@@ -55,6 +55,22 @@ class TestIngest:
         assert "at least 2 samples" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        # the refusal is the only message: np.loadtxt's "input contained no
+        # data" UserWarning used to precede it on stderr
+        import os
+        import subprocess
+        import sys
+        path = tmp_path / "hdr.csv"
+        path.write_text("t,re,im\n")
+        src = os.path.dirname(os.path.dirname(fs.__file__))
+        proc = subprocess.run([sys.executable, "-m", "fracspec.cli", "frft", "--alpha", "1.0",
+                               "--input", str(path), "--output", str(tmp_path / "out")],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr == "error: signal file needs at least 2 samples\n"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_non_finite_field_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("t,re,im\n0.0,1.0,0.0\n0.1,nan,0.0\n0.2,1.0,0.0\n")
@@ -126,6 +142,11 @@ class TestUsageErrors:
         '{"gaussian": {"width": 0}, "N": 64, "T": 8}',
         '{"gaussian": 1, "N": 64, "T": 8}',
         '{"gaussian": {"width": 1}, "N": 64, "T": NaN}',
+        '{"gaussian": {"width": null}, "N": 64, "T": 4}',
+        '{"gaussian": {"width": 1}, "N": null, "T": 4}',
+        '{"gaussian": {"width": 1}, "N": 64, "T": [4]}',
+        '{"gaussian": {"width": true}, "N": 64, "T": 4}',
+        '{"gaussian": {"width": 1}, "N": 64.7, "T": 4}',
     ])
     def test_bad_synthetic_spec(self, tmp_path, spec):
         assert exit_code(["frft", "--alpha", "1.0", "--input", spec,

@@ -1,10 +1,13 @@
 import math
+import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import IntegrationWarning
 
 import fracspec as fs
 from fracspec.distributions import (
@@ -15,8 +18,6 @@ from fracspec.distributions import (
     is_cauchy,
     pair,
     pair_with_error,
-    scaled_pair,
-    scaled_probe,
     tally_pairings,
 )
 from fracspec import distributions
@@ -151,6 +152,48 @@ class TestPair:
 BATTERY = probe_battery()
 
 
+def _quad_pairing(f, probe, lo, hi):
+    """(value, scale) of int_lo^hi density x probe by adaptive quadrature,
+    the tanh-sinh rule's oracle; raises PairingDiverged where its error
+    estimate exceeds 1e-8 of its scale.
+
+    scipy's quad can take a convergent end singularity for a divergent one
+    (IntegrationWarning "probably divergent" on x_-^(-1/2) against the
+    Mexican hat centred at 0.5625, where the rule is within 4.2e-15 of
+    30-digit mpmath).  Where it warns, the same pieces, split at the
+    singular points, are integrated by 30-digit mpmath instead.
+    """
+    def integrand(t):
+        return f.density(np.asarray([t]))[0] * np.asarray(probe(np.asarray([t])), dtype=complex)[0]
+
+    # anchor the absolute tolerance to the integrand's own magnitude so that
+    # pairings of size 1e-15 are still resolved relatively
+    sample = f.density(np.linspace(lo, hi, 65)) * np.asarray(probe(np.linspace(lo, hi, 65)), dtype=complex)
+    scale = float(np.max(np.abs(sample))) * (hi - lo)
+    pts = sorted(p for p in set(f.singular_points) if lo < p < hi)
+    kw = {"limit": 300, "epsabs": max(1e-13 * scale, 1e-280), "epsrel": 1e-10}
+    if pts:
+        kw["points"] = pts
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            # complex_func integrates the real and imaginary parts separately
+            # and returns their error estimates as one complex number
+            val, err = distributions.quad(integrand, lo, hi, complex_func=True, **kw)
+        err = err.real + err.imag
+    except IntegrationWarning:
+        with mpmath.workdps(30):
+            val, err = mpmath.quad(lambda t: complex(integrand(float(t))), [lo, *pts, hi],
+                                   error=True)
+        val, err = complex(val), float(err)
+    if not np.isfinite(val):
+        raise fs.PairingDiverged(f"pairing value {val:.3e} is not finite")
+    if not err <= 1e-8 * max(abs(val), scale, 1e-250):
+        raise fs.PairingDiverged(
+            f"pairing error estimate {err:.3e} exceeds budget for value {val:.3e}")
+    return val, scale
+
+
 class TestTanhSinhEngine:
     """The tanh-sinh rule against adaptive quadrature, its oracle."""
 
@@ -163,14 +206,17 @@ class TestTanhSinhEngine:
            log2_eps=st.floats(-20.0, 0.0))
     def test_matches_quad(self, pattern, degree, k, center, modulation, log2_eps):
         # a battery probe moved to `center`, times e^{i modulation t}, and
-        # scaled by eps: the same number of e^{iat} cycles across the probe
-        # at every scale the checkers use
+        # dilated to phi(t/eps): the same number of e^{iat} cycles across the
+        # probe at every scale the checkers use
         eps = 2.0 ** log2_eps
         phi = BATTERY[k]
+
+        def fn(t):
+            u = np.asarray(t) / eps
+            return np.exp(1j * modulation * u) * phi.fn(u - center)
+
         # without the battery window's form, which is not the moved probe's
-        moved = replace(phi, fn=lambda t: np.exp(1j * modulation * np.asarray(t))
-                        * phi.fn(np.asarray(t) - center), center=center, form=None)
-        probe = scaled_probe(moved, eps)
+        probe = replace(phi, fn=fn, center=center * eps, radius=phi.radius * eps, form=None)
         f = DD.homogeneous(pattern, degree)
         lo, hi = distributions._pairing_interval(f, probe)
         assume(hi > lo)
@@ -178,7 +224,7 @@ class TestTanhSinhEngine:
         # where the rule misses its own acceptance, pair_with_error refuses
         assume(err <= distributions.PAIRING_ERROR_BUDGET * max(abs(val), scale))
         try:
-            ref, _, ref_scale, _ = distributions._quad_pairing(f, probe, lo, hi)
+            ref, ref_scale = _quad_pairing(f, probe, lo, hi)
         except fs.PairingDiverged:
             assume(False)
         # each side meets its own tolerance: quad the epsrel 1e-10 and
@@ -189,6 +235,22 @@ class TestTanhSinhEngine:
         tol = 1e-10 * abs(ref) + 1e-13 * ref_scale + distributions.PAIRING_ERROR_BUDGET * scale
         assert abs(val - ref) <= tol
         assert pair(f, probe) == val
+
+    def test_oracle_integrates_where_quad_warns(self):
+        # quad calls x_-^(-1/2) against the Mexican hat centred at 0.5625
+        # probably divergent; the oracle's mpmath pieces give the 30-digit
+        # value -0.02331517553592817..., and the rule agrees
+        phi = BATTERY[5]
+        probe = replace(phi, fn=lambda t: phi.fn(np.asarray(t) - 0.5625), center=0.5625,
+                        form=None)
+        f = DD.homogeneous("minus", -0.5)
+        lo, hi = distributions._pairing_interval(f, probe)
+        with pytest.warns(IntegrationWarning, match="probably divergent"):
+            distributions.quad(lambda t: f.density(np.asarray([t]))[0] * probe([t])[0].real,
+                               lo, hi, limit=300)
+        ref = _quad_pairing(f, probe, lo, hi)[0]
+        assert abs(ref + 0.02331517553592817) <= 1e-17
+        assert abs(pair(f, probe) - ref) <= 1e-14 * abs(ref)
 
     def test_rule_refuses_a_cell_over_budget(self, p_third, hermite):
         # the te1 probe at eps, x = xi = 1 is the window stretched 1/eps-fold
@@ -260,8 +322,8 @@ class TestHomogeneousClosedForm:
         assert pair(f, probe) == val
 
     def test_probe_form_is_the_probe(self, p_third):
-        # the form of a probe family, of a single cell, and of their scaled
-        # versions against the probe's own fn on real t
+        # the form of a probe family and of a single cell against the
+        # probe's own fn on real t
         from fracspec.frst import _integrand_probe
         t = np.linspace(-3.0, 3.0, 61)
         for name in self.WINDOWS + ("gauss-unit", "gauss:2.0"):
@@ -270,17 +332,16 @@ class TestHomogeneousClosedForm:
             family = _integrand_probe(p_third, g, x, d, p_third.c2 * d, np.array([1.0, 2j, -0.5]))
             single = _integrand_probe(p_third, g, 1.3, -2.0, p_third.c2 * -2.0, -0.5)
             for probe, tt in ((family, np.broadcast_to(t, (3, t.size))), (single, t)):
-                for phi in (probe, scaled_probe(probe, 0.25)):
-                    want = phi.fn(tt)
-                    # centred at the probe, and moved to the origin as the
-                    # closed form takes it
-                    for fm in (phi.form(), phi.form().about(0.0)):
-                        u = tt - np.asarray(fm.origin)[..., None]
-                        powers = u[..., None] ** np.arange(fm.q.shape[-1])
-                        got = np.sum(fm.q[..., None, :] * powers, axis=-1) * np.exp(
-                            -np.asarray(fm.a)[..., None] * u ** 2 + np.asarray(fm.b)[..., None] * u
-                            + np.asarray(fm.c)[..., None])
-                        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+                want = probe.fn(tt)
+                # centred at the probe, and moved to the origin as the
+                # closed form takes it
+                for fm in (probe.form(), probe.form().about(0.0)):
+                    u = tt - np.asarray(fm.origin)[..., None]
+                    powers = u[..., None] ** np.arange(fm.q.shape[-1])
+                    got = np.sum(fm.q[..., None, :] * powers, axis=-1) * np.exp(
+                        -np.asarray(fm.a)[..., None] * u ** 2 + np.asarray(fm.b)[..., None] * u
+                        + np.asarray(fm.c)[..., None])
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
     def test_beyond_the_bound_takes_the_rule(self, p_third, hermite):
         # |z| = |b^2/4a| grows with the probe's distance from the origin in
@@ -399,26 +460,6 @@ class TestHomogeneousClosedForm:
                                  omega - 2.0 * (1.0 / c2 - 1.0), amp)
         with pytest.raises(fs.PairingDiverged, match="not finite"):
             pair(DD.homogeneous("plus", 400.0), probe)
-
-
-class TestScaledPair:
-    def test_delta_scaling(self):
-        for eps in (0.25, 2.0 ** -7):
-            v = scaled_pair(DD.delta(), GAUSS, eps, m=-1.0)
-            assert_allclose(v, 1.0, rtol=1e-12)
-
-    def test_delta_prime_scaling(self):
-        probe = window_probe(fs.hermite_wavelet_window())
-        # <delta'(eps x), phi>/eps^-2 = -phi'(0); hermite probe has phi'(0) = -1
-        for eps in (0.25, 2.0 ** -9):
-            v = scaled_pair(DD.delta(order=1), probe, eps, m=-2.0)
-            assert_allclose(v, 1.0, rtol=1e-8)
-
-    def test_homogeneous_eps_independent(self):
-        h = DD.homogeneous("abs", 0.5)
-        for probe, _ in ROUTES:
-            vals = [scaled_pair(h, probe, e, m=0.5) for e in (0.25, 2.0 ** -6, 2.0 ** -11)]
-            assert_allclose(vals, PAIR_SQRT_ABS_GAUSS, rtol=1e-8)
 
 
 class TestSlowlyVarying:
