@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("invert", help="reconstruction round trip")
     common(sp)
     sp.add_argument("--transform", choices=("frst", "frwt"), required=True)
-    sp.add_argument("--psi", default=None, help="synthesis window (frst)")
+    sp.add_argument("--psi", default=None, help="synthesis window (required for frst)")
     sp.add_argument("--x", default="-8:8:128")
     sp.add_argument("--xi", default=None)
     sp.add_argument("--tolerance", type=_tolerance, default=None,
@@ -245,8 +245,10 @@ def run(argv=None) -> int:
         x = _linear_axis(args.x)
         xi = _xi_axis(args.transform, args.xi)
         if args.transform == "frst":
-            psi = window_by_name(args.psi) if args.psi else g
-            rep = frst_reconstruct(p, g, psi, sig, x, xi)
+            if args.psi is None:
+                print("--psi required with --transform frst", file=sys.stderr)
+                return EXIT_USAGE
+            rep = frst_reconstruct(p, g, window_by_name(args.psi), sig, x, xi)
         else:
             rep = frwt_reconstruct(p, g, sig, x, xi)
         write_json(f"{args.output}.report.json", rep.to_json_dict())

@@ -2,11 +2,11 @@
 
 The transform of a sampled signal is the trapezoid sum of its integral
 (``frft``).  That sum, like every sampled-signal transform in the package
-(the FRST/FRWT spectral kernel in ``frst`` and the inverse step of
-``frwt.frwt_via_frft``), is one lattice sum sum_k v_k e^{i k delta x_q}
-(``_LatticeSum``): Bluestein's chirp-z on a uniform output axis, with one
-rule for reducing chirp phases (``_chirp``), and the dense exponential sum
-on any other axis.
+(the FRST/FRWT spectral kernel in ``frst``, over t and x, and the inverse
+step of ``frwt.frwt_via_frft``), is one lattice sum
+sum_k v_k e^{i k delta x_q} (``_LatticeSum``): Bluestein's chirp-z on a
+uniform output axis, with one rule for reducing chirp phases (``_chirp``),
+and the dense exponential sum on any other axis.
 
 The transform family is parametrized by an angle ``alpha``.  Away from
 multiples of pi the kernel is a chirp::
@@ -264,7 +264,7 @@ class _LatticeSum:
     and xs are long doubles.  Every transform of a sampled signal is this
     sum: ``frft`` and the inverse step of ``frwt.frwt_via_frft`` over the
     output axis (``_frft_sum``), and the FRST/FRWT spectral kernel
-    (``frst._correlate``, ``frst._spread``) over x and over uneven t.
+    (``frst._correlate``, ``frst._spread``) over t and x.
 
     With dx, the step of an xs uniform to rounding, by Bluestein's chirp-z
     (Rabiner, Schafer and Rader 1969) about the middle points k = r, q = s:

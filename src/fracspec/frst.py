@@ -20,17 +20,18 @@ finite.
 On sampled signals this transform and the FRWT share one windowed
 correlation (``_correlate``) and its adjoint (``_spread``); the bridge
 identity in ``frwt`` is what makes the two transforms the same kernel with
-different dilations and modulations.  Both are spectral: the signal's FFT
-times the window's closed-form spectrum on the FFT bins of each column's
-band, summed over the x axis by Bluestein's chirp-z (see "The spectral
-kernel of sampled signals" below).  Distribution descriptors pair f
-with ``_integrand_probe``, the same kernel at given cells: grids and
-lattices of cells through ``pair_cells``, which picks each cell's pairing
-route and pairs a delta comb at all cells in one evaluation, and single
-points through ``pair``, its one-cell case.  Every such probe carries
-the Gaussian form that its window's form gives it, centred at the probe's
-x (``_probe_form``), so delta derivatives are exact and homogeneous
-distributions pair in closed form.
+different dilations and modulations.  Both are spectral: the signal's
+spectrum times the window's closed-form spectrum on the bins of each
+column's band, summed over x; that spectrum (a sum over t) and the sum
+over x are each one lattice sum, a chirp-z on a uniform axis (see "The
+spectral kernel of sampled signals" below).  Distribution descriptors
+pair f with ``_integrand_probe``, the same kernel at given cells: grids
+and lattices of cells through ``pair_cells``, which picks each cell's
+pairing route and pairs a delta comb at all cells in one evaluation, and
+single points through ``pair``, its one-cell case.  Every such probe
+carries the Gaussian form that its window's form gives it, centred at the
+probe's x (``_probe_form``), so delta derivatives are exact and
+homogeneous distributions pair in closed form.
 """
 
 from __future__ import annotations
@@ -238,49 +239,37 @@ def _chirped(p: FracParam, f: SampledSignal) -> np.ndarray:
 # support, over the points of t and x within reach of each other (the
 # others meet only the truncated tails): P is bounded by the signal's span
 # and the window's, however far x reaches; m runs over the bins where
-# g_hat lies within SUPPORT_RADII spectral widths of its carrier.  On a
-# uniform t, t_k = t0 + k step, P is L step and
-# H(mu_m) = e^{-i mu_m t0} FFT_L(h)[m mod L], exact also for bands wider
-# than L bins.  An axis that is uniform to rounding is a progression
-# plus its rounding eps, and e^{i mu eps} = 1 + i mu eps to first order: a
-# second FFT (of h eps) or chirp-z (of mu-weighted terms) makes the sums
-# those at the given t and x, not at the nearest progression points.
+# g_hat lies within SUPPORT_RADII spectral widths of its carrier.  H on
+# those bins is a lattice sum over t, and C at the given x one over x
+# (``_LatticeSum``: a chirp-z on an axis uniform to rounding, with the
+# first-order terms of that rounding, and the dense sum on any other).
 
 
 def _kernel_plan(g: Window, t, x, d):
-    """(tk, xk, t step, lengths) on ascending t and x: the slices of t and
-    x within r = g.support_radius/min|d| of the other axis's span (a point
-    beyond meets only the window's truncated tails, so its row is zero);
-    the step of t[tk] (None if it is not uniform, ``_uniform_step``); and
-    each column's period P_j > max|t - x| + g.support_radius/|d_j| over
-    the slices, as a power of two.  On a uniform t, lengths holds L_j =
-    P_j/step, at least t[tk].size; on other t, P_j itself (possibly below
-    1).  Empty slices give (tk, xk, None, None)."""
+    """(tk, xk, periods) on ascending t and x: the slices of t and x within
+    r = g.support_radius/min|d| of the other axis's span (a point beyond
+    meets only the window's truncated tails, so its row is zero), and each
+    column's period P_j > max|t - x| + g.support_radius/|d_j| over the
+    slices, as a power of two.  Empty slices give periods None."""
+    if not (t.size and x.size):
+        return slice(0), slice(0), None
     r = g.support_radius / np.min(np.abs(d))
     tk = slice(int(np.searchsorted(t, x[0] - r)), int(np.searchsorted(t, x[-1] + r, "right")))
     xk = slice(int(np.searchsorted(x, t[0] - r)), int(np.searchsorted(x, t[-1] + r, "right")))
     t, x = t[tk], x[xk]
     if not (t.size and x.size):
-        return tk, xk, None, None
-    t_step = _uniform_step(t)
+        return tk, xk, None
     reach = max(t[-1] - x[0], x[-1] - t[0]) + g.support_radius / np.abs(d)
-    if not t_step:
-        # the exponential-matrix sums take any period
-        return tk, xk, None, np.exp2(np.floor(np.log2(reach)) + 1)
-    lengths = np.exp2(np.floor(np.log2(reach / t_step)) + 1).astype(np.int64)
-    return tk, xk, t_step, np.maximum(lengths, 1 << (t.size - 1).bit_length())
+    return tk, xk, np.exp2(np.floor(np.log2(reach)) + 1)
 
 
 def _kernel_meta(g: Window, t, x, d) -> dict:
-    """How the spectral kernel computes a grid: its x-sum and FFT lengths."""
-    tk, xk, t_step, lengths = _kernel_plan(g, t, x, d)
-    return {"route": "spectral", "x_sum": "chirp-z" if _uniform_step(x[xk]) else "dense",
-            "fft_lengths": sorted(set(lengths.tolist())) if t_step else []}
-
-
-def _rounding(a: np.ndarray, step: float) -> np.ndarray:
-    """How far the long-double points a, with a[0] = 0, lie off k step."""
-    return (a - np.arange(a.size, dtype=np.longdouble) * step).astype(float)
+    """How the spectral kernel computes a grid: its sums over t and x and
+    its periods."""
+    tk, xk, periods = _kernel_plan(g, t, x, d)
+    t_sum, x_sum = ("chirp-z" if _uniform_step(a) else "dense" for a in (t[tk], x[xk]))
+    return {"route": "spectral", "t_sum": t_sum, "x_sum": x_sum,
+            "periods": [] if periods is None else sorted(set(periods.tolist()))}
 
 
 def _padded(count: int, nx: int) -> int:
@@ -288,32 +277,28 @@ def _padded(count: int, nx: int) -> int:
     return (1 << (count + nx - 2).bit_length()) - nx + 1
 
 
-def _lattices(g: Window, t, x, d, omega, lengths, t_step):
-    """The columns' bin lattices, one per lattice length L: yields (delta,
-    base, size, blocks).  A lattice's spectrum is indexed by (m - base) mod
-    size: the FFT's L bins on a uniform t, else every bin a column reaches.
-    blocks yields ``_blocks``' blocks of the lattice's columns."""
-    ld = np.longdouble
+def _lattices(g: Window, t, x, d, omega, periods):
+    """The columns' bin lattices, one per period P: yields (delta, base,
+    size, blocks).  A lattice's spectrum holds the bins m = base, ...,
+    base + size - 1 that its columns reach, at index m - base; blocks
+    yields ``_blocks``' blocks of the lattice's columns."""
     half = np.abs(d) * (SUPPORT_RADII / g.width)
     centre = omega + d * g.carrier
-    for length in np.unique(lengths).tolist():
-        cols = np.flatnonzero(lengths == length)
-        delta = TWO_PI_LD / (length * ld(t_step or 1.0))
+    for period in np.unique(periods).tolist():
+        cols = np.flatnonzero(periods == period)
+        delta = TWO_PI_LD / np.longdouble(period)
         m0 = np.ceil((centre[cols] - half[cols]) / float(delta)).astype(np.int64)
         count = np.floor((centre[cols] + half[cols]) / float(delta)).astype(np.int64) - m0 + 1
-        if t_step:
-            base, size = 0, length
-        else:
-            base = int(m0.min())
-            size = int(m0.max()) + _padded(int(count.max()), x.size) - base
+        base = int(m0.min())
+        size = int(m0.max()) + _padded(int(count.max()), x.size) - base
         yield delta, base, size, _blocks(g, t, x, d, omega, delta, cols, m0, count)
 
 
 def _blocks(g: Window, t, x, d, omega, delta, cols, m0, count):
     """Blocks of the columns cols, widest bands first, each band padded
-    (``_padded``) to its block's widest: yields (cols, m, mu, coef, phase,
-    xsum) with the bins m[c] = m0[c] + 0, 1, ..., mu = m delta, the weights
-    coef = g_hat((mu - omega)/d) delta/(sqrt(2 pi) |d|), the phase
+    (``_padded``) to its block's widest: yields (cols, m, coef, phase,
+    xsum) with the bins m[c] = m0[c] + 0, 1, ..., the weights
+    coef = g_hat((m delta - omega)/d) delta/(sqrt(2 pi) |d|), the phase
     e^{i (m0 delta (x - t0) - omega x)} and the ``_LatticeSum`` over x of
     the block's bins.  A block's two chirp-z convolutions hold at most
     KERNEL_BLOCK_ELEMENTS values, or one column's."""
@@ -329,11 +314,10 @@ def _blocks(g: Window, t, x, d, omega, delta, cols, m0, count):
             sums[n] = _LatticeSum(delta, n, xs, x_step)
         c, first = cols[sel], m0[sel, None]
         m = first + np.arange(n)
-        mu = m * float(delta)
-        coef = g.ft((mu - omega[c, None]) / d[c, None])
+        coef = g.ft((m * float(delta) - omega[c, None]) / d[c, None])
         coef *= (float(delta) / SQRT_2PI) / np.abs(d[c, None])
         phase = _unit_phase(first * delta * xs - omega[c, None].astype(np.longdouble) * x)
-        yield c, m, mu, coef, phase, sums[n]
+        yield c, m, coef, phase, sums[n]
         lo += sel.size
 
 
@@ -343,31 +327,24 @@ def _correlate(g: Window, t, x, d, omega, h) -> np.ndarray:
     Both forward transforms reduce to it (the bridge identity in frwt):
     the FRST takes d = xi, omega = c2 xi; the FRWT takes d = 1/xi,
     omega = 0.  t and x must be ascending.  Evaluated by the spectral
-    kernel (above): one FFT of h per lattice length on a uniform t,
-    g's closed-form spectrum on the bins of each column's band, and the
-    sum over x by chirp-z on a uniform x (``_LatticeSum``); the sums over
-    t and x that are not uniform are exponential-matrix products.  Only
-    the window's terms beyond SUPPORT_RADII (spectral) widths are dropped,
-    as ``_integrand_probe`` truncates the same integral.
+    kernel (above): per lattice, the sum over t of h on the lattice's
+    bins, g's closed-form spectrum on the bins of each column's band, and
+    the sum over x; both sums are ``_LatticeSum``s, chirp-z on a uniform
+    axis.  Only the window's terms beyond SUPPORT_RADII (spectral) widths
+    are dropped, as ``_integrand_probe`` truncates the same integral.
     """
     out = np.zeros((x.size, d.size), dtype=complex)
-    tk, xk, t_step, lengths = _kernel_plan(g, t, x, d)
-    if lengths is None:
+    tk, xk, periods = _kernel_plan(g, t, x, d)
+    if periods is None:
         return out
     t, x, h, rows = t[tk], x[xk], h[tk], out[xk]
     ts = t.astype(np.longdouble) - t[0]
-    for delta, base, size, blocks in _lattices(g, t, x, d, omega, lengths, t_step):
-        if t_step:
-            # H and its first-order rounding term, the FFT of h eps
-            spec, dspec = np.fft.fft(np.stack((h, h * _rounding(ts, t_step))), size)
-        else:
-            shifted = h * _unit_phase(-base * delta * ts)
-            spec = _LatticeSum(delta, size, ts, None)(shifted, adjoint=True)
-        for cols, m, mu, coef, phase, xsum in blocks:
-            i = (m - base) % size
-            a = spec[i] - 1j * mu * dspec[i] if t_step else spec[i]
-            a *= np.conj(coef)
-            rows[:, cols] = (xsum(a) * phase).T
+    t_step = _uniform_step(t)
+    for delta, base, size, blocks in _lattices(g, t, x, d, omega, periods):
+        spec = _LatticeSum(delta, size, ts, t_step)(h * _unit_phase(-base * delta * ts),
+                                                    adjoint=True)
+        for cols, m, coef, phase, xsum in blocks:
+            rows[:, cols] = (xsum(spec[m - base] * np.conj(coef)) * phase).T
     return out
 
 
@@ -408,38 +385,30 @@ def frst_forward(p: FracParam, g: Window, f: SignalOrDistribution,
 def _spread(g: Window, t, x, d, omega, H) -> np.ndarray:
     """Adjoint of _correlate: s(t_k) = sum_j e^{i omega_j t_k} sum_i g(d_j (t_k - x_i)) H[i, j].
 
-    The spectral kernel's exact adjoint: the adjoint sum over x
-    (``_LatticeSum``), times g_hat on each column's bins, folded mod L,
-    and one inverse FFT per lattice length onto the sorted t (an
-    exponential-matrix product if t is not uniform).  x must be
-    ascending, t may come in any order.
+    The spectral kernel's exact adjoint: per lattice, the adjoint sum over
+    x, times g_hat on each column's bins, folded onto the lattice's bins,
+    and the sum over the sorted t.  x must be ascending, t may come in any
+    order.
     """
     if x.size < 2 or d.size < 2:
         raise GridTooCoarse("synthesis needs at least 2 points per axis")
     out = np.zeros(t.shape, dtype=complex)
     order = np.argsort(t, kind="stable")
-    tk, xk, t_step, lengths = _kernel_plan(g, t[order], x, d)
-    if lengths is None:
+    tk, xk, periods = _kernel_plan(g, t[order], x, d)
+    if periods is None:
         return out
     order, x, H = order[tk], x[xk], H[xk]
     t_sorted = t[order]
     ts = t_sorted.astype(np.longdouble) - t_sorted[0]
+    t_step = _uniform_step(t_sorted)
     acc = np.zeros(t_sorted.shape, dtype=complex)
-    for delta, base, size, blocks in _lattices(g, t_sorted, x, d, omega, lengths, t_step):
-        fold = np.zeros((2, size), dtype=complex)
-        for cols, m, mu, coef, phase, xsum in blocks:
+    for delta, base, size, blocks in _lattices(g, t_sorted, x, d, omega, periods):
+        fold = np.zeros(size, dtype=complex)
+        for cols, m, coef, phase, xsum in blocks:
             b = xsum(H[:, cols].T * np.conj(phase), adjoint=True)
             b *= coef
-            i = (m - base) % size
-            np.add.at(fold[0], i, b)
-            if t_step:
-                np.add.at(fold[1], i, mu * b)
-        if t_step:
-            # the adjoint of the first-order rounding term of _correlate
-            s0, s1 = size * np.fft.ifft(fold)[:, :t_sorted.size]
-            acc += s0 + 1j * _rounding(ts, t_step) * s1
-        else:
-            acc += _unit_phase(base * delta * ts) * _LatticeSum(delta, size, ts, None)(fold[0])
+            np.add.at(fold, m - base, b)
+        acc += _unit_phase(base * delta * ts) * _LatticeSum(delta, size, ts, t_step)(fold)
     out[order] = acc
     return out
 

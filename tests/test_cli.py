@@ -101,8 +101,21 @@ class TestUsageErrors:
     def test_single_point_xi_axis(self, tmp_path):
         # one xi point per sign is a usage error, caught before any numerics
         assert exit_code(["invert", "--transform", "frst", "--alpha", "1.0",
-                          "--window", "mexican-hat", "--input", SYNTH,
-                          "--xi", "0.5:2:1", "--output", str(tmp_path / "inv")]) == 1
+                          "--window", "mexican-hat", "--psi", "modulated:dog:6:-1.1883951057781212",
+                          "--input", SYNTH, "--xi", "0.5:2:1",
+                          "--output", str(tmp_path / "inv")]) == 1
+
+    def test_invert_frst_needs_psi(self, tmp_path, capsys):
+        # C_{g,g,c2} diverges for every unmodulated library window, so the
+        # synthesis window is asked for, not defaulted to the analysis window
+        args = ["invert", "--transform", "frst", "--alpha", "1.0", "--window", "hermite1",
+                "--input", SYNTH, "--output", str(tmp_path / "inv")]
+        assert exit_code(args) == 1
+        assert "--psi required with --transform frst" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        # the window's own name keeps psi = g: its divergent constant is refused
+        assert exit_code(args + ["--psi", "hermite1"]) == 2
+        assert "C_gpsi[hermite1,hermite1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd, window", [("frst", "hermite1"), ("frwt", "mexican-hat")])
     def test_decreasing_x_axis_refused_before_the_kernel(self, tmp_path, monkeypatch,
@@ -309,7 +322,8 @@ class TestCommands:
         assert np.array_equal(grid.values, want.values)
         assert grid.meta == want.meta == {
             "transform": "FRWT", "alpha": 1.2, "window": "mexican-hat",
-            "kernel": {"route": "spectral", "x_sum": "chirp-z", "fft_lengths": [512, 1024]}}
+            "kernel": {"route": "spectral", "t_sum": "chirp-z", "x_sum": "chirp-z",
+                       "periods": [32.0]}}
 
     def test_frst_window_carrier_counts_in_sampling_check(self, tmp_path):
         # the carrier aliases on the 512-sample signal: a numerical error

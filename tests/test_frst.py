@@ -484,11 +484,11 @@ class TestSpectralKernel:
         x = np.linspace(-20.0, 20.0, 704)
         d = np.array([-16.0, -3.0, 0.25, 16.0])
         omega = c * d
-        _, _, t_step, lengths = _kernel_plan(g, t, x, d)
-        bins = np.abs(d) * SUPPORT_RADII / g.width * lengths * t_step / np.pi
+        band = 2.0 * np.abs(d) * SUPPORT_RADII / g.width   # each column's band in mu
         top = np.abs(omega) + np.abs(d) * (abs(g.carrier) + SUPPORT_RADII / g.width)
         if case == "wide band":
-            assert np.any(bins > 2 * lengths)   # a band spans the DTFT period twice
+            period = 2.0 * np.pi / (t[1] - t[0])
+            assert np.any(band > 2 * period)   # a band spans the DTFT period twice
         else:
             assert np.max(top) * np.max(np.abs(x)) > 8000.0   # phases in radians
         h = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
@@ -507,7 +507,7 @@ class TestSpectralKernel:
         x = np.linspace(-12.0, 12.0, 40)
         d = np.array([-4.0, 0.5, 2.0])
         omega = 1.2 * d
-        assert _kernel_meta(g, t, x, d)["fft_lengths"] == []
+        assert _kernel_meta(g, t, x, d)["t_sum"] == "dense"
         h = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
         got = _correlate(g, t, x, d, omega, h)
         want = correlate_oracle(g, t, x, d, omega, h)
@@ -529,7 +529,7 @@ class TestSpectralKernel:
         x = np.linspace(-0.05, 0.05, 5)
         d = np.array([-3.0, 1.0, 2.0])
         omega = 0.7 * d
-        assert np.max(_kernel_plan(g, t, x, d)[3]) < 1.0
+        assert np.max(_kernel_plan(g, t, x, d)[2]) < 1.0
         h = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
         got = _correlate(g, t, x, d, omega, h)
         want = correlate_oracle(g, t, x, d, omega, h)
@@ -545,7 +545,7 @@ class TestSpectralKernel:
         grid = frst_forward(fs.make_frac_param(1.0), window_by_name("gauss:0.01"), sig,
                             np.linspace(-0.05, 0.05, 5), xi, enforce_sampling=False)
         assert np.all(np.isfinite(grid.values))
-        assert grid.meta["kernel"]["fft_lengths"] == []
+        assert grid.meta["kernel"]["t_sum"] == "dense"
 
     @pytest.mark.parametrize("x", [np.linspace(-1e5, 1e5, 129), np.linspace(-1e3, 1e3, 2001)])
     def test_x_axis_mostly_outside_the_signal(self, hermite, x):
@@ -556,9 +556,9 @@ class TestSpectralKernel:
         d = np.array([-8.0, -1.0, 0.5, 8.0])
         omega = 1.3 * d
         r = hermite.support_radius / 0.5
-        tk, xk, t_step, lengths = _kernel_plan(hermite, t, x, d)
+        tk, xk, periods = _kernel_plan(hermite, t, x, d)
         assert np.all(np.abs(x[xk]) <= 8.0 + r) and x[xk].size < 60
-        assert np.max(lengths) * t_step <= 2.0 * (16.0 + 3.0 * r)
+        assert np.max(periods) <= 2.0 * (16.0 + 3.0 * r)
         h = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
         got = _correlate(hermite, t, x, d, omega, h)
         want = correlate_oracle(hermite, t, x, d, omega, h)
@@ -572,7 +572,7 @@ class TestSpectralKernel:
         t = np.linspace(-8.0, 8.0, 256)
         x = np.array([-1e5, 1e5])
         d = np.array([0.5, 2.0])
-        assert _kernel_meta(hermite, t, x, d)["fft_lengths"] == []
+        assert _kernel_meta(hermite, t, x, d)["periods"] == []
         assert not np.any(_correlate(hermite, t, x, d, d, np.ones(t.size, complex)))
         assert not np.any(_spread(hermite, t, x, d, d, np.ones((2, 2), complex)))
 
@@ -582,8 +582,8 @@ class TestSpectralKernel:
         uneven = frst_forward(p_third, hermite, sig, np.array([-1.0, 0.0, 2.5]), xi)
         even = frst_forward(p_third, hermite, sig, np.linspace(-2.0, 2.0, 5), xi)
         assert uneven.meta["kernel"]["x_sum"] == "dense"
-        assert even.meta["kernel"] == {"route": "spectral", "x_sum": "chirp-z",
-                                       "fft_lengths": [256, 512]}
+        assert even.meta["kernel"] == {"route": "spectral", "t_sum": "chirp-z",
+                                       "x_sum": "chirp-z", "periods": [16.0, 32.0]}
 
     def test_peak_memory(self, p_third, mexican):
         # invert-frst's geometry: the working set beyond the output stays

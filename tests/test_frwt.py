@@ -7,7 +7,12 @@ from numpy.testing import assert_allclose
 import fracspec as fs
 from conftest import probe_battery
 from fracspec.distributions import DistributionDescriptor as DD, pair
-from fracspec.frst import positive_log_xi_axis, symmetric_log_xi_axis
+from fracspec.frst import (
+    frst_forward,
+    frst_synthesis,
+    positive_log_xi_axis,
+    symmetric_log_xi_axis,
+)
 from fracspec.frwt import (
     frst_frwt_bridge,
     frwt_forward,
@@ -128,6 +133,25 @@ class TestForward:
         g1 = frwt_forward(p_third, mexican, s1, x, xi).values
         g2 = frwt_forward(p_third, mexican, s2, x, xi).values
         assert_allclose(gm, 1.5 * g1 + 2j * g2, atol=1e-12)
+
+
+class TestEmptyAxes:
+    """An empty x or t axis gives an empty result on a signal, as a delta's
+    (0, n) grid and an FRFT onto no frequencies do."""
+
+    def test_signal_transforms(self, p_third, mexican):
+        sig = fs.gaussian_signal(1.0, 1024, 8.0)
+        x, none = np.linspace(-2, 2, 5), np.array([])
+        xi, scales = symmetric_log_xi_axis(0.5, 2.0, 4), positive_log_xi_axis(0.5, 2.0, 4)
+        assert frst_forward(p_third, mexican, DD.delta(), none, xi).values.shape == (0, 8)
+        assert fs.frft(p_third, sig, none).shape == (0,)
+        assert frst_forward(p_third, mexican, sig, none, xi).values.shape == (0, 8)
+        assert frwt_forward(p_third, mexican, sig, none, scales).values.shape == (0, 4)
+        assert frwt_via_frft(p_third, mexican, sig, none, scales).grid.values.shape == (0, 4)
+        F = frst_forward(p_third, mexican, sig, x, xi)
+        assert frst_synthesis(p_third, mexican, F, none).shape == (0,)
+        W = frwt_forward(p_third, mexican, sig, x, scales)
+        assert frwt_synthesis(p_third, mexican, W, none).shape == (0,)
 
 
 class TestWtPoint:
