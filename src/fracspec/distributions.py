@@ -33,12 +33,6 @@ chooses for a whole family of probes (``pair`` is its one-cell case):
   test oracle, adaptive quadrature by ``quad`` (scipy's), lives in the
   tests: no runtime path calls it.
 
-A ``SampledSignal`` is paired by the trapezoid rule on the signal's own
-grid, in ``pair_with_error`` too.  That is the point transforms' route,
-and the test reference of the grid kernels, which transform sampled
-signals by the spectral kernel in ``frst``.  A batch rounds every cell as
-the cell alone would.
-
 ``GaussianForm`` lives here, with the pairings that read it: this module
 imports nothing from ``windows``, which imports it.  A descriptor carries
 no modulation: M_a f pairs as <f, e^{iat} phi>, which the transforms'
@@ -52,12 +46,12 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DerivativeOrderTooHigh, PairingDiverged
-from .fraccore import KERNEL_BLOCK_ELEMENTS, TWO_PI_LD, SampledSignal, cmul
+from .fraccore import KERNEL_BLOCK_ELEMENTS, TWO_PI_LD, cmul
 
 # relative to max(|value|, scale); a pairing whose tanh-sinh error estimate
 # exceeds it raises PairingDiverged
@@ -247,9 +241,6 @@ def _json_number(v):
 def _json_weight(w):
     re, im = w if isinstance(w, (list, tuple)) else (w, 0)   # a number or [re, im]
     return complex(_json_number(re), _json_number(im))
-
-
-SignalOrDistribution = Union[SampledSignal, DistributionDescriptor]
 
 
 @dataclass
@@ -453,21 +444,16 @@ def _homogeneous_closed_form(f: "DistributionDescriptor",
     return np.where(accepted, vals, np.nan), accepted
 
 
-def pair_with_error(f: SignalOrDistribution, phi: TestFunction) -> tuple[complex, float]:
-    """Quadrature pairing <f, phi> with its error estimate.
+def pair_with_error(f: DistributionDescriptor, phi: TestFunction) -> tuple[complex, float]:
+    """Quadrature pairing <f, phi> of a function-type descriptor with its
+    error estimate, by the tanh-sinh rule.
 
-    A sampled signal is paired by the trapezoid rule on its own grid, with
-    no error estimate (0.0): the samples are all that is known of it.  A
-    function-type descriptor is paired by the tanh-sinh rule; a value that
-    is not finite, or whose estimate exceeds PAIRING_ERROR_BUDGET of
-    max(|value|, scale), is refused (PairingDiverged).  Exact delta and
-    closed-form pairings are made by ``pair_cells`` only.  Every pairing is
-    counted in the open ``tally_pairings`` blocks.
+    A value that is not finite, or whose estimate exceeds
+    PAIRING_ERROR_BUDGET of max(|value|, scale), is refused
+    (PairingDiverged).  Exact delta and closed-form pairings are made by
+    ``pair_cells`` only.  Every pairing is counted in the open
+    ``tally_pairings`` blocks.
     """
-    if isinstance(f, SampledSignal):
-        _record(f.n, 0.0)
-        return complex(np.sum(f.samples * phi(f.t_grid) * f.trapezoid_weights())), 0.0
-
     lo, hi = _pairing_interval(f, phi)
     if hi <= lo:
         _record(0, 0.0)
@@ -504,7 +490,7 @@ def _delta_pairing(f: DistributionDescriptor, phi: TestFunction, n: int) -> np.n
     return val
 
 
-def pair_cells(f: SignalOrDistribution, probe_of: Callable[[object], TestFunction],
+def pair_cells(f: DistributionDescriptor, probe_of: Callable[[object], TestFunction],
                n: int) -> np.ndarray:
     """<f, phi_c> for the cells c = 0 .. n-1 of a probe family.
 
@@ -513,19 +499,21 @@ def pair_cells(f: SignalOrDistribution, probe_of: Callable[[object], TestFunctio
     This is where a pairing's route is chosen.  A delta comb is paired
     exactly at the cells of one block at once, at most KERNEL_BLOCK_ELEMENTS
     cells.  A homogeneous descriptor is paired in closed form at every cell
-    of a family with a ``GaussianForm`` in one evaluation.  Signals, other
+    of a family with a ``GaussianForm`` in one evaluation.  Other
     function-type descriptors and the cells the closed form leaves out go
     cell by cell to ``pair_with_error``.  Every cell counts as one pairing.
     """
+    if not isinstance(f, DistributionDescriptor):
+        raise TypeError(f"pair_cells pairs distribution descriptors, not {type(f).__name__}")
     vals = np.empty(n, dtype=complex)
-    if isinstance(f, DistributionDescriptor) and f.kind == "delta":
+    if f.kind == "delta":
         for lo in range(0, n, KERNEL_BLOCK_ELEMENTS):
             cells = slice(lo, min(lo + KERNEL_BLOCK_ELEMENTS, n))
             vals[cells] = _delta_pairing(f, probe_of(cells), cells.stop - lo)
         _record(0, 0.0, pairings=n)
         return vals
     rest = range(n)
-    if isinstance(f, DistributionDescriptor) and f.kind == "homogeneous":
+    if f.kind == "homogeneous":
         form = probe_of(slice(0, n)).form
         if form is not None:
             # a single probe's form gives 0-d arrays
@@ -537,7 +525,7 @@ def pair_cells(f: SignalOrDistribution, probe_of: Callable[[object], TestFunctio
     return vals
 
 
-def pair(f: SignalOrDistribution, phi: TestFunction) -> complex:
+def pair(f: DistributionDescriptor, phi: TestFunction) -> complex:
     """<f, phi> for one probe: the one-cell case of ``pair_cells``."""
     return complex(pair_cells(f, lambda _: phi, 1)[0])
 

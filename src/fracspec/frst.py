@@ -24,14 +24,17 @@ different dilations and modulations.  Both are spectral: the signal's
 spectrum times the window's closed-form spectrum on the bins of each
 column's band, summed over x; that spectrum (a sum over t) and the sum
 over x are each one lattice sum, a chirp-z on a uniform axis (see "The
-spectral kernel of sampled signals" below).  Distribution descriptors
-pair f with ``_integrand_probe``, the same kernel at given cells: grids
-and lattices of cells through ``pair_cells``, which picks each cell's
-pairing route and pairs a delta comb at all cells in one evaluation, and
-single points through ``pair``, its one-cell case.  Every such probe
-carries the Gaussian form that its window's form gives it, centred at the
-probe's x (``_probe_form``), so delta derivatives are exact and
-homogeneous distributions pair in closed form.
+spectral kernel of sampled signals" below).  Points and families of
+cells (``frst_cells``, ``frwt_cells``, the bridge) take their route in
+``_pair_cells``: a signal's cells are one ``_correlate`` call, a cell
+the samples cannot resolve is refused (UndersampledChirp); a
+distribution descriptor pairs with ``_integrand_probe``, the same kernel
+at given cells, through ``distributions.pair_cells``, which picks each
+cell's pairing route and pairs a delta comb at all cells in one
+evaluation.  Every such probe carries the Gaussian form that its
+window's form gives it, centred at the probe's x (``_probe_form``), so
+delta derivatives are exact and homogeneous distributions pair in closed
+form.
 """
 
 from __future__ import annotations
@@ -39,11 +42,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
+from typing import Union
 
 import numpy as np
 
-from .distributions import GaussianForm, SignalOrDistribution, TestFunction, pair, pair_cells
-from .errors import GridTooCoarse, MalformedCSV, SingularAngle
+from .distributions import DistributionDescriptor, GaussianForm, TestFunction, pair_cells
+# pair is not called here: perfbench's tracer looks it up in this module
+from .distributions import pair  # noqa: F401
+from .errors import GridTooCoarse, MalformedCSV, SingularAngle, UndersampledChirp
 from .fraccore import (
     KERNEL_BLOCK_ELEMENTS,
     TWO_PI_LD,
@@ -67,6 +73,8 @@ from .windows import (
 )
 
 XI_FLOOR = 2.0 ** -6
+
+SignalOrDistribution = Union[SampledSignal, DistributionDescriptor]
 
 
 @dataclass(frozen=True)
@@ -180,11 +188,26 @@ def _probe_form(p: FracParam, g: Window, x, d, omega, amp) -> GaussianForm:
 def _pair_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, d, omega,
                 amp) -> np.ndarray:
     """<f, _integrand_probe(p, g, x, d, omega, amp)> at every cell of the
-    broadcast parameter arrays."""
+    broadcast parameter arrays, by the one route of f's kind: a signal by
+    one ``_correlate`` over the cells' unique x and unique (d, omega)
+    columns, times each cell's amp; a descriptor by ``pair_cells``."""
     params = np.broadcast_arrays(x, d, omega, amp)
-    flat = [v.ravel() for v in params]
-    vals = pair_cells(f, lambda cells: _integrand_probe(p, g, *(v[cells] for v in flat)),
-                      flat[0].size)
+    x, d, omega, amp = (v.ravel() for v in params)
+    if isinstance(f, SampledSignal):
+        if not (np.isfinite(x).all() and np.isfinite(d).all()):
+            raise ValueError("signal cells need a finite x and xi")
+        # a probe band 2|d| SUPPORT_RADII/width wider than the sampling band
+        # 2 pi/dt is not resolved by the samples, and the kernel's bins grow with it
+        band = 2.0 * float(np.max(np.abs(d), initial=0.0)) * SUPPORT_RADII / g.width
+        if band > 2.0 * np.pi / f.dt:
+            raise UndersampledChirp(f"window band {band:.4g} of {g.name} exceeds the "
+                                    f"sampling band {2.0 * np.pi / f.dt:.4g} of dt={f.dt:.4g}")
+        xs, row = np.unique(x, return_inverse=True)
+        (ds, oms), col = np.unique(np.stack([d, omega]), axis=1, return_inverse=True)
+        vals = _correlate(g, f.t_grid, xs, ds, oms, _chirped(p, f))[row, col] * amp
+    else:
+        vals = pair_cells(f, lambda cells: _integrand_probe(
+            p, g, x[cells], d[cells], omega[cells], amp[cells]), x.size)
     return vals.reshape(params[0].shape)
 
 
@@ -208,7 +231,7 @@ def frst_point(p: FracParam, g: Window, f: SignalOrDistribution,
     which evaluates exp(-i*c1*xi^2/2) * S_g^alpha f directly (the gauge the
     asymptotic theorems use) without forming huge cancelling phases.
     """
-    return pair(f, _integrand_probe(p, g, *_frst_params(p, x, xi, drop_xi_chirp)))
+    return complex(frst_cells(p, g, f, x, xi, drop_xi_chirp=drop_xi_chirp))
 
 
 def frst_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, xi, *,
@@ -352,9 +375,9 @@ def frst_forward(p: FracParam, g: Window, f: SignalOrDistribution,
                  x_axis, xi_axis, *, enforce_sampling: bool = True) -> TFGrid:
     """FRST on a full time-frequency grid.
 
-    Signals go through the trapezoid correlation on their own grid;
-    distribution descriptors through ``frst_cells``.  alpha = 0 yields
-    the zero grid; alpha = pi is rejected.
+    Signals go through the spectral kernel ``_correlate`` on the whole
+    grid; distribution descriptors through ``frst_cells``.  alpha = 0
+    yields the zero grid; alpha = pi is rejected.
     """
     x_axis = np.asarray(x_axis, dtype=float)
     xi_axis = np.asarray(xi_axis, dtype=float)

@@ -13,6 +13,12 @@ def window_probe(g):
                         form=lambda: g.form)
 
 
+def trapezoid_pairing(sig, probe):
+    """<sig, probe> by the trapezoid rule on the signal's own grid: the
+    point form of the spectral kernel, and its test oracle."""
+    return complex(np.sum(sig.samples * probe(sig.t_grid) * sig.trapezoid_weights()))
+
+
 def probe_battery(c2=2.0 / np.sqrt(3.0)):
     """Fixed probe battery: Gaussians at four widths, the Hermite and
     Mexican-hat wavelets, and modulated Gaussians at a in {1, c2}."""

@@ -521,6 +521,23 @@ class TestCommands:
                     "--output", str(tmp_path / "br")])
         assert code == 0
 
+    def test_bridge_refuses_probes_narrower_than_a_sample(self, tmp_path):
+        # at xi = 1e6 the hermite1 probe's band 2e7 exceeds the signal's
+        # sampling band 2 pi/dt = 536: refused before any kernel lattice is
+        # built, which would take about 25 GB
+        import os
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(fs.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracspec.cli", "bridge", "--alpha", "1.0471975511965976",
+             "--window", "hermite1", "--input", '{"gaussian": {"width": 1}, "N": 2048, "T": 12}',
+             "--points=-2:2:8x0.5:1e6:8", "--output", str(tmp_path / "br")],
+            capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert "exceeds the sampling band" in proc.stderr
+        assert not list(tmp_path.iterdir())
+
     def test_invert_frst_with_psi_and_tolerance_gate(self, tmp_path):
         # admissible pair at alpha = pi/2 on a loose grid: report written;
         # an over-tight tolerance flips the exit code to 3

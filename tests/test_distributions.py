@@ -21,7 +21,7 @@ from fracspec.distributions import (
     tally_pairings,
 )
 from fracspec import distributions
-from conftest import probe_battery, window_probe
+from conftest import probe_battery, trapezoid_pairing, window_probe
 
 GAUSS = window_probe(fs.gaussian_window())
 # the same probe without its Gaussian form: pair takes homogeneous
@@ -120,9 +120,12 @@ class TestPair:
 
     def test_sampled_density(self):
         sig = fs.gaussian_signal(1.0, 4001, 10.0)
-        val = pair(sig, GAUSS)
+        val = trapezoid_pairing(sig, GAUSS)
         # integral exp(-x^2) dx = sqrt(pi)
         assert_allclose(val, math.sqrt(math.pi), rtol=1e-6)
+        # signals are transformed by the spectral kernel, never paired
+        with pytest.raises(TypeError):
+            pair(sig, GAUSS)
 
     def test_linearity_in_weights(self):
         d = DD.delta_comb([(0.0, 0, 2.0), (1.0, 0, -0.5j)])

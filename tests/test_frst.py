@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import fracspec as fs
+from conftest import trapezoid_pairing
 from fracspec.distributions import DistributionDescriptor as DD
 from fracspec.fraccore import KERNEL_BLOCK_ELEMENTS, TWO_PI_LD, _LatticeSum, _uniform_step
 from fracspec.frst import (
     _correlate,
+    _frst_params,
+    _integrand_probe,
     _kernel_meta,
     _kernel_plan,
     _spread,
@@ -22,6 +25,7 @@ from fracspec.frst import (
     grid_to_csv,
     symmetric_log_xi_axis,
 )
+from fracspec.frwt import _frwt_params
 from fracspec.windows import (
     SUPPORT_RADII,
     admissibility_cgpsi,
@@ -231,17 +235,101 @@ class TestForward:
         assert_allclose(gm, 2.0 * g1 - 1.5j * g2, atol=1e-12)
 
     def test_distribution_grid_matches_smooth_density(self, hermite):
-        # the grid kernels on a signal against per-cell pairings of the signal
+        # the grid kernels on a signal against trapezoid pairings of the
+        # signal with each cell's probe
         sig = fs.gaussian_signal(1.0, 2048, 8.0)
         x = np.linspace(-1, 1, 3)
         for alpha in (np.pi / 3, 4.0):
             p = fs.make_frac_param(alpha)
-            for forward, point, xi in (
-                    (frst_forward, frst_point, symmetric_log_xi_axis(0.5, 1.0, 2)),
-                    (fs.frwt_forward, fs.frwt_point, fs.positive_log_xi_axis(0.5, 2.0, 3))):
+            for forward, params, xi in (
+                    (frst_forward, lambda a, b: _frst_params(p, a, b, False),
+                     symmetric_log_xi_axis(0.5, 1.0, 2)),
+                    (fs.frwt_forward, lambda a, b: _frwt_params(p, a, b),
+                     fs.positive_log_xi_axis(0.5, 2.0, 3))):
                 by_grid = forward(p, hermite, sig, x, xi).values
-                by_cells = np.array([[point(p, hermite, sig, a, b) for b in xi] for a in x])
+                by_cells = np.array([[trapezoid_pairing(sig, _integrand_probe(
+                    p, hermite, *params(a, b))) for b in xi] for a in x])
                 assert np.max(np.abs(by_grid - by_cells)) < 1e-12, (alpha, forward.__name__)
+
+
+class TestSignalCells:
+    """A signal at any family of cells goes through the spectral kernel.
+    Oracle: the trapezoid pairing of the signal with each cell's probe,
+    within 2e-15 of its largest value."""
+
+    SIG = fs.gaussian_signal(1.0, 1024, 12.0, modulation=1.5)
+
+    def oracle(self, p, g, params, x, xi):
+        return np.array([trapezoid_pairing(self.SIG, _integrand_probe(p, g, *params(a, b)))
+                         for a, b in zip(np.ravel(x), np.ravel(xi))]).reshape(np.shape(x))
+
+    @pytest.mark.parametrize("alpha", [np.pi / 3, 1.0, 4.0])
+    def test_cells_match_trapezoid(self, alpha, hermite):
+        p = fs.make_frac_param(alpha)
+        rng = np.random.default_rng(41)
+        # unsorted x with a repeated value, both signs of xi, and the last
+        # cell beyond the signal's reach
+        x = rng.uniform(-3, 3, 24)
+        x[8:12] = x[3]
+        x[-1] = 40.0
+        xi = rng.uniform(0.3, 4.0, 24) * rng.choice([-1, 1], 24)
+        X, XI = x[:4, None], xi[None, :3]
+        for cells, params, xs, xis in (
+                (lambda a, b: fs.frst.frst_cells(p, hermite, self.SIG, a, b),
+                 lambda a, b: _frst_params(p, a, b, False), x, xi),
+                (lambda a, b: fs.frwt.frwt_cells(p, hermite, self.SIG, a, b),
+                 lambda a, b: _frwt_params(p, a, b), x, np.abs(xi)),
+                (lambda a, b: fs.frst.frst_cells(p, hermite, self.SIG, a, b),
+                 lambda a, b: _frst_params(p, a, b, False), X, XI)):
+            want = self.oracle(p, hermite, params, *np.broadcast_arrays(xs, xis))
+            got = cells(xs, xis)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+        assert fs.frst.frst_cells(p, hermite, self.SIG, 40.0, 1.0) == 0
+
+    def test_single_cells(self, p_third, hermite):
+        for x, xi in ((0.3, 1.2), (-1.1, -0.6), (2.0, 3.5)):
+            want = self.oracle(p_third, hermite, lambda a, b: _frst_params(p_third, a, b, False),
+                               x, xi)
+            assert abs(frst_point(p_third, hermite, self.SIG, x, xi) - want) <= 2e-15 * abs(want)
+            s = abs(xi)
+            want = self.oracle(fs.CLASSICAL_FT_PARAM, hermite,
+                               lambda a, b: _frwt_params(fs.CLASSICAL_FT_PARAM, a, b), x, s)
+            assert abs(fs.wt_point(hermite, self.SIG, x, s) - want) <= 2e-15 * abs(want)
+
+    def test_empty_cells(self, p_third, hermite):
+        none = np.array([])
+        assert fs.frst.frst_cells(p_third, hermite, self.SIG, none, none).shape == (0,)
+        assert fs.frwt.frwt_cells(p_third, hermite, self.SIG, none[:, None],
+                                  np.ones((1, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("alpha", [np.pi / 6, np.pi / 3, 4.0])
+    def test_bridge_sides_match_trapezoid(self, alpha, hermite):
+        p = fs.make_frac_param(alpha)
+        pts = [(a, b) for a in np.linspace(-2, 2, 8) for b in np.linspace(0.5, 4.0, 8)]
+        rep = fs.frst_frwt_bridge(p, hermite, self.SIG, pts)
+        x, xi = np.array(pts).T
+        lhs = self.oracle(p, hermite, lambda a, b: _frst_params(p, a, b, True), x, xi)
+        w = self.oracle(p, fs.modulate(hermite, p.c2), lambda a, b: _frwt_params(p, a, 1.0 / b),
+                        x, xi)
+        rhs = np.sqrt(xi) * p.c_alpha * np.exp(1j * (0.5 * p.c1 * x * x - p.c2 * x * xi)) * w
+        for got, want in ((rep.lhs, lhs), (rep.rhs, rhs)):
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_unresolved_cells_refused(self, p_third, hermite):
+        # the probe's band 2 |xi| SUPPORT_RADII/width against 2 pi/dt
+        limit = np.pi / (self.SIG.dt * SUPPORT_RADII)
+        assert np.isfinite(frst_point(p_third, hermite, self.SIG, 0.0, 0.99 * limit))
+        with pytest.raises(fs.UndersampledChirp):
+            frst_point(p_third, hermite, self.SIG, 0.0, 1.01 * limit)
+        with pytest.raises(fs.UndersampledChirp):
+            fs.wt_point(hermite, self.SIG, 0.0, 1.0 / (1.01 * limit))
+
+    @pytest.mark.parametrize("x, xi", [(np.nan, 1.0), (np.inf, 1.0), (0.0, np.nan), (0.0, np.inf)])
+    def test_non_finite_cells_refused(self, p_third, hermite, x, xi):
+        # the kernel's reach would drop such a cell and return 0
+        with pytest.raises(ValueError, match="finite"):
+            frst_point(p_third, hermite, self.SIG, x, xi)
 
 
 class TestCombDerivatives:

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fracspec as fs
-from conftest import probe_battery
-from fracspec.distributions import DistributionDescriptor as DD, pair
+from conftest import probe_battery, trapezoid_pairing
+from fracspec.distributions import DistributionDescriptor as DD
 from fracspec.frst import (
     frst_forward,
     frst_synthesis,
@@ -333,8 +333,8 @@ class TestInversion:
         rec = frwt_synthesis(p_third, mexican, F, t) / (2 * np.pi * adm.half_line)
         f_rec = fs.SampledSignal(t[0], src.dt, rec)
         for probe in probe_battery():
-            got = pair(f_rec, probe)
-            want = pair(src, probe)
+            got = trapezoid_pairing(f_rec, probe)
+            want = trapezoid_pairing(src, probe)
             assert abs(got - want) < 5e-3 * max(1.0, abs(want)), probe.name
 
 
