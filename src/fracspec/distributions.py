@@ -21,7 +21,7 @@ chooses for a whole family of probes (``pair`` is its one-cell case):
   per term;
 * homogeneous kinds, with a probe that carries a ``GaussianForm``, in
   closed form: one long-double power series in b/sqrt(a) over all cells of
-  a family, at the cells it resolves (see HOMOGENEOUS_SERIES_TERMS); the
+  a block, at the cells it resolves (see HOMOGENEOUS_SERIES_TERMS); the
   log kinds by the same series differentiated in the degree;
 * everything else (closed-form descriptors, the cells the closed form
   leaves out, probes built from a plain function) cell by cell through
@@ -376,7 +376,12 @@ def quad(*args, **kwargs):
 # terms are below 2^-64 of its |terms| (to |b^2/4a| ~ 11) and its |terms|
 # (of both sums, for a log kind) exceed its value at most
 # HOMOGENEOUS_CANCELLATION_MAX-fold (the far side of a one-sided power needs
-# 2.2e4); the quadrature rule pairs the rest.
+# 2.2e4); the quadrature rule pairs the rest.  The |terms| are summed
+# without forming them: with the running product |w|^n, sum_k |lead_k|
+# (|w|^n @ |C|^T)_k over all n and over the last two, and for a log kind
+# |1/2 ln a| times that plus the same with |C psi/2|.  A family is paired
+# in blocks of KERNEL_BLOCK_ELEMENTS // HOMOGENEOUS_SERIES_TERMS cells, so
+# the (cells, n) arrays of powers stay small.
 HOMOGENEOUS_SERIES_TERMS = 112
 HOMOGENEOUS_CANCELLATION_MAX = 1e5
 
@@ -427,18 +432,27 @@ def _homogeneous_closed_form(f: "DistributionDescriptor",
     # a cell beyond the series' reach (or of a huge degree) may overflow: not accepted
     with np.errstate(over="ignore", invalid="ignore"):
         coeff, *psi = _series_coefficients(f.pattern, f.degree, form.q.shape[-1], f.log_power)
-        w = np.repeat((form.b / np.sqrt(form.a))[..., None], HOMOGENEOUS_SERIES_TERMS - 1, axis=-1)
-        powers = np.cumprod(np.insert(w, 0, 1.0, axis=-1), axis=-1)   # w^n as a running product
+        w = form.b / np.sqrt(form.a)
+        # w^n and |w|^n as running products, built in place
+        powers = np.empty(w.shape + (HOMOGENEOUS_SERIES_TERMS,), dtype=w.dtype)
+        moduli = np.empty(powers.shape, dtype=np.longdouble)
+        powers[..., 0], powers[..., 1:] = 1.0, w[..., None]
+        moduli[..., 0], moduli[..., 1:] = 1.0, np.abs(w)[..., None]
+        np.cumprod(powers, axis=-1, out=powers)
+        np.cumprod(moduli, axis=-1, out=moduli)
         lead = 0.5 * form.q * np.exp(form.c)[..., None] * form.a[..., None] ** (
             -(np.longdouble(f.degree) + 1 + np.arange(coeff.shape[0])) / 2)
-        sums, magnitude = powers @ coeff.T, np.abs(coeff)
+        sums = powers @ coeff.T
+        # per k, the sums of |w^n C[k, n]| over all n and over the last two
+        size, tail = moduli @ np.abs(coeff.T), moduli[..., -2:] @ np.abs(coeff[:, -2:].T)
         if psi:   # -d/dnu: 1/2 ln a times the sums, minus the psi sums
             half_log_a = np.log(form.a)[..., None] / 2
             sums = half_log_a * sums - powers @ psi[0].T
-            magnitude = np.abs(half_log_a)[..., None] * magnitude + np.abs(psi[0])
+            size = np.abs(half_log_a) * size + moduli @ np.abs(psi[0].T)
+            tail = np.abs(half_log_a) * tail + moduli[..., -2:] @ np.abs(psi[0][:, -2:].T)
         vals = np.sum(lead * sums, axis=-1).astype(complex)
-        sizes = np.abs(lead)[..., None] * np.abs(powers)[..., None, :] * magnitude
-        terms, tail = (np.sum(s, axis=(-2, -1)) for s in (sizes, sizes[..., -2:]))
+        # the sum of |terms| over k and n, and over the last two n
+        terms, tail = (np.sum(np.abs(lead) * s, axis=-1) for s in (size, tail))
         accepted = (np.isfinite(vals) & (tail <= 2.0 ** -64 * terms)
                     & (terms <= HOMOGENEOUS_CANCELLATION_MAX * np.abs(vals)))
     return np.where(accepted, vals, np.nan), accepted
@@ -498,10 +512,12 @@ def pair_cells(f: DistributionDescriptor, probe_of: Callable[[object], TestFunct
     (arrays of center and radius), or the single probe of an integer cell.
     This is where a pairing's route is chosen.  A delta comb is paired
     exactly at the cells of one block at once, at most KERNEL_BLOCK_ELEMENTS
-    cells.  A homogeneous descriptor is paired in closed form at every cell
-    of a family with a ``GaussianForm`` in one evaluation.  Other
-    function-type descriptors and the cells the closed form leaves out go
-    cell by cell to ``pair_with_error``.  Every cell counts as one pairing.
+    cells.  A homogeneous descriptor is paired in closed form at the cells
+    of a family with a ``GaussianForm`` in blocks of
+    KERNEL_BLOCK_ELEMENTS // HOMOGENEOUS_SERIES_TERMS cells, one evaluation
+    per block; each cell rounds as it does alone.  Other function-type
+    descriptors and the cells the closed form leaves out go cell by cell to
+    ``pair_with_error``.  Every cell counts as one pairing.
     """
     if not isinstance(f, DistributionDescriptor):
         raise TypeError(f"pair_cells pairs distribution descriptors, not {type(f).__name__}")
@@ -514,12 +530,17 @@ def pair_cells(f: DistributionDescriptor, probe_of: Callable[[object], TestFunct
         return vals
     rest = range(n)
     if f.kind == "homogeneous":
-        form = probe_of(slice(0, n)).form
-        if form is not None:
-            # a single probe's form gives 0-d arrays
-            vals, accepted = (np.reshape(v, n) for v in _homogeneous_closed_form(f, form()))
-            _record(0, 0.0, pairings=int(accepted.sum()), closed_form=int(accepted.sum()))
-            rest = np.flatnonzero(~accepted)
+        accepted = np.zeros(n, dtype=bool)
+        block = KERNEL_BLOCK_ELEMENTS // HOMOGENEOUS_SERIES_TERMS
+        for lo in range(0, n, block):
+            cells = slice(lo, min(lo + block, n))
+            form = probe_of(cells).form
+            if form is not None:
+                # a single probe's form gives 0-d arrays
+                vals[cells], accepted[cells] = (np.reshape(v, cells.stop - lo) for v in
+                                                _homogeneous_closed_form(f, form()))
+        _record(0, 0.0, pairings=int(accepted.sum()), closed_form=int(accepted.sum()))
+        rest = np.flatnonzero(~accepted)
     for c in rest:
         vals[c] = pair_with_error(f, probe_of(int(c)))[0]
     return vals

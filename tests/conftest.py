@@ -103,3 +103,34 @@ def _mp_pairing(f, form, dps=20):
 @pytest.fixture(scope="session")
 def mp_pairing():
     return _mp_pairing
+
+
+def closed_form_oracle(f, form):
+    """(values, accepted, terms, tail) of the homogeneous series closed form
+    for a homogeneous descriptor f at each cell of a probe family's
+    GaussianForm, with its acceptance gate summed over the full
+    (cells, k, n) array of |terms|: the test oracle of
+    ``distributions._homogeneous_closed_form``, which forms no such array.
+    values are the series' sums at every cell, accepted or not; terms is
+    the sum of |terms| over k and n, tail the same over the last two n."""
+    from fracspec import distributions
+    form = form.long_double().about(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff, *psi = distributions._series_coefficients(f.pattern, f.degree, form.q.shape[-1],
+                                                         f.log_power)
+        n_terms = distributions.HOMOGENEOUS_SERIES_TERMS
+        w = np.repeat((form.b / np.sqrt(form.a))[..., None], n_terms - 1, axis=-1)
+        powers = np.cumprod(np.insert(w, 0, 1.0, axis=-1), axis=-1)
+        lead = 0.5 * form.q * np.exp(form.c)[..., None] * form.a[..., None] ** (
+            -(np.longdouble(f.degree) + 1 + np.arange(coeff.shape[0])) / 2)
+        sums, magnitude = powers @ coeff.T, np.abs(coeff)
+        if psi:
+            half_log_a = np.log(form.a)[..., None] / 2
+            sums = half_log_a * sums - powers @ psi[0].T
+            magnitude = np.abs(half_log_a)[..., None] * magnitude + np.abs(psi[0])
+        vals = np.sum(lead * sums, axis=-1).astype(complex)
+        sizes = np.abs(lead)[..., None] * np.abs(powers)[..., None, :] * magnitude
+        terms, tail = (np.sum(s, axis=(-2, -1)) for s in (sizes, sizes[..., -2:]))
+        accepted = (np.isfinite(vals) & (tail <= 2.0 ** -64 * terms)
+                    & (terms <= distributions.HOMOGENEOUS_CANCELLATION_MAX * np.abs(vals)))
+    return vals, accepted, terms, tail

@@ -494,12 +494,13 @@ class TestBatchedLattices:
 
 def test_te1_rejected_cells_skip_the_closed_form(monkeypatch, p_third, hermite):
     # |x|^1/2 against dilated:hermite1:3.0 leaves 8 cells beyond the series'
-    # reach; they go to the quadrature rule without a second closed-form pass
-    calls = []
+    # reach; they go to the quadrature rule without a second closed-form
+    # pass: the closed form sees each of the 880 cells once
+    cells = []
     closed_form = fs.distributions._homogeneous_closed_form
     monkeypatch.setattr(fs.distributions, "_homogeneous_closed_form",
-                        lambda f, form: calls.append(1) or closed_form(f, form))
+                        lambda f, form: cells.append(np.size(form.a)) or closed_form(f, form))
     rep = check_te1_hypotheses(p_third, fs.dilate(hermite, 3.0), DD.homogeneous("abs", 0.5),
                                m=0.5)
-    assert len(calls) == 1
+    assert sum(cells) == 880
     assert (rep.pairings, rep.closed_form_pairings, rep.integrand_evaluations) == (880, 872, 25092)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -21,7 +22,7 @@ from fracspec.distributions import (
     tally_pairings,
 )
 from fracspec import distributions
-from conftest import probe_battery, trapezoid_pairing, window_probe
+from conftest import closed_form_oracle, probe_battery, trapezoid_pairing, window_probe
 
 GAUSS = window_probe(fs.gaussian_window())
 # the same probe without its Gaussian form: pair takes homogeneous
@@ -361,6 +362,75 @@ class TestHomogeneousClosedForm:
         assert tally.closed_form_pairings == 0 and tally.integrand_evaluations > 0
         assert val == pair(f, replace(probe, form=None))
 
+    def test_gate_matches_the_term_array_oracle(self):
+        # the closed form against its oracle, which sums the gate over the
+        # full (cells, k, n) array of |terms|: bit-identical values and the
+        # same accepted cells, on FRST probe families of five windows at
+        # three angles (x in [-8, 8], both signs of xi), every pattern,
+        # four degrees and both log powers.  The x range puts cells on
+        # both sides of each bound: the tail within 16-fold of 2^-64 of
+        # |terms| (|b^2/4a| ~ 11) and |terms| within 10-fold of
+        # HOMOGENEOUS_CANCELLATION_MAX times the value
+        from fracspec.frst import _frst_params, _integrand_probe
+        near_reach, near_cancellation = np.zeros(2, dtype=int), np.zeros(2, dtype=int)
+        for name in ("hermite1", "mexican-hat", "modulated:dog:3:0.7", "dilated:hermite1:3.0",
+                     "modulated:hermite1:4"):
+            g = fs.window_by_name(name)
+            for alpha in (1.0472, 1.2, 2.5):
+                p = fs.make_frac_param(alpha)
+                cells = np.broadcast_arrays(*_frst_params(
+                    p, np.linspace(-8.0, 8.0, 41)[:, None],
+                    np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]), False))
+                family = _integrand_probe(p, g, *(v.ravel() for v in cells))
+                single = _integrand_probe(p, g, *(v[20, 4] for v in cells))
+                # the single cell first: the bounds are counted on the family
+                forms = (single.form(), family.form())
+                for pattern, degree, log_power in itertools.product(
+                        ("abs", "plus", "minus"), (-0.5, 0.25, 0.5, 1.5), (0, 1)):
+                    f = DD.homogeneous(pattern, degree, log_power)
+                    for form in forms:
+                        val, accepted = distributions._homogeneous_closed_form(f, form)
+                        want, want_accepted, terms, tail = closed_form_oracle(f, form)
+                        key = (name, alpha, pattern, degree, log_power)
+                        assert np.array_equal(accepted, want_accepted), key
+                        assert np.array_equal(val, np.where(accepted, want, np.nan),
+                                              equal_nan=True), key
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        reach = (tail / terms * 2.0 ** 64).astype(float)
+                        cancellation = (terms / np.abs(want) / distributions
+                                        .HOMOGENEOUS_CANCELLATION_MAX).astype(float)
+                    near_reach += [np.sum((1 / 16 <= reach) & (reach < 1)),
+                                   np.sum((1 <= reach) & (reach < 16))]
+                    near_cancellation += [
+                        np.sum((0.1 <= cancellation) & (cancellation < 1)),
+                        np.sum((1 <= cancellation) & (cancellation < 10))]
+        assert (near_reach > 100).all() and (near_cancellation > 100).all()
+
+    def test_large_family_pairs_in_bounded_memory(self, p_third, hermite):
+        # a 64x64 family of |x|^1/2, every cell in the series' reach, is
+        # paired in blocks: each cell the same as in one whole-family
+        # evaluation, at a traced peak below 4 MB (one whole-family
+        # evaluation peaks at 57 MB)
+        import tracemalloc
+        from fracspec.frst import _frst_params, _integrand_probe
+        x, d, omega, amp = (v.ravel() for v in np.broadcast_arrays(*_frst_params(
+            p_third, np.linspace(-1.0, 1.0, 64)[:, None], np.linspace(0.5, 2.0, 64), False)))
+        f = DD.homogeneous("abs", 0.5)
+
+        def probe_of(cells):
+            return _integrand_probe(p_third, hermite, x[cells], d[cells], omega[cells], amp[cells])
+
+        tracemalloc.start()
+        try:
+            with tally_pairings() as tally:
+                vals = distributions.pair_cells(f, probe_of, x.size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tally.closed_form_pairings == x.size == 4096
+        assert peak < 4 * 2 ** 20
+        whole, accepted = distributions._homogeneous_closed_form(f, probe_of(slice(None)).form())
+        assert accepted.all() and np.array_equal(vals, whole)
 
     def test_gamma_long_double(self):
         # Stirling's series in long double on (0, 64], which covers the
