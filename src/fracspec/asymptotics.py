@@ -57,12 +57,11 @@ from .distributions import (
 )
 from .errors import AngleOutsideTheoremRange, InvalidExponent
 from .fraccore import CLASSICAL_FT_PARAM, FracParam, cmul
-# frst_point, frwt_point and wt_point are not called here: perfbench's tracer
-# wraps them in this module, and the tests reach wt_point through it
-from .frst import _frst_params, _pair_cells, frst_cells, frst_point  # noqa: F401
-from .frwt import _frwt_params, frwt_cells, frwt_point, wt_point  # noqa: F401
-# dilate is not called here either: perfbench's tracer wraps it in this module
-from .windows import Window, dilate, modulate  # noqa: F401
+from .frst import _frst_params, _pair_cells, frst_point, st_point
+from .frwt import _frwt_params, frwt_point, wt_point
+from .windows import Window, modulate
+# dilate is not called here: perfbench's tracer wraps it in this module
+from .windows import dilate  # noqa: F401
 
 SLOPE_TOL = 0.05
 RATIO_TOL = 0.02
@@ -164,7 +163,7 @@ def _live(rhs: np.ndarray) -> np.ndarray:
     return mags > RHS_FLOOR * np.max(mags)
 
 
-def _st_cells(g: Window, u: DistributionDescriptor, x, xi, a=0.0) -> np.ndarray:
+def _st_cells(g: Window, u: DistributionDescriptor, x, xi, a) -> np.ndarray:
     """``st_point(g, M_a u, x, xi)`` at every probe of the arrays x, xi, a,
     as one family pairing: <M_a u, phi> = <u, e^{iat} phi>, and against the
     probe's e^{-i omega t} the factor e^{iat} shifts omega to omega - a."""
@@ -172,7 +171,7 @@ def _st_cells(g: Window, u: DistributionDescriptor, x, xi, a=0.0) -> np.ndarray:
     return _pair_cells(CLASSICAL_FT_PARAM, g, u, x, d, omega - a, amp)
 
 
-def _wt_cells(g: Window, u: DistributionDescriptor, x, xi, a=0.0) -> np.ndarray:
+def _wt_cells(g: Window, u: DistributionDescriptor, x, xi, a) -> np.ndarray:
     """``wt_point(g, M_a u, x, xi)`` likewise."""
     x, d, omega, amp = _frwt_params(CLASSICAL_FT_PARAM, x, xi)
     return _pair_cells(CLASSICAL_FT_PARAM, g, u, x, d, omega - a, amp)
@@ -273,13 +272,13 @@ def check_rez1(p: FracParam, g: Window, fixture: AsymptoticFixture,
     amp = np.sqrt(1.0 - 1j * p.c1) / p.c2 ** fixture.m
 
     def lhs_fn(x, xi, eps):
-        return frst_cells(p, g, fixture.f, eps * x, xi / eps, drop_xi_chirp=True)
+        return frst_point(p, g, fixture.f, eps * x, xi / eps, drop_xi_chirp=True)
 
     def rhs_fn(x, xi):
         return cmul(amp, _st_cells(g, fixture.u, x * p.c2, xi / p.c2, xi * (1.0 / p.c2 - 1.0)))
 
     def rhs_printed(x, xi):
-        return cmul(amp, _st_cells(g, fixture.u, x * p.c2, xi / p.c2))
+        return cmul(amp, st_point(g, fixture.u, x * p.c2, xi / p.c2))
 
     return _run_scaling_check(
         "REZ1", fixture, p, g, probes, seq, lhs_fn, rhs_fn,
@@ -322,15 +321,15 @@ def check_te3(p: FracParam, g: Window, fixture: AsymptoticFixture,
     amp = p.c2 ** -(fixture.m + 0.5)
 
     def lhs_fn(x, xi, eps):
-        w = frwt_cells(p, gm, fixture.f, eps * x, eps / xi)
+        w = frwt_point(p, gm, fixture.f, eps * x, eps / xi)
         return cmul(np.exp(1j * 0.5 * p.c1 * (eps * x) ** 2), w)
 
     def rhs_fn(x, xi):
-        return cmul(amp, _wt_cells(gm, fixture.u, x * p.c2, p.c2 / xi))
+        return cmul(amp, wt_point(gm, fixture.u, x * p.c2, p.c2 / xi))
 
     def rhs_printed(x, xi):
         return cmul(amp * np.exp(1j * x * xi * (p.c2 - 1.0)),
-                    _wt_cells(g1, fixture.u, x * p.c2, p.c2 / xi))
+                    wt_point(g1, fixture.u, x * p.c2, p.c2 / xi))
 
     return _run_scaling_check(
         "TE3", fixture, p, g, probes, seq, lhs_fn, rhs_fn,
@@ -368,7 +367,7 @@ def check_te4(p: FracParam, g: Window, fixture: AsymptoticFixture,
 
     def rhs_printed(x, xi):
         return cmul(amp_printed * np.exp(1j * x * xi * (p.c2 - 1.0)),
-                    _wt_cells(g, fixture.u, x * p.c2, p.c2 / xi))
+                    wt_point(g, fixture.u, x * p.c2, p.c2 / xi))
 
     return _run_scaling_check(
         "TE4", fixture, p, g, probes, seq, lhs_fn, rhs_derived,
@@ -393,7 +392,7 @@ def check_te5(p: FracParam, g: Window, fixture: AsymptoticFixture,
     _require_angle(p, 0.0, np.pi, "TE5")
 
     def lhs_fn(x, xi, eps):
-        return frst_cells(p, g, fixture.f, eps * eps * x, xi / eps, drop_xi_chirp=True)
+        return frst_point(p, g, fixture.f, eps * eps * x, xi / eps, drop_xi_chirp=True)
 
     def rhs_fn(x, xi):
         return cmul(p.c_alpha * np.sqrt(xi), _wt_cells(g, fixture.u, 0.0, 1.0 / xi, -xi * p.c2))
@@ -464,23 +463,18 @@ def check_te1_hypotheses(p: FracParam, g: Window, f: DistributionDescriptor,
     Lv = L(eps)
 
     lattice = tuple((float(x), float(xi)) for x in x_lattice for xi in xi_lattice)
-    converged = 0
-    D = 0.0
-    feasible = True
     x_col, xi_col = _columns(lattice)
     with tally_pairings() as tally:
-        cells = frst_cells(p, g, f, eps * x_col, eps * xi_col, drop_xi_chirp=True)
+        cells = frst_point(p, g, f, eps * x_col, eps * xi_col, drop_xi_chirp=True)
     cells = cells / (eps ** m * Lv)
-    for (x, xi), v in zip(lattice, cells):
-        if is_cauchy(v):
-            converged += 1
-        mags = np.abs(v)
-        weight = (abs(xi) + 1.0 / abs(xi)) ** s
-        if abs(x) < 1e-12:
-            if np.max(mags) > 1e-12:
-                feasible = False
-            continue
-        D = max(D, float(np.max(mags) * weight / abs(x) ** r))
+    converged = int(np.count_nonzero(is_cauchy(cells)))
+    peak = np.max(np.abs(cells), axis=1)
+    x, xi = np.abs(x_col[:, 0]), np.abs(xi_col[:, 0])
+    at_zero = x < 1e-12
+    feasible = not np.any(peak[at_zero] > 1e-12)
+    x, xi, peak = x[~at_zero], xi[~at_zero], peak[~at_zero]
+    # float_power is libm's pow, as Python's ** on floats
+    D = float(np.max(peak * np.float_power(xi + 1.0 / xi, s) / np.float_power(x, r), initial=0.0))
     all_conv = converged == len(lattice)
     ok = all_conv and feasible and np.isfinite(D)
     return Te1HypothesesReport(

@@ -203,6 +203,8 @@ def _parser() -> argparse.ArgumentParser:
 def _infer_degree(desc: DistributionDescriptor) -> float:
     """Of the two kinds ``from_json`` builds: a delta comb or a homogeneous density."""
     if desc.kind == "delta":
+        if not desc.terms:
+            raise ValueError("an empty delta comb has no degree to infer; give --degree")
         return -1.0 - max(t.order for t in desc.terms)
     return desc.degree
 

@@ -266,8 +266,8 @@ class PairingTally:
 
 # The open tallies live in a context variable, not in a parameter: pairings
 # are made several calls below the checkers that count them, through
-# frst_point/frst_cells and frwt_point/frwt_cells, whose signatures carry no
-# counters.  A batch of cells counts one pairing per cell.
+# frst_point and frwt_point, whose signatures carry no counters.  A family
+# of cells counts one pairing per cell.
 _OPEN_TALLIES: ContextVar[tuple] = ContextVar("fracspec_open_tallies", default=())
 
 
@@ -624,10 +624,11 @@ def log_slope(eps: np.ndarray, mags: np.ndarray) -> tuple[float, float]:
 CAUCHY_REL_TOL = 1e-4
 
 
-def is_cauchy(values: np.ndarray, rel_tol: float = CAUCHY_REL_TOL) -> bool:
+def is_cauchy(values: np.ndarray, rel_tol: float = CAUCHY_REL_TOL) -> np.ndarray:
+    """Per sequence along the last axis: at least 4 values, and its last
+    three gaps below rel_tol (1 + |last value|)."""
     v = np.asarray(values)
-    if v.size < 4:
-        return False
-    gaps = np.abs(np.diff(v))[-3:]
-    ref = rel_tol * (1.0 + np.abs(v[-1]))
-    return bool(np.all(gaps < ref))
+    if v.shape[-1] < 4:
+        return np.zeros(v.shape[:-1], dtype=bool)
+    gaps = np.abs(np.diff(v[..., -4:], axis=-1))
+    return np.all(gaps < rel_tol * (1.0 + np.abs(v[..., -1:])), axis=-1)

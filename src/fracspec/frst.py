@@ -24,8 +24,8 @@ different dilations and modulations.  Both are spectral: the signal's
 spectrum times the window's closed-form spectrum on the bins of each
 column's band, summed over x; that spectrum (a sum over t) and the sum
 over x are each one lattice sum, a chirp-z on a uniform axis (see "The
-spectral kernel of sampled signals" below).  Points and families of
-cells (``frst_cells``, ``frwt_cells``, the bridge) take their route in
+spectral kernel of sampled signals" below).  Points, one or a whole
+family (``frst_point``, ``frwt_point``, the bridge), take their route in
 ``_pair_cells``: a signal's cells are one ``_correlate`` call, a cell
 the samples cannot resolve is refused (UndersampledChirp); a
 distribution descriptor pairs with ``_integrand_probe``, the same kernel
@@ -185,12 +185,12 @@ def _probe_form(p: FracParam, g: Window, x, d, omega, amp) -> GaussianForm:
                         c=1j * x * (0.5 * p.c1 * x - omega), origin=x)
 
 
-def _pair_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, d, omega,
-                amp) -> np.ndarray:
+def _pair_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, d, omega, amp):
     """<f, _integrand_probe(p, g, x, d, omega, amp)> at every cell of the
-    broadcast parameter arrays, by the one route of f's kind: a signal by
-    one ``_correlate`` over the cells' unique x and unique (d, omega)
-    columns, times each cell's amp; a descriptor by ``pair_cells``."""
+    broadcast parameter arrays (a complex for scalars), by the one route of
+    f's kind: a signal by one ``_correlate`` over the cells' unique x and
+    unique (d, omega) columns, times each cell's amp; a descriptor by
+    ``pair_cells``."""
     params = np.broadcast_arrays(x, d, omega, amp)
     x, d, omega, amp = (v.ravel() for v in params)
     if isinstance(f, SampledSignal):
@@ -208,7 +208,8 @@ def _pair_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, d, omega,
     else:
         vals = pair_cells(f, lambda cells: _integrand_probe(
             p, g, x[cells], d[cells], omega[cells], amp[cells]), x.size)
-    return vals.reshape(params[0].shape)
+    vals = vals.reshape(params[0].shape)
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 def _frst_params(p: FracParam, x, xi, drop_xi_chirp: bool):
@@ -222,26 +223,21 @@ def _frst_params(p: FracParam, x, xi, drop_xi_chirp: bool):
     return x, xi, p.c2 * xi, amp
 
 
-def frst_point(p: FracParam, g: Window, f: SignalOrDistribution,
-               x: float, xi: float, *, drop_xi_chirp: bool = False) -> complex:
-    """Single-point FRST: the pairing of f with the integrand
-    t -> |xi| conj(g(xi(t-x))) K_alpha(t, xi).
+def frst_point(p: FracParam, g: Window, f: SignalOrDistribution, x, xi, *,
+               drop_xi_chirp: bool = False):
+    """FRST at every point of the broadcast arrays x and xi (xi != 0), a
+    complex for scalars: the pairing of f with the integrand
+    t -> |xi| conj(g(xi(t-x))) K_alpha(t, xi), as one family (``_pair_cells``).
 
     With drop_xi_chirp the constant factor exp(i*c1*xi^2/2) is omitted,
     which evaluates exp(-i*c1*xi^2/2) * S_g^alpha f directly (the gauge the
     asymptotic theorems use) without forming huge cancelling phases.
     """
-    return complex(frst_cells(p, g, f, x, xi, drop_xi_chirp=drop_xi_chirp))
-
-
-def frst_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, xi, *,
-               drop_xi_chirp: bool = False) -> np.ndarray:
-    """``frst_point`` at every cell of the broadcast arrays x and xi."""
     return _pair_cells(p, g, f, *_frst_params(p, x, xi, drop_xi_chirp))
 
 
-def st_point(g: Window, f: SignalOrDistribution, x: float, xi: float) -> complex:
-    """Classical Stockwell transform point (alpha = pi/2, exact constants)."""
+def st_point(g: Window, f: SignalOrDistribution, x, xi):
+    """Classical Stockwell transform (alpha = pi/2, exact constants), as ``frst_point``."""
     return frst_point(CLASSICAL_FT_PARAM, g, f, x, xi)
 
 
@@ -376,7 +372,7 @@ def frst_forward(p: FracParam, g: Window, f: SignalOrDistribution,
     """FRST on a full time-frequency grid.
 
     Signals go through the spectral kernel ``_correlate`` on the whole
-    grid; distribution descriptors through ``frst_cells``.  alpha = 0
+    grid; distribution descriptors through ``frst_point``.  alpha = 0
     yields the zero grid; alpha = pi is rejected.
     """
     x_axis = np.asarray(x_axis, dtype=float)
@@ -397,7 +393,7 @@ def frst_forward(p: FracParam, g: Window, f: SignalOrDistribution,
         vals *= np.abs(xi_axis) * p.c_alpha * np.exp(1j * 0.5 * p.c1 * xi_axis * xi_axis)
         meta["kernel"] = _kernel_meta(g, f.t_grid, x_axis, xi_axis)
     else:
-        vals = frst_cells(p, g, f, x_axis[:, None], xi_axis[None, :])
+        vals = frst_point(p, g, f, x_axis[:, None], xi_axis[None, :])
     return TFGrid(x_axis, xi_axis, vals, meta)
 
 

@@ -37,6 +37,7 @@ from .fraccore import (
     SampledSignal,
     _frft_sum,
     check_sampling,
+    cmul,
     frft,
     rel_l2,
     trapezoid_weights,
@@ -52,8 +53,7 @@ from .frst import (
     _pair_cells,
     _spread,
     check_axes,
-    frst_cells,
-    frst_point,  # not called here; perfbench's tracer looks it up in this module
+    frst_point,
     log_branch_weights,
 )
 from .windows import ADMISSIBILITY_MIN, Window, admissibility_cg, modulate, require_wavelet
@@ -70,20 +70,15 @@ def _frwt_params(p: FracParam, x, xi):
     return x, 1.0 / xi, 0.0, amp
 
 
-def frwt_point(p: FracParam, g: Window, f: SignalOrDistribution,
-               x: float, xi: float) -> complex:
-    """Single-point FRWT (xi > 0): the pairing of f with the integrand
-    t -> xi^{-1/2} conj(g((t-x)/xi)) e^{i c1 (t^2-x^2)/2}."""
-    return complex(frwt_cells(p, g, f, x, xi))
-
-
-def frwt_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, xi) -> np.ndarray:
-    """``frwt_point`` at every cell of the broadcast arrays x and xi."""
+def frwt_point(p: FracParam, g: Window, f: SignalOrDistribution, x, xi):
+    """FRWT at every point of the broadcast arrays x and xi (xi > 0), a
+    complex for scalars: the pairing of f with the integrand
+    t -> xi^{-1/2} conj(g((t-x)/xi)) e^{i c1 (t^2-x^2)/2}, as one family."""
     return _pair_cells(p, g, f, *_frwt_params(p, x, xi))
 
 
-def wt_point(g: Window, f: SignalOrDistribution, x: float, xi: float) -> complex:
-    """Classical wavelet transform point: xi^{-1/2} <f, g((.-x)/xi)> (no chirp)."""
+def wt_point(g: Window, f: SignalOrDistribution, x, xi):
+    """Classical wavelet transform xi^{-1/2} <f, g((.-x)/xi)> (no chirp), as ``frwt_point``."""
     return frwt_point(CLASSICAL_FT_PARAM, g, f, x, xi)
 
 
@@ -121,7 +116,7 @@ def frwt_forward(p: FracParam, g: Window, f: SignalOrDistribution,
     if isinstance(f, SampledSignal):
         vals, meta["kernel"] = _frwt_signal_grid(p, g, f, x_axis, xi_axis, enforce_sampling)
     else:
-        vals = frwt_cells(p, g, f, x_axis[:, None], xi_axis[None, :])
+        vals = frwt_point(p, g, f, x_axis[:, None], xi_axis[None, :])
     return TFGrid(x_axis, xi_axis, vals, meta)
 
 
@@ -246,17 +241,16 @@ def frst_frwt_bridge(p: FracParam, g: Window, f: SignalOrDistribution,
     xs, xis = np.array(points, dtype=float).reshape(-1, 2).T
     if np.any(xis <= 0):
         raise ValueError("bridge probes need xi > 0")
-    lhs_vals = frst_cells(p, g, f, xs, xis, drop_xi_chirp=True)
-    w_vals = frwt_cells(p, gm, f, xs, 1.0 / xis)
-    # right-hand sides and deviations in scalar arithmetic, point by point
-    rhs_vals, devs = [], []
-    for x, xi, lhs, w in zip(xs.tolist(), xis.tolist(), lhs_vals, w_vals):
-        rhs = np.sqrt(xi) * p.c_alpha * np.exp(
-            1j * (0.5 * p.c1 * x * x - p.c2 * x * xi)) * w
-        rhs_vals.append(rhs)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        devs.append(abs(lhs - rhs) / scale)
+    lhs = frst_point(p, g, f, xs, xis, drop_xi_chirp=True)
+    w = frwt_point(p, gm, f, xs, 1.0 / xis)
+    # cmul and hypot round each product and modulus as complex scalars do
+    rhs = cmul(cmul(cmul(np.sqrt(xis), p.c_alpha),
+                    np.exp(1j * (0.5 * p.c1 * xs * xs - p.c2 * xs * xis))), w)
+    gap = lhs - rhs
+    scale = np.maximum(np.maximum(np.hypot(lhs.real, lhs.imag), np.hypot(rhs.real, rhs.imag)),
+                       1e-300)
+    devs = np.hypot(gap.real, gap.imag) / scale
     return BridgeReport(points=tuple((float(a), float(b)) for a, b in points),
-                        lhs=tuple(lhs_vals), rhs=tuple(rhs_vals),
-                        rel_deviation=tuple(float(d) for d in devs),
-                        max_rel_deviation=float(max(devs)))
+                        lhs=tuple(lhs), rhs=tuple(rhs),
+                        rel_deviation=tuple(devs.tolist()),
+                        max_rel_deviation=float(np.max(devs)))

@@ -44,6 +44,9 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 MAX_MOMENT_ORDER = 12
 MAX_SIGMA_DERIVATIVE = 2
+# |x^k g^(p)(x)| peaks near width sqrt(k + p + deg P); at this order that is
+# within 0.8 of the probe grid's radius SUPPORT_RADII widths
+MAX_SEMINORM_ORDER = 64
 WAVELET_MOMENT_TOL = 1e-8
 ADMISSIBILITY_MIN = 1e-10   # smaller constants cannot normalize a reconstruction
 
@@ -379,6 +382,10 @@ def seminorm_rho(g: Window, k: int, p: int, n_probe: int = 16385) -> SeminormEst
     """Schwartz seminorm rho_{k,p}(g) = sup |x^k g^(p)(x)| on a probe grid."""
     if k < 0:
         raise ValueError(f"seminorm weight power k = {k} is negative")
+    order = k + p + len(g.poly) - 1
+    if order > MAX_SEMINORM_ORDER:
+        raise ValueError(f"k + p + deg P = {order} exceeds {MAX_SEMINORM_ORDER}: the "
+                         f"supremum of {g.name} lies beyond the probe grid")
     r = g.support_radius
     x = np.linspace(-r, r, n_probe)
     value = float(np.max(np.abs(x ** k * g.form.derivative(x, p))))

@@ -456,6 +456,29 @@ class TestBatchedLattices:
         assert abs(batched.bound_constant - per_cell.bound_constant) <= 1e-12 * per_cell.bound_constant
         assert batched.pairings == per_cell.pairings == 80 * len(ScaleSequence())
 
+    @pytest.mark.parametrize("f, m", [(DD.delta(order=1), -2.0), (DD.homogeneous("abs", 0.5), 0.5),
+                                      (DD.delta_comb([]), -1.0)])
+    def test_te1_bound_repeats_the_per_cell_loop(self, p_third, hermite, f, m):
+        # convergence, the x = 0 feasibility and D judged cell by cell in
+        # scalar arithmetic, on a lattice with a cell at x = 0
+        xs, xis, r, s = (-1.0, 0.0, 0.5, 2.0), (-4.0, -0.25, 0.5, 16.0), 3, 1.5
+        rep = check_te1_hypotheses(p_third, hermite, f, m=m, r=r, s=s,
+                                   x_lattice=xs, xi_lattice=xis)
+        eps = np.array(list(ScaleSequence()))
+        x_col, xi_col = (np.array(v)[:, None] for v in zip(*[(x, xi) for x in xs for xi in xis]))
+        cells = fs.frst_point(p_third, hermite, f, eps * x_col, eps * xi_col, drop_xi_chirp=True)
+        cells = cells / (eps ** m * SV_ONE(eps))
+        converged, D, feasible = 0, 0.0, True
+        for x, xi, v in zip(x_col[:, 0].tolist(), xi_col[:, 0].tolist(), cells):
+            converged += bool(fs.distributions.is_cauchy(v))
+            mags = np.abs(v)
+            if abs(x) < 1e-12:
+                feasible = feasible and not np.max(mags) > 1e-12
+                continue
+            D = max(D, float(np.max(mags) * (abs(xi) + 1.0 / abs(xi)) ** s / abs(x) ** r))
+        assert (rep.converged_cells, rep.bound_feasible, rep.bound_constant) == (converged,
+                                                                                 feasible, D)
+
     def test_function_type_lattice_repeats_the_scalar_formula(self, p_third, hermite):
         # each LHS written per cell in scalar arithmetic: the batch must round
         # every cell the same way.  TE3: e^{i c1 (eps x)^2/2} W f(eps x, eps/xi);
@@ -480,7 +503,7 @@ class TestBatchedLattices:
 
         def te4(fx, x, xi, e):
             h = fs.modulate(fs.dilate(hermite, 1.0 / (e * e)), p.c2)
-            w = fs.frwt.frwt_cells(p, h, fx.f, e * x, 1.0 / (e * xi))
+            w = fs.frwt.frwt_point(p, h, fx.f, e * x, 1.0 / (e * xi))
             return np.exp(1j * (0.5 * p.c1 * (e * x) ** 2 - p.c2 * e * e * x * xi)) * w
 
         for fixture in ("sqrt-abs", "delta'"):

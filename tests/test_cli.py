@@ -295,6 +295,24 @@ class TestUsageErrors:
         assert exit_code(["seminorm", "--window", "gauss", "--k", k, "--p", p,
                           "--output", str(tmp_path / "rho")]) == code
 
+    def test_seminorm_weight_beyond_the_grid(self, tmp_path, capsys):
+        # the supremum of x^400 g(x) lies far outside the probe grid (and
+        # overflows it): refused, not written as a truncated value or Infinity
+        assert exit_code(["seminorm", "--window", "hermite1", "--k", "400", "--p", "0",
+                          "--output", str(tmp_path / "rho")]) == 1
+        assert "exceeds 64" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_empty_delta_comb_needs_a_degree(self, tmp_path, capsys):
+        argv = ["verify", "rez1", "--alpha", "1.0", "--window", "hermite1",
+                "--dist", '{"kind":"delta","terms":[]}', "--output", str(tmp_path / "v")]
+        assert exit_code(argv) == 1
+        err = capsys.readouterr().err
+        assert "empty delta comb" in err and "--degree" in err
+        assert not list(tmp_path.iterdir())
+        # given a degree, the zero distribution has no leading term to fit
+        assert exit_code(argv + ["--degree", "-1"]) == 4
+
 
 class TestCommands:
     def test_frst_zero_operator(self, tmp_path):

@@ -592,6 +592,10 @@ class TestBattery:
         assert is_cauchy(np.array([2.0, 1.0001, 1.00008, 1.00003, 1.00001]))
         assert not is_cauchy(np.array([1.0, 2.0, 1.0, 2.0, 1.0]))
         assert not is_cauchy(np.array([1.0, 1.0]))  # too short to judge
+        # one verdict per row
+        rows = np.array([[2.0, 1.0001, 1.00008, 1.00003, 1.00001], [1.0, 2.0, 1.0, 2.0, 1.0]])
+        assert is_cauchy(rows).tolist() == [True, False]
+        assert is_cauchy(rows[:, :2]).tolist() == [False, False]
 
 
 class TestJson:

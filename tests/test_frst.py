@@ -275,17 +275,17 @@ class TestSignalCells:
         xi = rng.uniform(0.3, 4.0, 24) * rng.choice([-1, 1], 24)
         X, XI = x[:4, None], xi[None, :3]
         for cells, params, xs, xis in (
-                (lambda a, b: fs.frst.frst_cells(p, hermite, self.SIG, a, b),
+                (lambda a, b: fs.frst.frst_point(p, hermite, self.SIG, a, b),
                  lambda a, b: _frst_params(p, a, b, False), x, xi),
-                (lambda a, b: fs.frwt.frwt_cells(p, hermite, self.SIG, a, b),
+                (lambda a, b: fs.frwt.frwt_point(p, hermite, self.SIG, a, b),
                  lambda a, b: _frwt_params(p, a, b), x, np.abs(xi)),
-                (lambda a, b: fs.frst.frst_cells(p, hermite, self.SIG, a, b),
+                (lambda a, b: fs.frst.frst_point(p, hermite, self.SIG, a, b),
                  lambda a, b: _frst_params(p, a, b, False), X, XI)):
             want = self.oracle(p, hermite, params, *np.broadcast_arrays(xs, xis))
             got = cells(xs, xis)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
-        assert fs.frst.frst_cells(p, hermite, self.SIG, 40.0, 1.0) == 0
+        assert fs.frst.frst_point(p, hermite, self.SIG, 40.0, 1.0) == 0
 
     def test_single_cells(self, p_third, hermite):
         for x, xi in ((0.3, 1.2), (-1.1, -0.6), (2.0, 3.5)):
@@ -299,8 +299,8 @@ class TestSignalCells:
 
     def test_empty_cells(self, p_third, hermite):
         none = np.array([])
-        assert fs.frst.frst_cells(p_third, hermite, self.SIG, none, none).shape == (0,)
-        assert fs.frwt.frwt_cells(p_third, hermite, self.SIG, none[:, None],
+        assert fs.frst.frst_point(p_third, hermite, self.SIG, none, none).shape == (0,)
+        assert fs.frwt.frwt_point(p_third, hermite, self.SIG, none[:, None],
                                   np.ones((1, 3))).shape == (0, 3)
 
     @pytest.mark.parametrize("alpha", [np.pi / 6, np.pi / 3, 4.0])

@@ -8,12 +8,15 @@ import fracspec as fs
 from conftest import probe_battery, trapezoid_pairing
 from fracspec.distributions import DistributionDescriptor as DD
 from fracspec.frst import (
+    _frst_params,
+    _integrand_probe,
     frst_forward,
     frst_synthesis,
     positive_log_xi_axis,
     symmetric_log_xi_axis,
 )
 from fracspec.frwt import (
+    _frwt_params,
     frst_frwt_bridge,
     frwt_forward,
     frwt_point,
@@ -362,6 +365,43 @@ class TestBridge:
             p = fs.make_frac_param(float(alpha))
             rep = frst_frwt_bridge(p, hermite, sig, pts)
             assert rep.max_rel_deviation < 1e-6, alpha
+
+    def test_right_sides_repeat_the_scalar_formula(self, p_third, hermite):
+        # each right side and deviation in complex-scalar arithmetic, point by point
+        p = p_third
+        x, xi = np.array(self._points()).T
+        gm = fs.modulate(hermite, p.c2)
+        for f in (DD.delta(), fs.gaussian_signal(1.0, 512, 8.0)):
+            rep = frst_frwt_bridge(p, hermite, f, self._points())
+            w = frwt_point(p, gm, f, x, 1.0 / xi)
+            for (a, b), lhs, rhs, dev, wv in zip(rep.points, rep.lhs, rep.rhs,
+                                                 rep.rel_deviation, w):
+                want = np.sqrt(b) * p.c_alpha * np.exp(1j * (0.5 * p.c1 * a * a - p.c2 * a * b)) * wv
+                assert rhs == want
+                assert dev == abs(lhs - want) / max(abs(lhs), abs(want), 1e-300)
+
+    def test_small_angle_sides_agree_on_the_family_scale(self, hermite):
+        # the CLI's bridge at alpha = 0.05 on this signal reports a relative
+        # deviation of 0.2256: at (-1.43, 2.5), where |lhs| is 1.6e-16 of the
+        # family's largest value.  Both sides are trapezoid sums of integrands
+        # equal pointwise in t, and each matches its oracle on that scale.
+        p = fs.make_frac_param(0.05)
+        sig = fs.gaussian_signal(1.0, 512, 8.0)
+        pts = self._points()
+        rep = frst_frwt_bridge(p, hermite, sig, pts)
+        x, xi = np.array(pts).T
+        gm = fs.modulate(hermite, p.c2)
+        lhs = np.array([trapezoid_pairing(sig, _integrand_probe(p, hermite,
+                                                                *_frst_params(p, a, b, True)))
+                        for a, b in pts])
+        w = np.array([trapezoid_pairing(sig, _integrand_probe(p, gm, *_frwt_params(p, a, 1.0 / b)))
+                      for a, b in pts])
+        rhs = np.sqrt(xi) * p.c_alpha * np.exp(1j * (0.5 * p.c1 * x * x - p.c2 * x * xi)) * w
+        top = np.max(np.abs(lhs))
+        got_lhs, got_rhs = np.array(rep.lhs), np.array(rep.rhs)
+        assert np.max(np.abs(got_lhs - lhs)) <= 1e-13 * top
+        assert np.max(np.abs(got_rhs - rhs)) <= 1e-13 * top
+        assert np.max(np.abs(got_lhs - got_rhs)) <= 1e-13 * top
 
     def test_reflex_angle_negative_c2(self, hermite):
         # alpha in (pi, 2pi) flips the sign of c2; the identity still holds

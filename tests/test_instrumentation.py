@@ -4,6 +4,7 @@ Installing it checks that every attribute it wraps still exists, so a
 rename in the package fails here rather than only in a traced benchmark run.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import fracspec as fs
 import fracspec.cli  # noqa: F401  (the package does not import its CLI)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PACKAGE = Path(fs.__file__).resolve().parent
 
 
 def load_spans():
@@ -96,3 +98,31 @@ def test_derived_windows_evaluate_like_untraced_ones():
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
     assert tracer.counters["windows.eval.points"] == len(want) * x.size
+
+
+def unused_imports():
+    """(module, name) of every import that a ``# noqa: F401`` marks as unused
+    in the package's source."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                found += [(path.stem, a.asname or a.name) for a in node.names]
+    return found
+
+
+def test_unused_imports_are_tracer_sites():
+    # an import that nothing in the package calls is kept only for a site
+    # the tracer replaces; once the tracer stops replacing it, it goes
+    spans = load_spans()
+    inst = spans.Instrumentation(fs, spans.Tracer())
+    try:
+        inst.install()
+        replaced = {(owner.__name__.rsplit(".", 1)[-1], attr)
+                    for owner, attr, _ in inst._saved if isinstance(owner, type(fs))}
+    finally:
+        inst.uninstall()
+    for module, name in unused_imports():
+        assert (module, name) in replaced, f"delete the unused import of {name} in {module}"

@@ -416,6 +416,16 @@ class TestSeminorms:
         with pytest.raises(fs.DerivativeOrderTooHigh):
             fs.seminorm_rho(gauss, 0, 5)
 
+    def test_rho_weight_cap(self):
+        # |x^k g(x)| of hermite1 = |x|^(k+1) e^{-x^2/2} peaks at x = sqrt(k + 1):
+        # at k = 63, 8^64 e^{-32}, inside the probe grid [-10, 10]; at k = 120
+        # the peak near 11 lies outside it and the grid's value was 2.8x low
+        hermite = window_by_name("hermite1")
+        est = fs.seminorm_rho(hermite, 63, 0)
+        assert_allclose(est.value, 8.0 ** 64 * np.exp(-32.0), rtol=1e-6)
+        with pytest.raises(ValueError, match="exceeds 64"):
+            fs.seminorm_rho(hermite, 120, 0)
+
     def _make_grid(self):
         x = np.linspace(-4, 4, 161)
         xi = np.exp(np.linspace(np.log(2.0 ** -6), np.log(8.0), 200))
