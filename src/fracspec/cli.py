@@ -92,8 +92,12 @@ def ingest_signal(spec: str) -> SampledSignal:
 
 
 def _parse_axis(spec: str):
-    lo, hi, n = spec.split(":")
-    lo, hi, n = float(lo), float(hi), int(n)
+    """``lo:hi:n``: finite float bounds and an integer count n >= 2."""
+    try:
+        lo, hi, n = spec.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ValueError(f"axis {spec!r} is not of the form lo:hi:n") from None
     if n < 2 or not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"axis {spec!r} needs finite bounds and at least 2 points")
     return lo, hi, n
@@ -261,7 +265,11 @@ def run(argv=None) -> int:
         return EXIT_OK
 
     if cmd == "bridge":
-        xpart, xipart = args.points.split("x")
+        try:
+            xpart, xipart = args.points.split("x")
+        except ValueError:
+            raise ValueError(f"points {args.points!r} are not of the form "
+                             "lo:hi:nxlo:hi:m") from None
         pts = [(a, b) for a in _linear_axis(xpart) for b in _linear_axis(xipart)]
         rep = frst_frwt_bridge(p, g, sig, pts)
         write_json(f"{args.output}.report.json", {

@@ -40,8 +40,10 @@ form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Union
 
 import numpy as np
@@ -497,11 +499,105 @@ def frst_reconstruct(p: FracParam, g: Window, psi: Window, f: SampledSignal,
 # serialization (CSV + sidecar JSON meta)
 
 
+class _NotPlain(Exception):
+    """A value the writer leaves to ``json.dumps``: a non-str key or a type
+    json itself does not encode."""
+
+
+def _float_block(items: list, depth: int):
+    """``items`` as one string when it is a regular nested list of finite
+    floats (every list of a level the same length, the innermost level all
+    floats), else None.  The block is its shape's skeleton at ``depth``, one
+    ``%s`` per leaf, filled in one ``%``; the checks are C-level passes."""
+    shape = [len(items)]
+    leaves = items
+    firsts = set()   # a list met twice on the way down is a circular value
+    while True:
+        types = set(map(type, leaves))
+        if all(issubclass(t, float) for t in types):
+            break
+        lens = set(map(len, leaves)) if types == {list} else ()
+        if len(lens) != 1 or 0 in lens or id(leaves[0]) in firsts:
+            return None
+        firsts.add(id(leaves[0]))
+        shape.append(lens.pop())
+        leaves = list(chain.from_iterable(leaves))
+    if not all(map(math.isfinite, leaves)):
+        return None
+    template = "%s"
+    for d in range(depth + len(shape) - 1, depth - 1, -1):
+        n = shape[d - depth]
+        pad = "\n" + " " * (d + 1)
+        template = "[" + pad + ("," + pad).join(repeat(template, n)) + "\n" + " " * d + "]"
+    return template % tuple(map(float.__repr__, leaves))
+
+
+def _encode(obj, depth: int, out: list) -> None:
+    """Append the text of ``json.dumps(obj, sort_keys=True, indent=1)`` at
+    nesting ``depth`` to ``out``, types tested in json's order."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else
+                   "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif isinstance(obj, (list, tuple)):
+        block = _float_block(obj, depth) if obj and type(obj) is list else None
+        if block is not None or not obj:
+            out.append(block or "[]")
+            return
+        pad = "\n" + " " * (depth + 1)
+        sep = "[" + pad
+        for v in obj:
+            out.append(sep)
+            _encode(v, depth + 1, out)
+            sep = "," + pad
+        out.append("\n" + " " * depth + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        if not all(isinstance(k, str) for k in obj):
+            raise _NotPlain
+        pad = "\n" + " " * (depth + 1)
+        sep = "{" + pad
+        for k in sorted(obj):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _encode(obj[k], depth + 1, out)
+            sep = "," + pad
+        out.append("\n" + " " * depth + "}")
+    else:
+        raise _NotPlain
+
+
 def write_json(path, obj) -> None:
-    """Sorted-key, one-space-indented JSON with a trailing newline."""
+    """Write exactly ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``.
+
+    The text is built by ``_encode`` and written at once: keys sorted,
+    strings through json's ASCII escaper, floats as ``float.__repr__``
+    (NaN, Infinity, -Infinity otherwise), ints as ``int.__repr__``.  A
+    regular nested list of finite floats (a report's lattices, probes,
+    axes) is formatted as one block: its shape's ``[\\n ... %s ... ]``
+    skeleton at the current indent, filled by one ``%``.  Anything the
+    rule does not cover (a non-str key, a type json cannot encode, a
+    circular value) falls back to ``json.dumps`` of the whole object, so
+    such input gets json's own text or its own error.
+    """
+    out: list = []
+    try:
+        _encode(obj, 0, out)
+        text = "".join(out)
+    except (_NotPlain, RecursionError):
+        text = json.dumps(obj, sort_keys=True, indent=1)
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_csv_rows(path, header: str) -> np.ndarray:
@@ -553,8 +649,7 @@ def grid_to_csv(grid: TFGrid, csv_path, meta_path=None) -> None:
                    chain.from_iterable(repeat(xi_fields, nx)), vals.real, vals.imag)
     if meta_path is not None:
         meta = dict(grid.meta)
-        meta["axes"] = {"x": [float(v) for v in grid.x_axis],
-                        "xi": [float(v) for v in grid.xi_axis]}
+        meta["axes"] = {"x": grid.x_axis.tolist(), "xi": grid.xi_axis.tolist()}
         write_json(meta_path, meta)
 
 

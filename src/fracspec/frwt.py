@@ -239,6 +239,8 @@ def frst_frwt_bridge(p: FracParam, g: Window, f: SignalOrDistribution,
     p.require_regular("frst_frwt_bridge")
     gm = modulate(g, p.c2)
     xs, xis = np.array(points, dtype=float).reshape(-1, 2).T
+    if not xs.size:
+        raise ValueError("the bridge needs at least one (x, xi) point")
     if np.any(xis <= 0):
         raise ValueError("bridge probes need xi > 0")
     lhs = frst_point(p, g, f, xs, xis, drop_xi_chirp=True)

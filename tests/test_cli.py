@@ -165,6 +165,21 @@ class TestUsageErrors:
         assert exit_code(["frft", "--alpha", "1.0", "--input", spec,
                           "--output", str(tmp_path / "f")]) == 1
 
+    @pytest.mark.parametrize("argv, spec", [
+        (["frft", "--xi=a"], "'a'"),
+        (["frft", "--xi=1:2:x"], "'1:2:x'"),
+        (["bridge", "--window", "hermite1", "--points=-1:1:2"], "'-1:1:2'"),
+        (["bridge", "--window", "hermite1", "--points=-1:1:2x0.5:1:2x3"],
+         "'-1:1:2x0.5:1:2x3'"),
+    ])
+    def test_malformed_axis_spec_names_its_form(self, tmp_path, capsys, argv, spec):
+        assert exit_code(argv + ["--alpha", "1.0", "--input", SYNTH,
+                                 "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert spec in err
+        assert ("lo:hi:nxlo:hi:m" if argv[0] == "bridge" else "lo:hi:n") in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("dist", [
         '{"kind":"delta","terms":[[0,1.5,1.0]]}',
         '{"kind":"delta","terms":[[0,-1,1.0]]}',
@@ -629,3 +644,38 @@ class TestDeterminism:
         shared, fresh = run_all("shared", False), run_all("fresh", True)
         assert [code for code, _, _ in shared] == [1, 0, 0]
         assert shared == fresh
+
+
+class TestReportFormat:
+    """Every JSON file the CLI writes is canonical: the bytes of
+    ``json.dumps(json.loads(text), sort_keys=True, indent=1)`` and a newline."""
+
+    DELTA = '{"kind":"delta","terms":[[0,0,[1.0,0.5]],[0,0,[-0.3,0.2]]]}'
+
+    @pytest.mark.parametrize("argv, suffix", [
+        (["verify", "rez1", "--alpha", "1.0472", "--window", "hermite1", "--dist", DELTA],
+         ".report.json"),
+        (["verify", "te1", "--alpha", "1.0472", "--window", "hermite1", "--dist", DELTA],
+         ".report.json"),
+        # not-applicable: the report holds NaN lattice entries
+        (["verify", "te5", "--alpha", "1.0472", "--window", "hermite1", "--dist", DELTA],
+         ".report.json"),
+        (["bridge", "--alpha", "1.0", "--window", "hermite1", "--input", SYNTH,
+          "--points=-1:1:3x0.5:2:4"], ".report.json"),
+        (["invert", "--transform", "frwt", "--alpha", "1.0", "--window", "mexican-hat",
+          "--input", SYNTH, "--x=-6:6:64", "--xi", "0.25:4:40"], ".report.json"),
+        (["admissibility", "--window", "mexican-hat"], ".report.json"),
+        (["seminorm", "--window", "hermite1", "--k", "2", "--p", "1"], ".report.json"),
+        (["frst", "--alpha", "1.0", "--window", "hermite1", "--input", SYNTH,
+          "--x=-4:4:16", "--xi", "0.5:2:8"], ".meta.json"),
+    ], ids=["rez1-delta", "te1", "te5-not-applicable", "bridge", "invert-frwt",
+            "admissibility", "seminorm", "frst-meta"])
+    def test_json_is_canonical(self, tmp_path, argv, suffix):
+        out = tmp_path / "r"
+        code = exit_code(argv + ["--output", str(out)])
+        assert code == (4 if "te5" in argv else 0)
+        data = file_bytes(f"{out}{suffix}")
+        text = data.decode("ascii")
+        assert data == (json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n").encode()
+        if "te5" in argv:
+            assert "NaN" in text

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import mpmath as mp
@@ -24,6 +25,7 @@ from fracspec.frst import (
     grid_from_csv,
     grid_to_csv,
     symmetric_log_xi_axis,
+    write_json,
 )
 from fracspec.frwt import _frwt_params
 from fracspec.windows import (
@@ -118,6 +120,96 @@ class TestTFGrid:
         bad.write_text(text)
         with pytest.raises(fs.MalformedCSV, match=match):
             grid_from_csv(bad)
+
+
+def canonical(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode()
+
+
+def block(shape, start=0.1):
+    return (start + np.arange(np.prod(shape)) / 7.0).reshape(shape).tolist()
+
+
+class TestWriteJson:
+    """write_json writes the bytes of json.dumps(obj, sort_keys=True, indent=1)."""
+
+    @pytest.mark.parametrize("obj", [
+        [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 0.1],
+        {"nan": float("nan"), "inf": float("inf"), "ninf": -float("inf"), "zero": -0.0},
+        [0, -7, 2 ** 70, True, False, None],
+        {"b": True, "a": None, "c": 3},
+        ["é", "日本", '"q"', "back\\slash", "ctl\x00\x1f\n\t", "", "\ud83d"],
+        {"é": 1.5, "\n": [1.0], "": {}},
+        [], {}, [[]], [[], []], [{}], [[{}]], [[], [1.0]],
+        [[1.0], [2.0, 3.0]],
+        [[1.0, 2.0], (3.0, 4.0)],
+        (1.0, 2.0), [(1.0, 2.0), (3.0, 4.0)], ((),),
+        [np.float64(0.1), np.float64(-0.0), np.float64(1e16)],
+        {"eps": list(np.array([0.5, 0.25, 0.125]))},
+        [[np.float64(0.1), 0.2], [0.3, np.float64(0.4)]],
+        [1.0, float("nan"), 2.0], [[1.0, 2.0], [float("inf"), 3.0]],
+        [1.0, 2, 3.0], [[1.0, 2.0], [3, 4.0]], [1.0, True],
+        [[1.5]], [[[0.25]]],
+        block((3,)), block((2, 3)), block((8, 11, 2)), block((2, 1, 3, 2)),
+        {"z": block((2, 2)), "a": {"y": block((3,)), "b": [block((1, 2)), "s"]}},
+        3.5, float("nan"), 7, "top", None, True,
+    ])
+    def test_bytes_match_json(self, tmp_path, obj):
+        path = tmp_path / "o.json"
+        write_json(path, obj)
+        assert path.read_bytes() == canonical(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {1: 2.0, 2.5: [1.0], None: "n", True: 0},
+        {"a": {3: [1.0, 2.0]}},
+        {1: 1, "a": 2},
+        [np.int64(3)],
+        {"k": np.int64(3)},
+        [1.0, np.bool_(True)],
+        [object()],
+        {"k": {1.0, 2.0}},
+    ])
+    def test_non_plain_input_behaves_as_json(self, tmp_path, obj):
+        path = tmp_path / "o.json"
+        try:
+            want = canonical(obj)
+        except TypeError as exc:
+            with pytest.raises(TypeError) as got:
+                write_json(path, obj)
+            assert str(got.value) == str(exc)
+        else:
+            write_json(path, obj)
+            assert path.read_bytes() == want
+
+    def test_circular_value_behaves_as_json(self, tmp_path):
+        loop = [1.0]
+        loop.append(loop)
+        inner = []
+        inner.append(inner)
+        for obj in (loop, [inner, inner], {"a": [[inner]]}):
+            with pytest.raises(ValueError, match="Circular reference"):
+                json.dumps(obj, sort_keys=True, indent=1)
+            with pytest.raises(ValueError, match="Circular reference"):
+                write_json(tmp_path / "o.json", obj)
+
+    SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+               | st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+    BLOCKS = st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(
+        lambda shape: st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))
+        .map(lambda v: np.reshape(np.array(v, dtype=float), shape).tolist()))
+    VALUES = st.recursive(
+        SCALARS | BLOCKS,
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+        max_leaves=24)
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(obj=VALUES)
+    def test_property_bytes_match_json(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "property.json"   # rewritten per example
+        write_json(path, obj)
+        assert path.read_bytes() == canonical(obj)
 
 
 class TestForward:

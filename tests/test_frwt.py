@@ -350,6 +350,11 @@ class TestBridge:
         rep = frst_frwt_bridge(p_third, hermite, DD.delta(), self._points())
         assert rep.max_rel_deviation < 1e-12
 
+    def test_empty_point_list(self, p_third, hermite):
+        for f in (DD.delta(), fs.gaussian_signal(1.0, 512, 8.0)):
+            with pytest.raises(ValueError, match="at least one"):
+                frst_frwt_bridge(p_third, hermite, f, [])
+
     def test_gaussian_signal_both_angles(self, hermite):
         sig = fs.gaussian_signal(1.0, 1024, 12.0)
         for alpha in (np.pi / 6, np.pi / 3):
