@@ -56,7 +56,7 @@ from .distributions import (
     tally_pairings,
 )
 from .errors import AngleOutsideTheoremRange, InvalidExponent
-from .fraccore import CLASSICAL_FT_PARAM, FracParam, cmul
+from .fraccore import CLASSICAL_FT_PARAM, FracParam, cmul, require_positive_scales
 from .frst import _frst_params, _pair_cells, frst_point, st_point
 from .frwt import _frwt_params, frwt_point, wt_point
 from .windows import Window, modulate
@@ -357,8 +357,7 @@ def check_te4(p: FracParam, g: Window, fixture: AsymptoticFixture,
     def lhs_fn(x, xi, eps):
         # conj(M_{c2} g_{1/eps^2}((t - eps x) eps xi)) is g's probe at d = xi/eps and
         # omega = c2 eps xi, times phases that cancel the FRWT's chirp and the LHS's
-        if (xi <= 0).any():
-            raise ValueError("FRWT scale must be positive")
+        require_positive_scales(xi)
         return _pair_cells(p, g, fixture.f, eps * x, xi / eps, p.c2 * eps * xi, np.sqrt(eps * xi))
 
     def rhs_derived(x, xi):
@@ -455,6 +454,8 @@ def check_te1_hypotheses(p: FracParam, g: Window, f: DistributionDescriptor,
     (i) Cauchy convergence of e^{-ic1(eps xi)^2/2} S_g f(eps x, eps xi) /
     (eps^m L(eps)) per lattice cell, and (ii) existence of a finite D with
     |...| <= D (|xi| + 1/|xi|)^{-s} |x|^r across the lattice and sequence.
+    A lattice of zeros (the zero distribution) is "not-applicable": a null
+    sequence converges trivially.
     """
     if not s > 1.0:   # NaN too
         raise InvalidExponent(f"the bound exponent must satisfy s > 1, got {s}")
@@ -466,6 +467,8 @@ def check_te1_hypotheses(p: FracParam, g: Window, f: DistributionDescriptor,
     x_col, xi_col = _columns(lattice)
     with tally_pairings() as tally:
         cells = frst_point(p, g, f, eps * x_col, eps * xi_col, drop_xi_chirp=True)
+    # the scaling checkers' test for an all-zero transform
+    degenerate = np.max(np.abs(cells)) < 1e-300
     cells = cells / (eps ** m * Lv)
     converged = int(np.count_nonzero(is_cauchy(cells)))
     peak = np.max(np.abs(cells), axis=1)
@@ -481,7 +484,7 @@ def check_te1_hypotheses(p: FracParam, g: Window, f: DistributionDescriptor,
         alpha=p.alpha, window=g.name, m=m, r=r, s=s,
         converged_cells=converged, total_cells=len(lattice),
         all_converged=all_conv, bound_constant=D, bound_feasible=feasible,
-        verdict="pass" if ok else "fail", **tally.as_dict())
+        verdict="not-applicable" if degenerate else "pass" if ok else "fail", **tally.as_dict())
 
 
 CHECKERS = {

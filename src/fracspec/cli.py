@@ -50,6 +50,7 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY_FAIL = 3
 EXIT_NOT_APPLICABLE = 4
+VERDICT_EXIT = {"pass": EXIT_OK, "fail": EXIT_VERIFY_FAIL, "not-applicable": EXIT_NOT_APPLICABLE}
 
 
 def write_signal_csv(path, t: np.ndarray, values: np.ndarray) -> None:
@@ -295,7 +296,7 @@ def run(argv=None) -> int:
             print(f"te1 hypotheses: {rep.verdict} "
                   f"(converged {rep.converged_cells}/{rep.total_cells}, "
                   f"D={rep.bound_constant:.4g})")
-            return EXIT_OK if rep.verdict == "pass" else EXIT_VERIFY_FAIL
+            return VERDICT_EXIT[rep.verdict]
         # the limit of |x|^m ln(1/|x|) is |x|^m: f(eps x) = eps^m |ln eps| |x|^m + O(eps^m)
         fixture = AsymptoticFixture(f=desc, m=m, L=L, u=replace(desc, log_power=0), label="cli")
         checker = asymptotics.CHECKERS[args.theorem]
@@ -307,29 +308,25 @@ def run(argv=None) -> int:
         print(f"{args.theorem}: {rep.verdict} "
               f"(exponent {shown} expected {rep.exponent_expected:+.4f}, "
               f"ratio dev {rep.max_ratio_deviation:.3e})")
-        if rep.verdict == "pass":
-            return EXIT_OK
-        return EXIT_NOT_APPLICABLE if rep.verdict == "not-applicable" else EXIT_VERIFY_FAIL
+        return VERDICT_EXIT[rep.verdict]
 
     if cmd == "admissibility":
         g = window_by_name(args.window)
+        if args.psi is not None and args.c2 is None:
+            print("--c2 required with --psi", file=sys.stderr)
+            return EXIT_USAGE
         out = {}
-        if args.psi is not None:
-            if args.c2 is None:
-                print("--c2 required with --psi", file=sys.stderr)
-                return EXIT_USAGE
-            psi = window_by_name(args.psi)
-            with tally_pairings() as tally:
-                adm = admissibility_cgpsi(g, psi, args.c2)
-            out["c_gpsi"] = [adm.value.real, adm.value.imag]
-            print(f"C_gpsi = {adm.value:.10g} (err {adm.quadrature_error_estimate:.2e})")
-        else:
-            with tally_pairings() as tally:
+        with tally_pairings() as tally:
+            if args.psi is not None:
+                adm = admissibility_cgpsi(g, window_by_name(args.psi), args.c2)
+                out["c_gpsi"] = [adm.value.real, adm.value.imag]
+                print(f"C_gpsi = {adm.value:.10g} (err {adm.quadrature_error_estimate:.2e})")
+            else:
                 adm = admissibility_cg(g)
-            out["c_g"] = adm.value
-            out["c_g_half_line"] = adm.half_line
-            print(f"C_g = {adm.value:.10g} (half-line {adm.half_line:.10g}, "
-                  f"err {adm.quadrature_error_estimate:.2e})")
+                out["c_g"] = adm.value
+                out["c_g_half_line"] = adm.half_line
+                print(f"C_g = {adm.value:.10g} (half-line {adm.half_line:.10g}, "
+                      f"err {adm.quadrature_error_estimate:.2e})")
         out["quadrature_error_estimate"] = adm.quadrature_error_estimate
         out.update(tally.as_dict())
         write_json(f"{args.output}.report.json", out)

@@ -624,11 +624,11 @@ def log_slope(eps: np.ndarray, mags: np.ndarray) -> tuple[float, float]:
 CAUCHY_REL_TOL = 1e-4
 
 
-def is_cauchy(values: np.ndarray, rel_tol: float = CAUCHY_REL_TOL) -> np.ndarray:
+def is_cauchy(values: np.ndarray) -> np.ndarray:
     """Per sequence along the last axis: at least 4 values, and its last
-    three gaps below rel_tol (1 + |last value|)."""
+    three gaps below CAUCHY_REL_TOL (1 + |last value|)."""
     v = np.asarray(values)
     if v.shape[-1] < 4:
         return np.zeros(v.shape[:-1], dtype=bool)
     gaps = np.abs(np.diff(v[..., -4:], axis=-1))
-    return np.all(gaps < rel_tol * (1.0 + np.abs(v[..., -1:])), axis=-1)
+    return np.all(gaps < CAUCHY_REL_TOL * (1.0 + np.abs(v[..., -1:])), axis=-1)

@@ -143,6 +143,14 @@ def cmul(a, b) -> np.ndarray:
     return out
 
 
+def require_positive_scales(xi) -> None:
+    """The one FRWT scale rule: every scale in xi finite and positive (NaN
+    is neither), else ValueError."""
+    xi = np.asarray(xi)
+    if not ((xi > 0) & (xi < np.inf)).all():
+        raise ValueError("FRWT scales must be finite and positive")
+
+
 @dataclass(frozen=True)
 class SampledSignal:
     """Uniformly sampled complex signal; sample j lives at t0 + j*dt."""
@@ -154,8 +162,9 @@ class SampledSignal:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=complex)
         object.__setattr__(self, "samples", samples)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.t0) and 0 < self.dt < np.inf):
+            raise ValueError(f"need a finite t0 and a finite dt > 0, "
+                             f"got t0={self.t0}, dt={self.dt}")
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("need a 1-D signal with at least 2 samples")
 

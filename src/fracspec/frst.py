@@ -195,9 +195,9 @@ def _pair_cells(p: FracParam, g: Window, f: SignalOrDistribution, x, d, omega, a
     ``pair_cells``."""
     params = np.broadcast_arrays(x, d, omega, amp)
     x, d, omega, amp = (v.ravel() for v in params)
+    if not (np.isfinite(x).all() and np.isfinite(d).all()):
+        raise ValueError("cells need a finite x and xi")
     if isinstance(f, SampledSignal):
-        if not (np.isfinite(x).all() and np.isfinite(d).all()):
-            raise ValueError("signal cells need a finite x and xi")
         # a probe band 2|d| SUPPORT_RADII/width wider than the sampling band
         # 2 pi/dt is not resolved by the samples, and the kernel's bins grow with it
         band = 2.0 * float(np.max(np.abs(d), initial=0.0)) * SUPPORT_RADII / g.width
@@ -499,11 +499,6 @@ def frst_reconstruct(p: FracParam, g: Window, psi: Window, f: SampledSignal,
 # serialization (CSV + sidecar JSON meta)
 
 
-class _NotPlain(Exception):
-    """A value the writer leaves to ``json.dumps``: a non-str key or a type
-    json itself does not encode."""
-
-
 def _float_block(items: list, depth: int):
     """``items`` as one string when it is a regular nested list of finite
     floats (every list of a level the same length, the innermost level all
@@ -564,8 +559,9 @@ def _encode(obj, depth: int, out: list) -> None:
         if not obj:
             out.append("{}")
             return
-        if not all(isinstance(k, str) for k in obj):
-            raise _NotPlain
+        for k in obj:
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}: {k!r}")
         pad = "\n" + " " * (depth + 1)
         sep = "{" + pad
         for k in sorted(obj):
@@ -574,30 +570,27 @@ def _encode(obj, depth: int, out: list) -> None:
             sep = "," + pad
         out.append("\n" + " " * depth + "}")
     else:
-        raise _NotPlain
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, obj) -> None:
-    """Write exactly ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``.
+    """Write the bytes of ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``
+    for plain JSON data ``obj``.
 
     The text is built by ``_encode`` and written at once: keys sorted,
     strings through json's ASCII escaper, floats as ``float.__repr__``
     (NaN, Infinity, -Infinity otherwise), ints as ``int.__repr__``.  A
     regular nested list of finite floats (a report's lattices, probes,
     axes) is formatted as one block: its shape's ``[\\n ... %s ... ]``
-    skeleton at the current indent, filled by one ``%``.  Anything the
-    rule does not cover (a non-str key, a type json cannot encode, a
-    circular value) falls back to ``json.dumps`` of the whole object, so
-    such input gets json's own text or its own error.
+    skeleton at the current indent, filled by one ``%``.  Only plain JSON
+    data is written: a non-str key or a value of any other type raises
+    TypeError naming it, and a circular value RecursionError; nothing is
+    written then.
     """
     out: list = []
-    try:
-        _encode(obj, 0, out)
-        text = "".join(out)
-    except (_NotPlain, RecursionError):
-        text = json.dumps(obj, sort_keys=True, indent=1)
+    _encode(obj, 0, out)
     with open(path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write("".join(out) + "\n")
 
 
 def read_csv_rows(path, header: str) -> np.ndarray:

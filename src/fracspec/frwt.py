@@ -40,6 +40,7 @@ from .fraccore import (
     cmul,
     frft,
     rel_l2,
+    require_positive_scales,
     trapezoid_weights,
 )
 from .frst import (
@@ -62,8 +63,7 @@ from .windows import ADMISSIBILITY_MIN, Window, admissibility_cg, modulate, requ
 def _frwt_params(p: FracParam, x, xi):
     """(x, d, omega, amp) of the FRWT probe at the cells (x, xi > 0)."""
     p.require_regular("frwt_point")
-    if (np.asarray(xi) <= 0).any():
-        raise ValueError("FRWT scale must be positive")
+    require_positive_scales(xi)
     # float_power is libm's pow for scalars and arrays alike; numpy's vector
     # power loop differs from it in the last bit
     amp = np.float_power(xi, -0.5) * np.exp(-1j * 0.5 * p.c1 * x * x)
@@ -96,20 +96,13 @@ def _frwt_signal_grid(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis
     return vals, _kernel_meta(g, f.t_grid, x_axis, d)
 
 
-def _scale_axis(xi_axis) -> np.ndarray:
-    """xi_axis as floats; a scale that is not positive raises ValueError."""
-    xi_axis = np.asarray(xi_axis, dtype=float)
-    if np.any(xi_axis <= 0):
-        raise ValueError("FRWT scale axis must be positive")
-    return xi_axis
-
-
 def frwt_forward(p: FracParam, g: Window, f: SignalOrDistribution,
                  x_axis, xi_axis, *, enforce_sampling: bool = True) -> TFGrid:
     """FRWT on a time-scale grid (xi_axis strictly positive)."""
     p.require_regular("frwt_forward")
     x_axis = np.asarray(x_axis, dtype=float)
-    xi_axis = _scale_axis(xi_axis)
+    xi_axis = np.asarray(xi_axis, dtype=float)
+    require_positive_scales(xi_axis)
     check_axes(x_axis, xi_axis)
     require_wavelet(g)
     meta = {"transform": "FRWT", "alpha": p.alpha, "window": g.name}
@@ -128,8 +121,7 @@ class ViaFrftReport:
 
 
 def frwt_via_frft(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
-                  freq_constant: str = "c1", *,
-                  enforce_sampling: bool = True) -> ViaFrftReport:
+                  freq_constant: str = "c1") -> ViaFrftReport:
     """FRWT through the FRFT route and its deviation from the direct form.
 
     W_g^alpha f(x, xi) = sqrt(2 pi xi) * integral F_alpha f(u) G(u, xi) K_{-alpha}(u, x) du
@@ -149,10 +141,11 @@ def frwt_via_frft(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
     if freq_constant not in ("c1", "c2"):
         raise ValueError("freq_constant must be 'c1' or 'c2'")
     x_axis = np.asarray(x_axis, dtype=float)
-    xi_axis = _scale_axis(xi_axis)
+    xi_axis = np.asarray(xi_axis, dtype=float)
+    require_positive_scales(xi_axis)
 
     u = f.t_grid
-    Fa = frft(p, f, u, enforce_sampling=enforce_sampling)
+    Fa = frft(p, f, u)
     wu = f.trapezoid_weights()
     if freq_constant == "c1":
         spec = g.ft(p.c1 * u[:, None] * xi_axis)
@@ -166,7 +159,7 @@ def frwt_via_frft(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
     grid = TFGrid(x_axis, xi_axis, vals,
                   {"transform": "FRWT", "alpha": p.alpha, "window": g.name,
                    "route": f"frft-{freq_constant}"})
-    direct, _ = _frwt_signal_grid(p, g, f, x_axis, xi_axis, enforce_sampling)
+    direct, _ = _frwt_signal_grid(p, g, f, x_axis, xi_axis, enforce_sampling=True)
     return ViaFrftReport(grid=grid, freq_constant=freq_constant,
                          rel_l2_deviation=rel_l2(grid.values, direct))
 
@@ -185,8 +178,7 @@ def frwt_synthesis(p: FracParam, g: Window, F: TFGrid, t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     x = F.x_axis
     xi = F.xi_axis
-    if np.any(xi <= 0):
-        raise ValueError("FRWT synthesis needs a positive scale axis")
+    require_positive_scales(xi)
     H = F.values * (trapezoid_weights(x) * np.exp(1j * 0.5 * p.c1 * x * x))[:, None]
     H *= xi ** -0.5 * log_branch_weights(xi) / (xi * xi)
     out = _spread(g, t, x, 1.0 / xi, np.zeros_like(xi), H)
@@ -241,8 +233,7 @@ def frst_frwt_bridge(p: FracParam, g: Window, f: SignalOrDistribution,
     xs, xis = np.array(points, dtype=float).reshape(-1, 2).T
     if not xs.size:
         raise ValueError("the bridge needs at least one (x, xi) point")
-    if np.any(xis <= 0):
-        raise ValueError("bridge probes need xi > 0")
+    require_positive_scales(xis)
     lhs = frst_point(p, g, f, xs, xis, drop_xi_chirp=True)
     w = frwt_point(p, gm, f, xs, 1.0 / xis)
     # cmul and hypot round each product and modulus as complex scalars do

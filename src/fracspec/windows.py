@@ -39,6 +39,7 @@ from .errors import (
     PairingDiverged,
     ZeroAdmissibility,
 )
+from .fraccore import require_positive_scales
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -404,8 +405,7 @@ def seminorm_sigma(grid, l: int, m: int, s: int, r: int) -> SeminormEstimate:
         raise DerivativeOrderTooHigh(f"l+m = {l + m} exceeds {MAX_SIGMA_DERIVATIVE}")
     x = np.asarray(grid.x_axis, dtype=float)
     xi = np.asarray(grid.xi_axis, dtype=float)
-    if np.any(xi <= 0):
-        raise ValueError("sigma seminorm is defined over a positive scale axis")
+    require_positive_scales(xi)
     vals = np.asarray(grid.values, dtype=complex)
     need_x = 1 + 2 * m
     need_xi = 1 + 2 * l

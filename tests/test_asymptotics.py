@@ -234,7 +234,7 @@ class TestDegenerateInput:
 
     def test_te4_refuses_a_non_positive_scale(self, p_third, hermite):
         # TE4's probes are FRWT scales 1/(eps xi): xi must be positive
-        with pytest.raises(ValueError, match="scale must be positive"):
+        with pytest.raises(ValueError, match="FRWT scales must be finite and positive"):
             check_te4(p_third, hermite, delta_fixture(), probes=((0.5, 2.0), (0.5, -2.0)))
 
 
@@ -310,10 +310,13 @@ class TestTe1Hypotheses:
             check_te1_hypotheses(p_third, hermite, DD.delta(), m=-1.0, s=0.5)
 
     def test_zero_input_trivial_bound(self, p_third, hermite):
-        zero = DD.delta_comb([(0.0, 0, 0.0)])
-        rep = check_te1_hypotheses(p_third, hermite, zero, m=-1.0)
-        assert rep.verdict == "pass"
-        assert rep.bound_constant == 0.0
+        # a null sequence converges and D = 0 bounds it: nothing is tested,
+        # as for the scaling checkers' all-zero transform
+        for zero in (DD.delta_comb([(0.0, 0, 0.0)]), DD.from_json({"kind": "delta", "terms": []})):
+            rep = check_te1_hypotheses(p_third, hermite, zero, m=-1.0)
+            assert rep.verdict == "not-applicable"
+            assert rep.converged_cells == rep.total_cells == 80
+            assert rep.bound_feasible and rep.bound_constant == 0.0
 
     def test_sqrt_abs_cell_pairs_in_closed_form(self, p_third, hermite, mp_pairing):
         # the (eps x, eps xi) probe spans 10/(eps xi) under a chirp; the

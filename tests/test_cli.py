@@ -483,6 +483,16 @@ class TestCommands:
                     "--output", str(tmp_path / "na")])
         assert code == 4
 
+    def test_verify_te1_zero_lattice_not_applicable(self, tmp_path, capsys):
+        out = tmp_path / "te1"
+        code = run(["verify", "te1", "--alpha", "1", "--window", "hermite1",
+                    "--dist", '{"kind":"delta","terms":[]}', "--degree", "-1",
+                    "--output", str(out)])
+        assert code == 4
+        assert "te1 hypotheses: not-applicable (converged 80/80, D=0)" in capsys.readouterr().out
+        rep = json.loads((tmp_path / "te1.report.json").read_text())
+        assert rep["verdict"] == "not-applicable"
+
     def test_verify_te5_vanishing_limit_not_applicable(self, tmp_path):
         out = tmp_path / "te5"
         code = run(["verify", "te5", "--alpha", "1.0472", "--window", "hermite1",

@@ -122,6 +122,13 @@ class TestFrft:
         with pytest.raises(fs.DomainError):
             fs.frft(fs.make_frac_param(alpha), sig, np.array([0.5, bad]))
 
+    @pytest.mark.parametrize("t0, dt", [(0.0, np.nan), (0.0, np.inf), (np.nan, 0.1),
+                                        (-np.inf, 0.1), (0.0, 0.0), (0.0, -0.1)])
+    def test_signal_needs_a_finite_axis(self, t0, dt):
+        # a NaN dt compares False both ways, and the transform would be NaN
+        with pytest.raises(ValueError, match="finite t0 and a finite dt > 0"):
+            fs.SampledSignal(t0, dt, np.ones(4))
+
 
 def _frft_dense(p, t: np.ndarray, fw: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """sum_k fw_k e^{i (c1 (t_k^2 + xi^2)/2 - c2 t_k xi)} by the kernel matrix."""

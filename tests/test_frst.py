@@ -159,38 +159,43 @@ class TestWriteJson:
         write_json(path, obj)
         assert path.read_bytes() == canonical(obj)
 
-    @pytest.mark.parametrize("obj", [
-        {1: 2.0, 2.5: [1.0], None: "n", True: 0},
-        {"a": {3: [1.0, 2.0]}},
-        {1: 1, "a": 2},
-        [np.int64(3)],
-        {"k": np.int64(3)},
-        [1.0, np.bool_(True)],
-        [object()],
-        {"k": {1.0, 2.0}},
+    # error: the key the TypeError must name, or None for json.dumps' own TypeError
+    @pytest.mark.parametrize("obj, error", [
+        pytest.param({1: 2.0, 2.5: [1.0], None: "n", True: 0}, "int: 1", id="obj0"),
+        pytest.param({"a": {3: [1.0, 2.0]}}, "int: 3", id="obj1"),
+        pytest.param({1: 1, "a": 2}, "int: 1", id="obj2"),
+        pytest.param([np.int64(3)], None, id="obj3"),
+        pytest.param({"k": np.int64(3)}, None, id="obj4"),
+        pytest.param([1.0, np.bool_(True)], None, id="obj5"),
+        pytest.param([object()], None, id="obj6"),
+        pytest.param({"k": {1.0, 2.0}}, None, id="obj7"),
     ])
-    def test_non_plain_input_behaves_as_json(self, tmp_path, obj):
+    def test_non_plain_input_behaves_as_json(self, tmp_path, obj, error):
+        # a type json refuses raises json's TypeError; a non-str key, which
+        # json would write as a string, raises a TypeError naming the key
         path = tmp_path / "o.json"
-        try:
-            want = canonical(obj)
-        except TypeError as exc:
-            with pytest.raises(TypeError) as got:
-                write_json(path, obj)
-            assert str(got.value) == str(exc)
-        else:
+        with pytest.raises(TypeError) as got:
             write_json(path, obj)
-            assert path.read_bytes() == want
+        assert not path.exists()
+        if error is None:
+            with pytest.raises(TypeError) as want:
+                json.dumps(obj, sort_keys=True, indent=1)
+            assert str(got.value) == str(want.value)
+        else:
+            assert str(got.value) == f"keys must be str, not {error}"
 
-    def test_circular_value_behaves_as_json(self, tmp_path):
+    def test_circular_value_is_refused(self, tmp_path):
         loop = [1.0]
         loop.append(loop)
         inner = []
         inner.append(inner)
-        for obj in (loop, [inner, inner], {"a": [[inner]]}):
-            with pytest.raises(ValueError, match="Circular reference"):
-                json.dumps(obj, sort_keys=True, indent=1)
-            with pytest.raises(ValueError, match="Circular reference"):
+        circle = {}
+        circle["a"] = [circle]
+        # [inner, inner] would loop forever in the float-block scan without its guard
+        for obj in (loop, [inner, inner], {"a": [[inner]]}, circle):
+            with pytest.raises(RecursionError):
                 write_json(tmp_path / "o.json", obj)
+        assert not (tmp_path / "o.json").exists()
 
     SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
                | st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
@@ -422,6 +427,17 @@ class TestSignalCells:
         # the kernel's reach would drop such a cell and return 0
         with pytest.raises(ValueError, match="finite"):
             frst_point(p_third, hermite, self.SIG, x, xi)
+
+    @pytest.mark.parametrize("f", [DD.delta(), DD.homogeneous("abs", 0.5)], ids=["delta", "sqrt-abs"])
+    @pytest.mark.parametrize("x, xi", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                                       (0.0, np.nan), (0.0, np.inf), (0.0, -np.inf)])
+    def test_non_finite_cells_refused_for_descriptors(self, hermite, f, x, xi):
+        # the same refusal as a signal's: no 0j, NaN or numpy warning
+        p = fs.make_frac_param(1.0)
+        with pytest.raises(ValueError, match="^cells need a finite x and xi$"):
+            frst_point(p, hermite, f, x, xi)
+        with pytest.raises(ValueError, match="^cells need a finite x and xi$"):
+            frst_point(p, hermite, f, np.array([0.5, x]), np.array([1.0, xi]), drop_xi_chirp=True)
 
 
 class TestCombDerivatives:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,9 @@ from fracspec.frwt import (
     wt_point,
 )
 from fracspec.windows import seminorm_rho, seminorm_sigma, window_by_name
+
+
+SCALE_RULE = "^FRWT scales must be finite and positive$"
 
 
 def modulated_gaussian(width, n, half_width, om0=4.0):
@@ -210,9 +214,8 @@ class TestViaFrft:
         # rejected before any numerics, with frwt_forward's message
         sig = fs.gaussian_signal(1.0, 1024, 8.0)
         xi = np.array([-2.0, -1.0, 0.5, 1.0])
-        with pytest.raises(ValueError, match="FRWT scale axis must be positive"):
-            frwt_via_frft(p_third, mexican, sig, np.linspace(-1, 1, 3), xi,
-                          enforce_sampling=False)
+        with pytest.raises(ValueError, match=SCALE_RULE):
+            frwt_via_frft(p_third, mexican, sig, np.linspace(-1, 1, 3), xi)
 
     def test_zero_signal_both_variants(self, p_third, mexican):
         sig = fs.SampledSignal(-6.0, 6.0 / 128, np.zeros(257, complex))
@@ -426,6 +429,16 @@ class TestBridge:
             rhs = (np.sqrt(xi) / np.sqrt(2 * np.pi) * np.exp(-1j * x * xi) * w)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
+    @pytest.mark.parametrize("f", [DD.delta(), DD.homogeneous("abs", 0.5)], ids=["delta", "sqrt-abs"])
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cells_refused(self, hermite, f, x):
+        # refused for descriptors as for signals (a delta's bridge read NaN)
+        p = fs.make_frac_param(1.0)
+        with pytest.raises(ValueError, match="^cells need a finite x and xi$"):
+            frwt_point(p, hermite, f, x, 1.0)
+        with pytest.raises(ValueError, match="^cells need a finite x and xi$"):
+            frst_frwt_bridge(p, hermite, f, [(0.5, 1.0), (x, 1.0)])
+
     def test_positive_scale_probes_required(self, p_third, hermite):
         with pytest.raises(ValueError):
             frst_frwt_bridge(p_third, hermite, DD.delta(), [(0.5, -1.0)])
@@ -434,6 +447,33 @@ class TestBridge:
         with pytest.raises(fs.SingularAngle):
             frst_frwt_bridge(fs.make_frac_param(0.0), hermite, DD.delta(),
                              [(0.5, 1.0)])
+
+
+class TestScaleRule:
+    """Every site that takes FRWT scales refuses the same values with the one message."""
+
+    SITES = {
+        "frwt_forward": lambda p, g, xi: frwt_forward(p, g, DD.delta(), [0.0, 1.0], [0.5, xi]),
+        "frwt_via_frft": lambda p, g, xi: frwt_via_frft(
+            p, g, fs.gaussian_signal(1.0, 256, 8.0), [0.0, 1.0], [0.5, xi]),
+        "frwt_point": lambda p, g, xi: frwt_point(p, g, DD.delta(), 0.5, xi),
+        "frwt_synthesis": lambda p, g, xi: frwt_synthesis(
+            p, g, SimpleNamespace(x_axis=np.array([0.0, 1.0]), xi_axis=np.array([0.5, xi]),
+                                  values=np.zeros((2, 2), complex)), np.linspace(-1, 1, 3)),
+        "frst_frwt_bridge": lambda p, g, xi: frst_frwt_bridge(
+            p, g, DD.delta(), [(0.5, 1.0), (0.5, xi)]),
+        "check_te4": lambda p, g, xi: fs.asymptotics.check_te4(
+            p, g, fs.asymptotics.delta_fixture(), probes=((0.5, 2.0), (0.5, xi))),
+        "seminorm_sigma": lambda p, g, xi: seminorm_sigma(
+            SimpleNamespace(x_axis=np.array([0.0, 1.0]), xi_axis=np.array([0.5, xi]),
+                            values=np.ones((2, 2), complex)), 0, 0, 1, 1),
+    }
+
+    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("xi", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_refuses_non_positive_and_non_finite(self, p_third, hermite, site, xi):
+        with pytest.raises(ValueError, match=SCALE_RULE):
+            self.SITES[site](p_third, hermite, xi)
 
 
 def signal_rho(t, values, k, n):
