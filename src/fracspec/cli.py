@@ -66,6 +66,8 @@ def read_signal_csv(path) -> SampledSignal:
         raise MalformedCSV("signal file holds non-finite fields")
     t = data[:, 0]
     dt = np.diff(t)
+    if not np.all(dt > 0):
+        raise MalformedCSV("time column t is not strictly increasing")
     if np.any(np.abs(dt - dt[0]) > 1e-9 * max(abs(t[0]), abs(t[-1]), 1.0)):
         raise NonUniformGrid("time column is not uniformly spaced")
     return SampledSignal(t0=float(t[0]), dt=float(dt[0]),

@@ -441,12 +441,15 @@ def frst_synthesis(p: FracParam, g: Window, F: TFGrid, t_grid) -> np.ndarray:
     Jacobian on the frequency axis.
     """
     p.require_regular("frst_synthesis")
-    t = np.asarray(t_grid, dtype=float)
-    x = F.x_axis
-    xi = F.xi_axis
-    # weighted in place: a second grid-sized temporary freed before the loop
-    # left a hole that raised the peak RSS by one grid
-    H = F.values * trapezoid_weights(x)[:, None]
+    return _frst_synthesis_core(p, g, F.x_axis, F.xi_axis, F.values.copy(),
+                                np.asarray(t_grid, dtype=float))
+
+
+def _frst_synthesis_core(p: FracParam, g: Window, x, xi, H, t) -> np.ndarray:
+    """``frst_synthesis`` of the grid values H on the axes x and xi, which
+    it weights in place: the caller gives H up, so a round trip holds one
+    grid."""
+    H *= trapezoid_weights(x)[:, None]
     H *= log_branch_weights(xi) * np.exp(-1j * 0.5 * p.c1 * xi * xi)
     out = _spread(g, t, x, xi, p.c2 * xi, H)
     return abs(np.sin(p.alpha)) * np.conj(p.c_alpha) * np.exp(-1j * 0.5 * p.c1 * t * t) * out
@@ -491,7 +494,7 @@ def frst_reconstruct(p: FracParam, g: Window, psi: Window, f: SampledSignal,
     p.require_regular("frst_reconstruct")
     const = admissibility_cgpsi(g, psi, p.c2).value
     F = frst_forward(p, g, f, x_axis, xi_axis, enforce_sampling=enforce_sampling)
-    rec = frst_synthesis(p, psi, F, f.t_grid) / const
+    rec = _frst_synthesis_core(p, psi, F.x_axis, F.xi_axis, F.values, f.t_grid) / const
     return _compare("FRST", p.alpha, const, f, rec)
 
 
@@ -647,12 +650,17 @@ def grid_to_csv(grid: TFGrid, csv_path, meta_path=None) -> None:
 
 
 def grid_from_csv(csv_path, meta_path=None) -> TFGrid:
+    """The grid of `x,xi,re,im` rows in ``grid_to_csv``'s order: row-major
+    over x then xi, every (x, xi) pair once.  Rows in any other order, or
+    with a pair missing or repeated, raise MalformedCSV."""
     data = read_csv_rows(csv_path, "x,xi,re,im")
     if data.size == 0:
         raise MalformedCSV("empty grid file")
     x = np.unique(data[:, 0])
     xi = np.unique(data[:, 1])
-    if x.size * xi.size != data.shape[0]:
+    # unequal lengths compare unequal, so this also counts the rows
+    if not (np.array_equal(data[:, 0], np.repeat(x, xi.size))
+            and np.array_equal(data[:, 1], np.tile(xi, x.size))):
         raise MalformedCSV("rows do not form a complete x/xi product grid")
     vals = (data[:, 2] + 1j * data[:, 3]).reshape(x.size, xi.size)
     meta = {}

@@ -175,11 +175,16 @@ def frwt_synthesis(p: FracParam, g: Window, F: TFGrid, t_grid) -> np.ndarray:
     log(xi) with Jacobian xi, i.e. total scale weight w_log(xi)/xi.
     """
     p.require_regular("frwt_synthesis")
-    t = np.asarray(t_grid, dtype=float)
-    x = F.x_axis
-    xi = F.xi_axis
-    require_positive_scales(xi)
-    H = F.values * (trapezoid_weights(x) * np.exp(1j * 0.5 * p.c1 * x * x))[:, None]
+    require_positive_scales(F.xi_axis)
+    return _frwt_synthesis_core(p, g, F.x_axis, F.xi_axis, F.values.copy(),
+                                np.asarray(t_grid, dtype=float))
+
+
+def _frwt_synthesis_core(p: FracParam, g: Window, x, xi, H, t) -> np.ndarray:
+    """``frwt_synthesis`` of the grid values H on the axes x and xi > 0,
+    which it weights in place: the caller gives H up, so a round trip
+    holds one grid."""
+    H *= (trapezoid_weights(x) * np.exp(1j * 0.5 * p.c1 * x * x))[:, None]
     H *= xi ** -0.5 * log_branch_weights(xi) / (xi * xi)
     out = _spread(g, t, x, 1.0 / xi, np.zeros_like(xi), H)
     return out * np.exp(-1j * 0.5 * p.c1 * t * t)
@@ -201,7 +206,7 @@ def frwt_reconstruct(p: FracParam, g: Window, f: SampledSignal, x_axis, xi_axis,
         raise ZeroAdmissibility(f"2 pi C_g[{g.name}] on omega > 0 = {const:.3e}; "
                                 "reconstruction over positive scales impossible")
     F = frwt_forward(p, g, f, x_axis, xi_axis, enforce_sampling=enforce_sampling)
-    rec = frwt_synthesis(p, g, F, f.t_grid) / const
+    rec = _frwt_synthesis_core(p, g, F.x_axis, F.xi_axis, F.values, f.t_grid) / const
     return _compare("FRWT", p.alpha, const, f, rec)
 
 

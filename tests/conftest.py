@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -17,6 +19,18 @@ def trapezoid_pairing(sig, probe):
     """<sig, probe> by the trapezoid rule on the signal's own grid: the
     point form of the spectral kernel, and its test oracle."""
     return complex(np.sum(sig.samples * probe(sig.t_grid) * sig.trapezoid_weights()))
+
+
+def traced_peak(run) -> int:
+    """Bytes of run()'s traced peak allocation, after one untraced call
+    has warmed numpy's FFT caches."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def probe_battery(c2=2.0 / np.sqrt(3.0)):

@@ -80,6 +80,19 @@ class TestIngest:
                           "--output", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("times", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.0)])
+    def test_time_column_not_increasing(self, tmp_path, capsys, times):
+        # a malformed file (exit 2), not a usage error about a t0 and dt
+        # the user never gave
+        path = tmp_path / "flat.csv"
+        path.write_text("t,re,im\n" + "".join(f"{t},1.0,0.0\n" for t in times))
+        with pytest.raises(fs.MalformedCSV, match="time column t"):
+            read_signal_csv(path)
+        assert exit_code(["frft", "--alpha", "1.0", "--input", str(path),
+                          "--output", str(tmp_path / "out")]) == 2
+        assert "time column t is not strictly increasing" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
 
 SYNTH = '{"gaussian": {"width": 1}, "N": 512, "T": 8}'
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import fracspec as fs
-from conftest import trapezoid_pairing
+from conftest import traced_peak, trapezoid_pairing
 from fracspec.distributions import DistributionDescriptor as DD
 from fracspec.fraccore import KERNEL_BLOCK_ELEMENTS, TWO_PI_LD, _LatticeSum, _uniform_step
 from fracspec.frst import (
@@ -113,6 +113,10 @@ class TestTFGrid:
         ("x,xi,re,im\n", "empty grid file"),
         ("x,xi,re,im\n\n# no rows\n", "empty grid file"),
         ("x,xi,re,im\n0,1,0,0\n0,2,0,0\n1,1,0,0\n", "complete x/xi product"),
+        # a complete product written xi-major would load transposed
+        ("x,xi,re,im\n0,1,1,0\n1,1,2,0\n0,2,11,0\n1,2,12,0\n", "complete x/xi product"),
+        # repeated rows hiding the missing cells (0, 2) and (1, 1)
+        ("x,xi,re,im\n0,1,1,0\n0,1,1,0\n1,2,12,0\n1,2,12,0\n", "complete x/xi product"),
         ("x,xi,re,im\n0,1,zero,0\n", "could not convert"),
     ])
     def test_malformed_rows(self, tmp_path, text, match):
@@ -846,6 +850,36 @@ class TestReconstruction:
         xi = symmetric_log_xi_axis(0.5, 4.0, 16)
         rep = frst_reconstruct(p_third, mexican, psi, sig, x, xi)
         assert np.all(rep.reconstructed == 0)
+
+    @staticmethod
+    def _invert_frst(p):
+        """(psi, signal, x, xi) of the invert-frst benchmark job's geometry."""
+        psi = window_by_name(f"modulated:dog:6:{-float(p.c2)!r}")
+        return (psi, modulated_gaussian(1.0, 320, 9.0), np.linspace(-20.0, 20.0, 704),
+                symmetric_log_xi_axis(2.0 ** -4, 2.0 ** 4, 72))
+
+    def test_peak_memory_holds_one_grid(self, p_third, mexican):
+        # synthesis weights the forward grid in place: beyond that one grid
+        # the round trip stays within the kernels' own bound (test_peak_memory)
+        psi, sig, x, xi = self._invert_frst(p_third)
+        peak = traced_peak(lambda: frst_reconstruct(p_third, mexican, psi, sig, x, xi,
+                                                    enforce_sampling=False))
+        beyond = peak - x.size * xi.size * np.dtype(complex).itemsize
+        assert beyond <= 8 * KERNEL_BLOCK_ELEMENTS * 16, beyond
+
+    def test_reconstructed_is_synthesis_of_forward(self, p_third, mexican):
+        psi, sig, x, xi = self._invert_frst(p_third)
+        rep = frst_reconstruct(p_third, mexican, psi, sig, x, xi, enforce_sampling=False)
+        F = frst_forward(p_third, mexican, sig, x, xi, enforce_sampling=False)
+        const = admissibility_cgpsi(mexican, psi, p_third.c2).value
+        assert np.array_equal(rep.reconstructed, frst_synthesis(p_third, psi, F, sig.t_grid) / const)
+
+    def test_synthesis_leaves_grid_unchanged(self, p_third, mexican):
+        psi, sig, x, xi = self._invert_frst(p_third)
+        F = frst_forward(p_third, mexican, sig, x, xi, enforce_sampling=False)
+        before = F.values.copy()
+        frst_synthesis(p_third, psi, F, sig.t_grid)
+        assert np.array_equal(F.values, before)
 
 
 class TestCompositionConstant:

@@ -6,8 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fracspec as fs
-from conftest import probe_battery, trapezoid_pairing
+from conftest import probe_battery, traced_peak, trapezoid_pairing
 from fracspec.distributions import DistributionDescriptor as DD
+from fracspec.fraccore import KERNEL_BLOCK_ELEMENTS
 from fracspec.frst import (
     _frst_params,
     _integrand_probe,
@@ -325,6 +326,35 @@ class TestInversion:
         rep = frwt_reconstruct(p_third, mexican, sig, np.linspace(-4, 4, 33),
                                positive_log_xi_axis(0.5, 4.0, 16))
         assert np.all(rep.reconstructed == 0)
+
+    @staticmethod
+    def _invert_frwt():
+        """(signal, x, xi) of the invert-frwt benchmark job's geometry."""
+        return (modulated_gaussian(1.0, 1536, 8.0), np.linspace(-16.0, 16.0, 384),
+                positive_log_xi_axis(2.0 ** -5, 2.0 ** 3, 80))
+
+    def test_peak_memory_holds_one_grid(self, p_third, mexican):
+        # synthesis weights the forward grid in place: beyond that one grid
+        # the round trip stays within the kernels' own bound
+        sig, x, xi = self._invert_frwt()
+        peak = traced_peak(lambda: frwt_reconstruct(p_third, mexican, sig, x, xi,
+                                                    enforce_sampling=False))
+        beyond = peak - x.size * xi.size * np.dtype(complex).itemsize
+        assert beyond <= 8 * KERNEL_BLOCK_ELEMENTS * 16, beyond
+
+    def test_reconstructed_is_synthesis_of_forward(self, p_third, mexican):
+        sig, x, xi = self._invert_frwt()
+        rep = frwt_reconstruct(p_third, mexican, sig, x, xi, enforce_sampling=False)
+        F = frwt_forward(p_third, mexican, sig, x, xi, enforce_sampling=False)
+        const = 2.0 * np.pi * fs.admissibility_cg(mexican).half_line
+        assert np.array_equal(rep.reconstructed, frwt_synthesis(p_third, mexican, F, sig.t_grid) / const)
+
+    def test_synthesis_leaves_grid_unchanged(self, p_third, mexican):
+        sig, x, xi = self._invert_frwt()
+        F = frwt_forward(p_third, mexican, sig, x, xi, enforce_sampling=False)
+        before = F.values.copy()
+        frwt_synthesis(p_third, mexican, F, sig.t_grid)
+        assert np.array_equal(F.values, before)
 
     def test_distribution_round_trip_on_battery(self, p_third, mexican):
         # dual-pairing realization of the inversion theorem: push a sampled
